@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import NumericalError, PreconditionError
 from .henon import FILTRATION_RADIUS, HenonParams, henon
@@ -27,6 +27,9 @@ from .poly1d import (
     green,
     repelling_inner_radius,
 )
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 VERTICAL_SENTINEL = 1e15  # reported when DH is singular (a = 0)
 N_DIRECTIONS = 16
@@ -64,6 +67,12 @@ def in_repelling_sector(params, x, rho: float = 0.15):
 def sector_samples(params: HenonParams, n: int, rho: float = 0.15,
                    r_loc: float = 0.1, seed: int = 0) -> np.ndarray:
     """n normalized-coordinate points of W^- = sector x D_{r_loc}."""
+    inner = repelling_inner_radius(params)
+    if inner >= rho**params.q:
+        raise PreconditionError(
+            f"repelling sector is empty: t<0 inner radius |x^q| > {inner:.4g} "
+            f"reaches the outer radius rho^q = {rho**params.q:.4g}"
+        )
     rng = np.random.default_rng(seed)
     out = np.empty((n, 2), dtype=complex)
     got = 0
@@ -197,6 +206,8 @@ class VSpec:
 
 def julia_slice_tree(params: HenonParams, n: int = 2048, iters: int = 48) -> cKDTree:
     """Spatial index over a sampled J_{p_t}, the backbone of the V collar."""
+    from scipy.spatial import cKDTree  # deferred: scipy.spatial is slow to import
+
     vals = caratheodory(params.poly, n, iters).loop.values
     return cKDTree(np.column_stack([vals.real, vals.imag]))
 
@@ -229,6 +240,8 @@ def in_V(params: HenonParams, nf: NormalForm2D, vs: VSpec, x, y,
 def _boundary_tree(params, nf, vs: VSpec, n_loop: int = 512):
     """Sample stand-ins for the boundary of U_t: the outer equipotential and
     the thin attracting tube (critical orbit plus the axis spine inside B)."""
+    from scipy.spatial import cKDTree  # deferred: scipy.spatial is slow to import
+
     outer = equipotential_loop(params.poly, n_loop, level=math.log(vs.R)).values
     u = np.geomspace(1e-4, vs.rho_prime**params.q, 64)  # spine: arg(x^q) = pi
     spines = []

@@ -45,8 +45,8 @@ def make_params(p_over_q, t: float, a: complex) -> HenonParams:
     pp = poly_params(p_over_q, t)
     if abs(t) >= 1.0 / (2 * pp.q):
         raise PreconditionError(f"|t| must be below 1/(2q) = {1.0/(2*pp.q)}")
-    if abs(a) >= 0.5:
-        raise PreconditionError("|a| must be below 1/2")
+    if not abs(a) < 0.5:
+        raise PreconditionError(f"|a| must be below 1/2, got a = {a}")
     a = complex(a)
     lam = pp.lam
     s = lam / 2.0 - a * a / (2.0 * lam)

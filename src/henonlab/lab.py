@@ -7,11 +7,10 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import NumericalError, PreconditionError
 from .henon import HenonParams, PointCloud, jplus_slice, make_params
-from .poly1d import caratheodory
+from .poly1d import _normalize_pq, caratheodory
 from .torus import julia_from_sigma, torus_fixed_point
 
 DEFAULT_WINDOW = (-2.2, 2.2, -2.2, 2.2)
@@ -19,6 +18,8 @@ DEFAULT_WINDOW = (-2.2, 2.2, -2.2, 2.2)
 
 def hausdorff(A: PointCloud, B: PointCloud) -> float:
     """Hausdorff distance between point clouds in C^2 (sup-min, Euclidean R^4)."""
+    from scipy.spatial import cKDTree  # deferred: scipy.spatial is slow to import
+
     if len(A) == 0 or len(B) == 0:
         raise PreconditionError("Hausdorff distance of an empty cloud")
 
@@ -188,8 +189,8 @@ class RunConfig:
 
     @property
     def p_over_q(self):
-        p, q = self.pq.split("/")
-        return (int(p), int(q))
+        frac = _normalize_pq(self.pq)
+        return (frac.numerator, frac.denominator)
 
     @property
     def ts(self):

@@ -7,6 +7,15 @@ along the straightened manifold, then the three coefficient reductions.
 The change of coordinates maps {y = const} to {y = const} exactly; the
 price is h(0,0) = O(a) rather than 0, which is what every estimate
 downstream actually consumes.
+
+Every move T of the reduction is an elementary triangular change of
+coordinates whose inverse is known: (x + w(y), y) undoes the straightening
+(x - w(y), y); (x, psi^{-1}(y)) undoes the Koenigs move, with psi^{-1} from
+``invert1``; (x / u(y), y) undoes (u(y) x, y) through a reciprocal series;
+(x / A, y) undoes the rescaling; and the inverse of (x + v(y) x^k, y) is the
+fixed point G = x - v(y) G^k, which gains k-1 orders per pass.  ``reduce``
+conjugates by each pair (T, T^{-1}) and accumulates ``change`` and
+``change_inv`` side by side, so the generic ``invert2`` is never needed.
 """
 
 from __future__ import annotations
@@ -23,7 +32,8 @@ from .series import (
     TruncSeries2,
     compose1,
     compose2,
-    invert2,
+    invert1,
+    reciprocal1,
     series1_to_2,
 )
 
@@ -84,8 +94,24 @@ def _scale_argument(f: TruncSeries1, factor: complex) -> TruncSeries1:
     return TruncSeries1(f.coeffs * factor ** np.arange(f.D + 1), D=f.D)
 
 
-def _conjugate(T, H):
-    return compose2(compose2(T, H), invert2(T))
+def _shear(v: TruncSeries2, k: int):
+    """The move (x + v(y) x^k, y), k >= 2, and its inverse (G, y).
+
+    G = x - v(y) G^k is solved by fixed-point passes from G = x: after n
+    passes G is exact through degree (n+1)(k-1).
+    """
+    D = v.D
+    x, y = TruncSeries2.var_x(D), TruncSeries2.var_y(D)
+    xk = x
+    for _ in range(k - 1):
+        xk = xk * x
+    G, exact = x, k - 1
+    while exact < D:
+        Gk = G
+        for _ in range(k - 1):
+            Gk = Gk * G
+        G, exact = x - v * Gk, exact + k - 1
+    return (x + v * xk, y), (G, y)
 
 
 @dataclass(frozen=True)
@@ -128,23 +154,25 @@ def reduce(params: HenonParams, D: int | None = None) -> NormalForm2D:
 
     H = henon_jet(params, D)
     var_x, var_y = TruncSeries2.var_x(D), TruncSeries2.var_y(D)
-    change = (var_x, var_y)
+    change = change_inv = (var_x, var_y)
 
-    def apply(T):
-        nonlocal H, change
-        H = _conjugate(T, H)
+    def apply(T, T_inv):
+        nonlocal H, change, change_inv
+        H = compose2(compose2(T, H), T_inv)
         change = compose2(T, change)
+        change_inv = compose2(change_inv, T_inv)
 
     # straighten W^ss to {x = 0}
     w = wss_graph(params, D)
-    apply((var_x - series1_to_2(w, "y"), var_y))
+    w2 = series1_to_2(w, "y")
+    apply((var_x - w2, var_y), (var_x + w2, var_y))
 
     # linearize along the straightened manifold; below the threshold the
     # nonlinear part of the restriction is O(|a|^3), far under any tolerance
     if abs(nu) >= 1e-8:
         rho = TruncSeries1(H[1].coeffs[0, :].copy(), D=D)
         psi = _koenigs(rho, nu)
-        apply((var_x, series1_to_2(psi, "y")))
+        apply((var_x, series1_to_2(psi, "y")), (var_x, series1_to_2(invert1(psi), "y")))
 
     # step 1: x-linear coefficient a1(y) -> constant lambda, via the
     # infinite product u(y) of b1 at geometrically shrunk arguments
@@ -156,12 +184,10 @@ def reduce(params: HenonParams, D: int | None = None) -> NormalForm2D:
         if np.max(np.abs(g.coeffs[1:])) < _STAGNATION and abs(g.coeffs[0] - 1.0) < _STAGNATION:
             break
     if np.max(np.abs(u.coeffs[1:])) > _STAGNATION or abs(u.coeffs[0] - 1.0) > _STAGNATION:
-        apply((series1_to_2(u, "y") * var_x, var_y))
+        apply((series1_to_2(u, "y") * var_x, var_y),
+              (series1_to_2(reciprocal1(u), "y") * var_x, var_y))
 
     # step 2: a_k(y) -> constants for 2 <= k <= 2q+1
-    xpow = [None, var_x]
-    for _ in range(2 * q):
-        xpow.append(xpow[-1] * var_x)
     for k in range(2, 2 * q + 2):
         a_k = TruncSeries1(H[0].coeffs[k, :].copy(), D=D)
         if np.max(np.abs(a_k.coeffs[1:])) < _STAGNATION:
@@ -177,7 +203,7 @@ def reduce(params: HenonParams, D: int | None = None) -> NormalForm2D:
         else:
             raise NumericalError(f"coefficient sum stagnated too slowly (|ratio|={abs(ratio):.3f})")
         v = total * (1.0 / lam)
-        apply((var_x + series1_to_2(v, "y") * xpow[k], var_y))
+        apply(*_shear(series1_to_2(v, "y"), k))
 
     # step 3: eliminate non-resonant constants; normalize the (q+1)-slot
     A = 1.0 + 0.0j
@@ -185,18 +211,18 @@ def reduce(params: HenonParams, D: int | None = None) -> NormalForm2D:
         a_k = H[0].coeff(k, 0)
         if k == q + 1:
             A = (a_k / lam) ** (1.0 / q)
-            apply((A * var_x, var_y))
+            apply((A * var_x, var_y), ((1.0 / A) * var_x, var_y))
         elif k % q == 1 % q:
             continue
         else:
             denom = lam - lam**k
             if abs(denom) < 1e-8:
                 raise NumericalError(f"resonance too close: |lam - lam^{k}| = {abs(denom):.2e}")
-            apply((var_x + (a_k / denom) * xpow[k], var_y))
+            apply(*_shear(TruncSeries2.from_terms({(0, 0): a_k / denom}, D), k))
 
     C_at = H[0].coeff(2 * q + 1, 0) / lam
     return NormalForm2D(
-        params=params, D=D, change=change, change_inv=invert2(change),
+        params=params, D=D, change=change, change_inv=change_inv,
         normal=H, C_at=complex(C_at), wss_jet=w, rescale=complex(A),
     )
 

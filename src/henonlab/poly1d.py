@@ -28,17 +28,16 @@ _FAR = 1e100           # continue iterating to here so Green values saturate
 
 
 def _normalize_pq(p_over_q) -> Fraction:
-    if isinstance(p_over_q, Fraction):
-        frac = p_over_q
-    elif isinstance(p_over_q, tuple):
-        frac = Fraction(p_over_q[0], p_over_q[1])
-    elif isinstance(p_over_q, str):
-        frac = Fraction(p_over_q)
-    else:
-        frac = Fraction(p_over_q)
-    if frac.denominator < 1:
-        raise PreconditionError("rotation number must have positive denominator")
-    return frac
+    """The rotation number as a Fraction, from a Fraction, a (p, q) pair or "p/q"."""
+    parts = p_over_q
+    try:
+        if isinstance(parts, str) and "/" in parts:
+            parts = tuple(int(v) for v in parts.split("/"))
+        return Fraction(*parts) if isinstance(parts, tuple) else Fraction(parts)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise PreconditionError(
+            f"rotation number must be p/q with integers p and q != 0, got {p_over_q!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -60,6 +59,8 @@ class PolyParams:
 
 
 def poly_params(p_over_q, t: float) -> PolyParams:
+    if not math.isfinite(t):
+        raise PreconditionError(f"t must be a finite number, got {t}")
     frac = _normalize_pq(p_over_q)
     p, q = frac.numerator % frac.denominator, frac.denominator
     lam = (1.0 + t) * np.exp(2j * math.pi * p / q)

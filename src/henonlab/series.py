@@ -4,12 +4,22 @@ All operations return new objects truncated to the shared order D; there is
 no silent degree growth.  One-variable series are plain coefficient vectors
 ``c[0..D]``; two-variable series are total-degree truncated, i.e. only
 coefficients with ``i + j <= D`` are carried.
+
+The two-variable product is a Kronecker substitution: the (D+1)x(D+1)
+coefficient array is laid out row by row with stride 2D+1, one 1-D
+``np.convolve`` multiplies the flattened rows, and no carry crosses a row
+because j1 + j2 <= 2D.  ``compose2`` is Horner in the first inner component
+U over rows that are linear combinations of the powers of V, so a
+composition costs about 3D products.  ``invert2`` is the generic inverse,
+solving F(G) = id degree by degree; callers that know their map's inverse in
+closed form should use it instead.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.signal import convolve2d
 
 from .errors import NumericalError, PreconditionError
 
@@ -134,6 +144,40 @@ def invert1(f: TruncSeries1) -> TruncSeries1:
     return TruncSeries1(g, D=D)
 
 
+def reciprocal1(f: TruncSeries1) -> TruncSeries1:
+    """Multiplicative inverse 1/f through degree D; requires f(0) != 0."""
+    c = f.coeffs
+    if abs(c[0]) < _JET_TOL:
+        raise NumericalError("non-invertible jet: f(0)=0")
+    r = np.zeros(f.D + 1, dtype=complex)
+    r[0] = 1.0 / c[0]
+    for k in range(1, f.D + 1):
+        r[k] = -np.dot(c[1 : k + 1], r[k - 1 :: -1]) / c[0]
+    return TruncSeries1(r, D=f.D)
+
+
+@lru_cache(maxsize=None)
+def _outside_simplex(D: int) -> np.ndarray:
+    """Read-only mask of the slots i + j > D of a (D+1)x(D+1) array."""
+    i, j = np.indices((D + 1, D + 1))
+    mask = i + j > D
+    mask.setflags(write=False)
+    return mask
+
+
+def _mul2(a: np.ndarray, b: np.ndarray, D: int) -> np.ndarray:
+    """Truncated product of two simplex coefficient arrays (Kronecker substitution)."""
+    stride = 2 * D + 1
+    pa = np.zeros((D + 1, stride), dtype=complex)
+    pb = np.zeros((D + 1, stride), dtype=complex)
+    pa[:, : D + 1] = a
+    pb[:, : D + 1] = b
+    flat = np.convolve(pa.ravel(), pb.ravel())[: (D + 1) * stride]
+    c = flat.reshape(D + 1, stride)[:, : D + 1].copy()
+    c[_outside_simplex(D)] = 0.0
+    return c
+
+
 class TruncSeries2:
     """Jet sum c[i,j] x^i y^j over the simplex i + j <= D."""
 
@@ -147,8 +191,7 @@ class TruncSeries2:
             D = c.shape[0] - 1
         if c.shape[0] != D + 1:
             raise PreconditionError("coefficient array must be (D+1)x(D+1)")
-        i, j = np.indices(c.shape)
-        if np.any(c[i + j > D] != 0):
+        if np.any(c[_outside_simplex(D)] != 0):
             raise PreconditionError("coefficient outside total degree D")
         c = c.copy()
         c.setflags(write=False)
@@ -186,8 +229,7 @@ class TruncSeries2:
         if Dp > self.D:
             raise PreconditionError("cannot truncate upward")
         c = self.coeffs[: Dp + 1, : Dp + 1].copy()
-        i, j = np.indices(c.shape)
-        c[i + j > Dp] = 0.0
+        c[_outside_simplex(Dp)] = 0.0
         return TruncSeries2(c, D=Dp)
 
     def __add__(self, other):
@@ -208,11 +250,7 @@ class TruncSeries2:
             return TruncSeries2(self.coeffs * other, D=self.D)
         if other.D != self.D:
             raise PreconditionError("mixed truncation orders")
-        full = convolve2d(self.coeffs, other.coeffs)
-        c = full[: self.D + 1, : self.D + 1].copy()
-        i, j = np.indices(c.shape)
-        c[i + j > self.D] = 0.0
-        return TruncSeries2(c, D=self.D)
+        return TruncSeries2(_mul2(self.coeffs, other.coeffs, self.D), D=self.D)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -284,20 +322,21 @@ def compose2(outer, inner):
         raise PreconditionError("mixed truncation orders")
     if U.coeffs[0, 0] != 0 or V.coeffs[0, 0] != 0:
         raise PreconditionError("composition requires inner(0,0)=(0,0)")
-    upow = [TruncSeries2.from_terms({(0, 0): 1.0}, D)]
-    vpow = [TruncSeries2.from_terms({(0, 0): 1.0}, D)]
-    for _ in range(D):
-        upow.append(upow[-1] * U)
-        vpow.append(vpow[-1] * V)
+    outer_c = np.stack([P.coeffs, Q.coeffs])
+    # powers of V only up to the highest power of y the outer pair uses
+    jmax = max(np.flatnonzero(outer_c.any(axis=(0, 1))), default=0)
+    vpow = [TruncSeries2.from_terms({(0, 0): 1.0}, D).coeffs]
+    for _ in range(jmax):
+        vpow.append(_mul2(vpow[-1], V.coeffs, D))
+    # rows[c, i] = sum_j outer_c[c, i, j] V^j, then Horner in U over i
+    rows = np.tensordot(outer_c[:, :, : jmax + 1], np.stack(vpow), axes=1)
     out = []
-    for comp in (P, Q):
-        acc = TruncSeries2.zero(D)
-        for i in range(D + 1):
-            for j in range(D + 1 - i):
-                c = comp.coeffs[i, j]
-                if c != 0:
-                    acc = acc + c * (upow[i] * vpow[j])
-        out.append(acc)
+    for comp_c, comp_rows in zip(outer_c, rows):
+        imax = max(np.flatnonzero(comp_c.any(axis=1)), default=0)
+        acc = comp_rows[imax]
+        for i in range(imax - 1, -1, -1):
+            acc = _mul2(acc, U.coeffs, D) + comp_rows[i]
+        out.append(TruncSeries2(acc, D=D))
     return out[0], out[1]
 
 

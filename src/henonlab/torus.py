@@ -132,26 +132,39 @@ def graph_transform(params: HenonParams, torus: SolidTorus,
     z = torus.nodes()[None, :]
     tcoeffs = torus.coeffs[(2 * np.arange(n)) % n]
 
-    def target(xa):
-        acc = np.zeros_like(xa)
-        for m in range(d, -1, -1):
-            acc = acc * xa + tcoeffs[:, m][:, None]
-        return acc
-
-    def target_deriv(xa):
-        acc = np.zeros_like(xa)
-        for m in range(d, 0, -1):
-            acc = acc * xa + m * tcoeffs[:, m][:, None]
-        return acc
-
+    # The Newton loop works in place on buffers allocated once per call:
+    # fresh (n, 2d) temporaries at every step make the C allocator hand
+    # memory back to the OS and page-fault it in again each iteration.
     X = np.broadcast_to(seeds[:, None], (n, z.shape[1])).copy()
+    az = a * z
+    xa, g, gp, acc = (np.empty_like(X) for _ in range(4))
+    step_abs, bound = np.empty(X.shape), np.empty(X.shape)
     converged = np.zeros(X.shape, dtype=bool)
     for _ in range(max_newton):
-        g = X * X + c + a * z - target(a * X)
-        gp = 2.0 * X - a * a * target_deriv(a * X)
-        step = g / gp
-        X = X - step
-        converged = np.abs(step) <= newton_tol * (1.0 + np.abs(X))
+        np.multiply(a, X, out=xa)
+        # g = X^2 + c + a z - phi_{2s}(a X), gp = 2 X - a^2 phi_{2s}'(a X)
+        acc.fill(0.0)
+        for m in range(d, -1, -1):
+            acc *= xa
+            acc += tcoeffs[:, m][:, None]
+        np.multiply(X, X, out=g)
+        g += c
+        g += az
+        g -= acc
+        acc.fill(0.0)
+        for m in range(d, 0, -1):
+            acc *= xa
+            acc += m * tcoeffs[:, m][:, None]
+        acc *= a * a
+        np.multiply(2.0, X, out=gp)
+        gp -= acc
+        step = np.divide(g, gp, out=g)
+        X -= step
+        np.abs(step, out=step_abs)
+        np.abs(X, out=bound)
+        bound += 1.0
+        bound *= newton_tol
+        np.less_equal(step_abs, bound, out=converged)
         if converged.all():
             break
     if not converged.all():

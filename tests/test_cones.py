@@ -53,6 +53,14 @@ def test_sector_samples_respect_annulus():
     assert np.all(np.abs(grid[:, 0]) ** 2 > repelling_inner_radius(P))
 
 
+def test_sector_samples_refuse_an_empty_sector():
+    # q=3, t=-0.01: the inner radius 0.00467 exceeds the outer 0.15^3 = 0.003375,
+    # so no sample can ever be accepted
+    P = hn.make_params((1, 3), -0.01, 0.05)
+    with pytest.raises(PreconditionError, match=r"0\.004667.*0\.003375"):
+        cones.sector_samples(P, 10)
+
+
 @pytest.mark.parametrize("q,t", [(1, -0.02), (1, 0.0), (1, 0.05),
                                  (2, -0.02), (2, 0.0), (2, 0.05)])
 def test_local_cone_check_passes(nf_cache, q, t):

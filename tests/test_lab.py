@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import henonlab
 import henonlab.henon as hn
 from henonlab import cli, io, lab
 from henonlab import poly1d as p1
@@ -119,6 +124,32 @@ def test_cli_exit_codes(tmp_path):
     assert cli.main(["petal-check", "--pq", "1/1", "--t", "0.05", "--a", "0.05",
                      "--samples", "50", "--iters", "3", "--tol", "1e-12",
                      "--out", out]) == 3
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (["caratheodory", "--pq=abc"], "rotation number"),
+    (["caratheodory", "--pq=1/0"], "rotation number"),
+    (["caratheodory", "--pq=1/1", "--t=nan"], "t must be a finite number"),
+    (["normal-form", "--pq=1/1", "--t=nan"], "t must be a finite number"),
+    (["torus-iterate", "--pq=1/1", "--t=0.1", "--a=nan"], "|a| must be below 1/2"),
+    (["cone-check", "--pq=1/3", "--t=-0.01", "--a=0.05", "--samples=100"],
+     "repelling sector is empty"),
+])
+def test_cli_bad_input_is_a_precondition_error(tmp_path, capsys, argv, cause):
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition error:") and cause in err
+
+
+def test_cli_import_stays_light():
+    # scipy.signal and scipy.spatial cost most of a second to import; only
+    # the commands that build k-d trees may load scipy.spatial
+    code = ("import sys, henonlab.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.spatial') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(henonlab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_deterministic_outputs(tmp_path):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import henonlab.henon as hn
 from henonlab import normalform2d as nf2
 from henonlab import poly1d as p1
 from henonlab.errors import PreconditionError
+from henonlab.series import invert2
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +168,48 @@ def test_trapping_t_negative_reaches_origin_at_derived_threshold():
     assert not rep.attraction_failures
     assert rep.max_final_distance < 1e-3
     assert rep.target == "fixed point"
+
+
+@pytest.mark.parametrize("pq,t,a,D", [((1, 1), 0.05, 0.05, 10), ((1, 2), -0.02, 0.05, 12),
+                                      ((1, 3), 0.01, 0.1, 14), ((2, 5), 0.01, 0.05, 14)])
+def test_accumulated_inverse_matches_generic_inverse(pq, t, a, D):
+    # reduce() builds change_inv from the closed-form inverse of each move;
+    # the degree-by-degree invert2 of the final change is the oracle
+    P = hn.make_params(pq, t, a)
+    nf = nf2.reduce(P, D=D)
+    G = invert2(nf.change)
+    assert max((G[k] - nf.change_inv[k]).max_abs() for k in (0, 1)) < 1e-10
+
+
+def test_chart_round_trip(nf_q1, nf_q2):
+    rng = np.random.default_rng(5)
+    for P, nf in (nf_q1, nf_q2):
+        xn = 0.05 * (rng.uniform(-1, 1, 50) + 1j * rng.uniform(-1, 1, 50))
+        yn = 0.05 * (rng.uniform(-1, 1, 50) + 1j * rng.uniform(-1, 1, 50))
+        X, Y = nf.from_normalized(xn, yn)
+        back = nf.to_normalized(X, Y)
+        assert np.max(np.abs(back[0] - xn)) < 1e-9
+        assert np.max(np.abs(back[1] - yn)) < 1e-9
+
+
+# C_at recorded from a reduce() that conjugated by the generic invert2 at every
+# move and multiplied through scipy's convolve2d: an independent record of the
+# certificate, to 1e-12 relative
+SEED_C_AT = [
+    ((1, 1), 0.05, 0.05, 0.005227305452927139 + 0j),
+    ((1, 2), -0.02, 0.05, -1.299660162551204 - 4.696016981489037e-16j),
+    ((1, 3), 0.01, 0.1, -3.2439334612156534 - 0.013674179903707473j),
+]
+
+
+@pytest.mark.parametrize("pq,t,a,C_at", SEED_C_AT)
+def test_C_at_matches_recorded_values(pq, t, a, C_at):
+    nf = nf2.reduce(hn.make_params(pq, t, a))
+    assert abs(nf.C_at - C_at) <= 1e-12 * abs(C_at)
+
+
+def test_reduce_q5_is_fast():
+    P = hn.make_params("2/5", 0.01, 0.05)
+    start = time.perf_counter()
+    nf2.reduce(P, D=14)
+    assert time.perf_counter() - start < 1.0

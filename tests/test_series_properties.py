@@ -1,0 +1,156 @@
+"""Property-based checks of the jet arithmetic in henonlab.series.
+
+The two-variable product is checked against scipy's convolve2d, which the
+package itself no longer uses; the rest are the algebraic laws the normal
+form relies on.  Coefficients are bounded and decay geometrically, like the
+jets of a germ convergent on a radius-2 disk, and linear parts are kept
+well away from singular, so tolerances are absolute.  Examples are drawn
+from a fixed seed so the suite gives the same verdict on every run.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import convolve2d
+
+from henonlab.series import (
+    TruncSeries1,
+    TruncSeries2,
+    compose1,
+    compose2,
+    invert1,
+    invert2,
+    reciprocal1,
+)
+
+PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+degrees = st.integers(min_value=1, max_value=9)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _complex(rng, shape):
+    return rng.uniform(-1, 1, size=shape) + 1j * rng.uniform(-1, 1, size=shape)
+
+
+def jet1(rng, D, const=True, unit_linear=False):
+    c = _complex(rng, D + 1) * 0.5 ** np.arange(D + 1)
+    if not const:
+        c[0] = 0.0
+    if unit_linear:
+        c[1] = 1.0 + 0.3 * c[1]
+    return TruncSeries1(c, D=D)
+
+
+def jet2(rng, D, const=True):
+    i, j = np.indices((D + 1, D + 1))
+    c = _complex(rng, (D + 1, D + 1)) * 0.5 ** (i + j)
+    c[i + j > D] = 0.0
+    if not const:
+        c[0, 0] = 0.0
+    return TruncSeries2(c, D=D)
+
+
+def near_identity_pair(rng, D):
+    """A map pair (x, y) + O(2) with a well-conditioned linear part."""
+    F1, F2 = jet2(rng, D, const=False), jet2(rng, D, const=False)
+    lin = np.eye(2) + 0.3 * _complex(rng, (2, 2))
+    c1, c2 = F1.coeffs.copy(), F2.coeffs.copy()
+    c1[1, 0], c1[0, 1], c2[1, 0], c2[0, 1] = lin[0, 0], lin[0, 1], lin[1, 0], lin[1, 1]
+    return TruncSeries2(c1, D=D), TruncSeries2(c2, D=D)
+
+
+def maxdiff(f, g):
+    return (f - g).max_abs()
+
+
+@PROPS
+@given(degrees, seeds)
+def test_product_matches_convolve2d_reference(D, seed):
+    rng = np.random.default_rng(seed)
+    f, g = jet2(rng, D), jet2(rng, D)
+    ref = convolve2d(f.coeffs, g.coeffs)[: D + 1, : D + 1]
+    i, j = np.indices(ref.shape)
+    ref[i + j > D] = 0.0
+    assert np.max(np.abs((f * g).coeffs - ref)) < 1e-13
+
+
+@PROPS
+@given(degrees, seeds)
+def test_ring_laws(D, seed):
+    rng = np.random.default_rng(seed)
+    f, g, h = jet2(rng, D), jet2(rng, D), jet2(rng, D)
+    one = TruncSeries2.from_terms({(0, 0): 1.0}, D)
+    assert maxdiff(f * g, g * f) < 1e-14
+    assert maxdiff(f * (g + h), f * g + f * h) < 1e-13
+    assert maxdiff((f * g) * h, f * (g * h)) < 1e-13
+    assert maxdiff(f * one, f) == 0.0
+
+
+@PROPS
+@given(degrees, seeds)
+def test_compose1_is_associative(D, seed):
+    rng = np.random.default_rng(seed)
+    f = jet1(rng, D)
+    g, h = jet1(rng, D, const=False), jet1(rng, D, const=False)
+    lhs = compose1(compose1(f, g), h)
+    rhs = compose1(f, compose1(g, h))
+    assert maxdiff(lhs, rhs) < 1e-12
+
+
+@PROPS
+@given(degrees, seeds)
+def test_compose2_is_associative(D, seed):
+    rng = np.random.default_rng(seed)
+    F = (jet2(rng, D), jet2(rng, D))
+    G = (jet2(rng, D, const=False), jet2(rng, D, const=False))
+    H = (jet2(rng, D, const=False), jet2(rng, D, const=False))
+    lhs = compose2(compose2(F, G), H)
+    rhs = compose2(F, compose2(G, H))
+    assert max(maxdiff(a, b) for a, b in zip(lhs, rhs)) < 1e-11
+
+
+@PROPS
+@given(degrees, seeds)
+def test_compose2_matches_pointwise_evaluation(D, seed):
+    # on polynomials of total degree <= D composed with linear maps the
+    # truncation is exact, so the jet must agree with evaluating F(G(z))
+    rng = np.random.default_rng(seed)
+    F = (jet2(rng, D), jet2(rng, D))
+    lin = _complex(rng, (2, 2))
+    G = (TruncSeries2.from_terms({(1, 0): lin[0, 0], (0, 1): lin[0, 1]}, D),
+         TruncSeries2.from_terms({(1, 0): lin[1, 0], (0, 1): lin[1, 1]}, D))
+    x, y = 0.3 * _complex(rng, 5), 0.3 * _complex(rng, 5)
+    out = compose2(F, G)
+    for k in (0, 1):
+        assert np.max(np.abs(out[k](x, y) - F[k](G[0](x, y), G[1](x, y)))) < 1e-12
+
+
+@PROPS
+@given(degrees, seeds)
+def test_invert1_round_trips(D, seed):
+    rng = np.random.default_rng(seed)
+    f = jet1(rng, D, const=False, unit_linear=True)
+    g = invert1(f)
+    ident = TruncSeries1.identity(D)
+    assert maxdiff(compose1(f, g), ident) < 1e-11
+    assert maxdiff(compose1(g, f), ident) < 1e-11
+
+
+@PROPS
+@given(degrees, seeds)
+def test_invert2_round_trips(D, seed):
+    rng = np.random.default_rng(seed)
+    F = near_identity_pair(rng, D)
+    G = invert2(F)
+    ident = (TruncSeries2.var_x(D), TruncSeries2.var_y(D))
+    for pair in (compose2(F, G), compose2(G, F)):
+        assert max(maxdiff(a, b) for a, b in zip(pair, ident)) < 1e-10
+
+
+@PROPS
+@given(degrees, seeds)
+def test_reciprocal1_is_the_multiplicative_inverse(D, seed):
+    rng = np.random.default_rng(seed)
+    f = jet1(rng, D)
+    f = TruncSeries1(np.append(1.0 + 0.3 * f.coeffs[0], f.coeffs[1:]), D=D)
+    assert maxdiff(f * reciprocal1(f), TruncSeries1.constant(1.0, D)) < 1e-12
