@@ -29,8 +29,20 @@ COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads `--t-list -0.02,-0.01` as `--t-list=-0.02,-0.01`: argparse takes
+    a separate value that starts with '-' and is not one number for a flag."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        for i in range(len(args) - 2, -1, -1):
+            if args[i] == "--t-list" and not args[i + 1].startswith("--"):
+                args[i:i + 2] = [f"--t-list={args[i + 1]}"]
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="henonlab")
+    ap = _Parser(prog="henonlab")
     ap.add_argument("subcommand", choices=COMMANDS)
     ap.add_argument("--config", help="flat key=value config file; flags override")
     ap.add_argument("--pq", help="rotation number p/q, e.g. 1/2")
@@ -72,10 +84,10 @@ def run(cfg: RunConfig) -> int:
         print(f"caratheodory: N={cfg.angles} iters={cfg.iters} final_gap={res.final_gap:.3e}")
     elif cfg.subcommand == "normal-form":
         pp = poly_params(cfg.p_over_q, cfg.t)
+        params = make_params(cfg.p_over_q, cfg.t, cfg.a) if cfg.a != 0 else None
         change, normal, C_t = normal_form_1d(pp)
         print(f"1-D: C_t = {C_t}")
-        if cfg.a != 0:
-            params = make_params(cfg.p_over_q, cfg.t, cfg.a)
+        if params is not None:
             nf = reduce(params)
             io.write_torus_csv(out + "_normal.csv", _jet_as_torus(nf))
             print(f"2-D: C_at = {nf.C_at}, rescale A = {nf.rescale}")

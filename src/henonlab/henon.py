@@ -92,23 +92,30 @@ def in_vplus(x, y, r=FILTRATION_RADIUS):
 
 
 def escape_times(params: HenonParams, X, Y, max_iter: int, r: float = FILTRATION_RADIUS):
-    """Vectorized first-entry times into V+; -1 marks still-bounded orbits."""
+    """Vectorized first-entry times into V+; -1 marks still-bounded orbits.
+
+    Only the orbits still outside V+ are stored and iterated, as flat arrays
+    beside their flat indices into the input; most of a slice escapes within
+    a few steps, so later steps cost little.
+    """
     if r <= 3.0:
         raise PreconditionError("filtration radius must exceed 3")
     X = np.array(X, dtype=complex)
-    Y = np.array(Y, dtype=complex)
-    times = np.full(X.shape, -1, dtype=int)
-    active = np.ones(X.shape, dtype=bool)
+    shape = X.shape
+    X = X.ravel()
+    Y = np.array(Y, dtype=complex).ravel()
+    times = np.full(X.size, -1, dtype=int)
+    idx = np.arange(X.size)
     for n in range(max_iter + 1):
-        hit = active & in_vplus(X, Y, r)
-        times[hit] = n
-        active &= ~hit
-        if not active.any() or n == max_iter:
+        hit = in_vplus(X, Y, r)
+        if hit.any():
+            times[idx[hit]] = n
+            keep = ~hit
+            X, Y, idx = X[keep], Y[keep], idx[keep]
+        if not idx.size or n == max_iter:
             break
-        Xa, Ya = X[active], Y[active]
-        X[active] = Xa * Xa + params.c + params.a * Ya
-        Y[active] = params.a * Xa
-    return times
+        X, Y = X * X + params.c + params.a * Y, params.a * X
+    return times.reshape(shape)
 
 
 def classify_forward(params: HenonParams, point, max_iter: int, r: float = FILTRATION_RADIUS):

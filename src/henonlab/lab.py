@@ -194,7 +194,14 @@ class RunConfig:
 
     @property
     def ts(self):
-        return [float(v) for v in self.t_list.split(",") if v]
+        try:
+            ts = [float(v) for v in self.t_list.split(",")]
+            if all(math.isfinite(v) for v in ts):
+                return ts
+        except ValueError:
+            pass
+        raise PreconditionError(
+            f"t list must be comma separated finite numbers, got {self.t_list!r}")
 
     def to_file(self, path):
         with open(path, "w") as fh:

@@ -132,26 +132,45 @@ def pullback_loop(params: PolyParams, loop: LoopSample) -> LoopSample:
         raise PreconditionError("need at least 2q samples per loop")
     targets = loop.values[(2 * np.arange(n)) % n]
     roots = np.sqrt(targets - params.c)
-    out = np.empty(n, dtype=complex)
-
-    r0 = roots[0]
-    cand = (r0, -r0)
-    out[0] = max(cand, key=lambda v: (v.real, v.imag))
-    prev = out[0]
-    for k in range(1, n):
-        r = roots[k]
-        d_plus = abs(r - prev)
-        d_minus = abs(r + prev)
-        if min(d_plus, d_minus) > 2.0 * abs(r):
-            raise NumericalError(
-                f"resolution too coarse: ambiguous branch at sample {k}"
-            )
-        prev = r if d_plus <= d_minus else -r
-        out[k] = prev
+    out = continue_branch(roots)
+    prev = out[-1]
     # closing the loop must land back on the seed branch
     if abs(roots[0] - prev) > abs(roots[0] + prev) and abs(out[0] - (-roots[0])) > 1e-12:
         raise NumericalError("resolution too coarse: loop failed to close")
     return LoopSample(values=out, level=loop.level / 2.0)
+
+
+def _cabs(z):
+    """|z| elementwise through hypot, as abs() of one complex scalar computes
+    it; the vectorized np.abs differs from that in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
+def continue_branch(roots: np.ndarray, unit: str = "sample") -> np.ndarray:
+    """Choose the sign of each square root so that the samples follow one branch.
+
+    out[0] is the root of larger real part (then imaginary part); out[k] is
+    whichever of +-roots[k] lies nearer out[k-1], + on an exact tie.  Relative
+    to roots the sign is a cumulative product: it stays when
+    |roots[k] - roots[k-1]| < |roots[k] + roots[k-1]|, flips when that is
+    larger, and restarts at + on a tie.  A sample farther than 2|roots[k]|
+    from both candidates is ambiguous.
+    """
+    near = _cabs(roots[1:] - roots[:-1])
+    far = _cabs(roots[1:] + roots[:-1])
+    ambiguous = np.minimum(near, far) > 2.0 * _cabs(roots[1:])
+    if ambiguous.any():
+        k = int(np.argmax(ambiguous)) + 1
+        raise NumericalError(f"resolution too coarse: ambiguous branch at {unit} {k}")
+    # the sign at k is - when an odd number of flips follows the last restart
+    restart = np.concatenate(([True], near == far))
+    last = np.maximum.accumulate(np.where(restart, np.arange(len(roots)), 0))
+    flips = np.concatenate(([0], np.cumsum(near > far)))
+    neg = (flips - flips[last]) % 2 == 1
+    r0 = roots[0]
+    if (-r0.real, -r0.imag) > (r0.real, r0.imag):
+        neg[last == 0] ^= True  # the seed sample takes -roots[0]
+    return np.where(neg, -roots, roots)
 
 
 def equipotential_loop(params: PolyParams, N: int, level: float | None = None) -> LoopSample:

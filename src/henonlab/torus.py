@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .henon import FILTRATION_RADIUS, HenonParams, PointCloud, henon
-from .poly1d import LoopSample, equipotential_loop
+from .poly1d import LoopSample, continue_branch, equipotential_loop
 
 NODE_FRACTION = 0.9  # collocation radius as a fraction of the disk radius
 
@@ -94,27 +94,6 @@ def torus_seed(params: HenonParams, loop0: LoopSample, disk_degree: int = 8,
     return SolidTorus(coeffs=coeffs, level=0)
 
 
-def _branch_seeds(params: HenonParams, centers: np.ndarray) -> np.ndarray:
-    """Continuity-in-s preimages of the center loop, the Newton seeds.
-
-    Same branch rule as the polynomial pullback: larger real part at s = 0,
-    proximity to the previous sample afterwards.
-    """
-    n = len(centers)
-    targets = centers[(2 * np.arange(n)) % n]
-    roots = np.sqrt(targets - params.c)
-    out = np.empty(n, dtype=complex)
-    out[0] = max((roots[0], -roots[0]), key=lambda v: (v.real, v.imag))
-    prev = out[0]
-    for k in range(1, n):
-        r = roots[k]
-        if min(abs(r - prev), abs(r + prev)) > 2.0 * abs(r):
-            raise NumericalError(f"resolution too coarse: ambiguous branch at angle {k}")
-        prev = r if abs(r - prev) <= abs(r + prev) else -r
-        out[k] = prev
-    return out
-
-
 def graph_transform(params: HenonParams, torus: SolidTorus,
                     newton_tol: float = 1e-13, max_newton: int = 50) -> SolidTorus:
     """One application of the operator: solve, per angle s and node z_j,
@@ -128,9 +107,11 @@ def graph_transform(params: HenonParams, torus: SolidTorus,
         raise PreconditionError("graph transform requires a != 0")
     n, d = torus.n_angles, torus.disk_degree
     a, c = params.a, params.c
-    seeds = _branch_seeds(params, torus.centers)
+    doubled = (2 * np.arange(n)) % n
+    # Newton seeds: the 1-D pullback branches of the center loop
+    seeds = continue_branch(np.sqrt(torus.centers[doubled] - c), unit="angle")
     z = torus.nodes()[None, :]
-    tcoeffs = torus.coeffs[(2 * np.arange(n)) % n]
+    tcoeffs = torus.coeffs[doubled]
 
     # The Newton loop works in place on buffers allocated once per call:
     # fresh (n, 2d) temporaries at every step make the C allocator hand
@@ -290,21 +271,3 @@ def model_psi(params: HenonParams, eps: float, point):
     if zeta == 0:
         raise PreconditionError("model map undefined at zeta = 0")
     return (zeta * zeta + params.c_t, eps * zeta - eps * eps * z / (2.0 * zeta))
-
-
-def model_attractor(params: HenonParams, loop: LoopSample, eps: float,
-                    depth: int = 12, z_seeds=(0.0, 0.5, -0.5)) -> PointCloud:
-    """Iterate psi on J_{p_t} x D_r samples, tracking the base point by angle
-    doubling on the loop grid (stable, unlike iterating p_t on J directly).
-    Seed angles are staggered below the grid as in julia_from_sigma."""
-    n = loop.N
-    s = np.tile(np.arange(n) / (n * 2.0**depth), len(z_seeds))
-    z = np.repeat(np.asarray(z_seeds, dtype=complex) * FILTRATION_RADIUS, n)
-    for _ in range(depth):
-        zeta = loop.values[np.rint(s * n).astype(int) % n]
-        if np.min(np.abs(zeta)) == 0:
-            raise PreconditionError("model map undefined at zeta = 0")
-        z = eps * zeta - eps * eps * z / (2.0 * zeta)
-        s = (2.0 * s) % 1.0
-    pts = np.column_stack([loop.values[np.rint(s * n).astype(int) % n], z])
-    return PointCloud(points=np.unique(pts, axis=0), meta=f"model-psi eps={eps} depth={depth}")

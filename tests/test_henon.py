@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import henonlab.henon as hn
 from henonlab import poly1d as p1
@@ -139,3 +141,46 @@ def test_jplus_resolution_cap():
     P = hn.make_params((1, 1), 0.0, 0.0)
     with pytest.raises(PreconditionError):
         hn.jplus_slice(P, (-2, 2, -2, 2), 9000, 10)
+
+
+def full_grid_escape_times(params, X, Y, max_iter, r=hn.FILTRATION_RADIUS):
+    """Reference: every step tests V+ on the whole grid and updates the
+    still-active entries in place, as escape_times did before it kept only
+    the active orbits."""
+    X = np.array(X, dtype=complex)
+    Y = np.array(Y, dtype=complex)
+    times = np.full(X.shape, -1, dtype=int)
+    active = np.ones(X.shape, dtype=bool)
+    for n in range(max_iter + 1):
+        hit = active & hn.in_vplus(X, Y, r)
+        times[hit] = n
+        active &= ~hit
+        if not active.any() or n == max_iter:
+            break
+        Xa, Ya = X[active], Y[active]
+        X[active] = Xa * Xa + params.c + params.a * Ya
+        Y[active] = params.a * Xa
+    return times
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from([(), (1,), (1, 1), (17,), (5, 3), (24, 24), (2, 3, 4)]),
+       max_iter=st.sampled_from([0, 1, 2, 7, 40, 120]),
+       q=st.integers(min_value=1, max_value=3),
+       start_in_vplus=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_escape_times_match_full_grid_reference(shape, max_iter, q, start_in_vplus, seed):
+    rng = np.random.default_rng(seed)
+    t = float(rng.uniform(-0.9, 0.9) / (2 * q))
+    a = rng.uniform(0.0, 0.49) * np.exp(2j * np.pi * rng.uniform())
+    P = hn.make_params((1, q), t, a)
+    X = np.asarray(rng.uniform(-2.5, 2.5, shape) + 1j * rng.uniform(-2.5, 2.5, shape))
+    Y = np.asarray(rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape))
+    if start_in_vplus:
+        X.flat[0] = 10.0
+    got = hn.escape_times(P, X, Y, max_iter)
+    want = full_grid_escape_times(P, X, Y, max_iter)
+    assert got.shape == shape
+    assert np.array_equal(got, want)
+    if start_in_vplus:
+        assert got.flat[0] == 0

@@ -141,6 +141,29 @@ def test_cli_bad_input_is_a_precondition_error(tmp_path, capsys, argv, cause):
     assert err.startswith("precondition error:") and cause in err
 
 
+def test_cli_normal_form_checks_a_before_printing(tmp_path, capsys):
+    argv = ["normal-form", "--pq=1/1", "--t=0.05", "--a=nan", "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command,t_list", [
+    ("radial-demo", "0.2,,0.1"), ("radial-demo", "0.2,abc"), ("hyp-scan", "nan"),
+])
+def test_cli_bad_t_list_is_a_precondition_error(tmp_path, capsys, command, t_list):
+    argv = [command, "--pq=1/1", "--t-list", t_list, "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("precondition error: t list")
+
+
+def test_cli_negative_t_list_as_separate_argument():
+    parser = cli.build_parser()
+    split = parser.parse_args(["radial-demo", "--t-list", "-0.02,-0.01", "--out", "x"])
+    joined = parser.parse_args(["radial-demo", "--t-list=-0.02,-0.01", "--out", "x"])
+    assert split == joined
+    assert cli.config_from_args(split).ts == [-0.02, -0.01]
+
+
 def test_cli_import_stays_light():
     # scipy.signal and scipy.spatial cost most of a second to import; only
     # the commands that build k-d trees may load scipy.spatial

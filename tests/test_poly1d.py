@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from henonlab import poly1d as p1
 from henonlab.errors import NumericalError, PreconditionError
@@ -206,3 +208,73 @@ def test_derivative_expansion_on_repelling_sector(pq, t):
     deriv = np.abs(normal.deriv()(xs))
     bound = abs(pp.lam) * (1 + (q + 2 / 3) * p1.EPS1 * np.abs(xs) ** q)
     assert np.all(deriv > bound)
+
+
+def sequential_branch(roots, unit="sample"):
+    """Reference: the sample-by-sample continuation that pullback_loop and
+    the torus seeds ran before continue_branch replaced it."""
+    out = np.empty(len(roots), dtype=complex)
+    out[0] = max((roots[0], -roots[0]), key=lambda v: (v.real, v.imag))
+    prev = out[0]
+    for k in range(1, len(roots)):
+        r = roots[k]
+        d_plus = abs(r - prev)
+        d_minus = abs(r + prev)
+        if min(d_plus, d_minus) > 2.0 * abs(r):
+            raise NumericalError(f"resolution too coarse: ambiguous branch at {unit} {k}")
+        prev = r if d_plus <= d_minus else -r
+        out[k] = prev
+    return out
+
+
+def _outcome(fn, roots):
+    try:
+        return fn(roots).tobytes()
+    except NumericalError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(min_value=1, max_value=300),
+       kind=st.sampled_from(["loop", "coarse", "lattice", "ties"]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_continue_branch_matches_sequential_reference(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        # small Gaussian integers: zeros and ambiguous samples
+        roots = (rng.integers(-2, 3, n) + 1j * rng.integers(-2, 3, n)).astype(complex)
+    elif kind == "ties":
+        # never ambiguous, and every perpendicular pair is an exact tie
+        units = np.array([1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+        roots = rng.choice(units, n)
+    else:
+        s = np.arange(n) / n
+        modes = np.arange(-3, 4)
+        coeffs = (rng.normal(size=7) + 1j * rng.normal(size=7)) / (1.0 + np.abs(modes))
+        loop = np.exp(2j * np.pi * np.outer(s, modes)) @ coeffs
+        if kind == "coarse":
+            loop += 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        c = complex(rng.normal(), rng.normal())
+        roots = np.sqrt(loop - c) * rng.choice([-1.0, 1.0], n)
+    assert _outcome(p1.continue_branch, roots) == _outcome(sequential_branch, roots)
+
+
+def test_continue_branch_exact_tie_restarts_at_plus():
+    # sample 1 flips to +1; sample 2 is equidistant from +-1j and takes +1j
+    roots = np.array([1.0, -1.0, 1j])
+    assert p1.continue_branch(roots).tolist() == [1.0, 1.0, 1j]
+    assert sequential_branch(roots).tolist() == [1.0, 1.0, 1j]
+    # abs() ties these two distances, which np.abs rounds one ulp apart
+    roots = np.array([1.22 + 1.23j, -1.599 + 1.586j])
+    assert abs(roots[1] - roots[0]) == abs(roots[1] + roots[0])
+    assert p1.continue_branch(roots).tobytes() == sequential_branch(roots).tobytes() \
+        == roots.tobytes()
+
+
+def test_continue_branch_seed_and_ambiguous_sample():
+    assert p1.continue_branch(np.array([-2.0 + 1j, -2.0 + 1.1j]))[0] == 2.0 - 1j
+    roots = np.array([1.0, 1.1, 1.2, 0.01, 1.0])
+    with pytest.raises(NumericalError, match="ambiguous branch at angle 3$"):
+        p1.continue_branch(roots, unit="angle")
+    with pytest.raises(NumericalError, match="ambiguous branch at angle 3$"):
+        sequential_branch(roots, unit="angle")
