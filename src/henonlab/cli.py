@@ -4,6 +4,8 @@
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 
 import numpy as np
@@ -76,11 +78,36 @@ def config_from_args(args) -> RunConfig:
     return cfg
 
 
+def _write_torus(path, level, coeffs):
+    """Torus CSV: one row per angle index k and Taylor coefficient index m."""
+    n = len(coeffs)
+    io.write_csv(path, "torus", "level,k,s,coeff_index,re,im",
+                 ((level, k, k / n, m, c) for k in range(n) for m, c in enumerate(coeffs[k].tolist())))
+
+
+def _write_distances(path, result):
+    io.write_csv(path, f"hausdorff {result.meta}", "t,distance",
+                 zip(result.t_values, result.distances))
+
+
+def _clamped(flag, value, hi, lo=-math.inf):
+    """value limited to [lo, hi], with a warning on stderr when that changes it."""
+    used = min(max(value, lo), hi)
+    if used != value:
+        print(f"warning: --{flag} {value} clamped to {used}", file=sys.stderr)
+    return used
+
+
 def run(cfg: RunConfig) -> int:
     out = cfg.out
+    out_dir = os.path.dirname(out)
+    if out_dir and not os.path.isdir(out_dir):
+        raise PreconditionError(f"output directory {out_dir!r} of --out does not exist")
     if cfg.subcommand == "caratheodory":
         res = caratheodory(poly_params(cfg.p_over_q, cfg.t), cfg.angles, cfg.iters)
-        io.write_loop_csv(out + ".csv", res.loop)
+        n = res.loop.N
+        io.write_csv(out + ".csv", "loop", "k,s,re,im,level",
+                     ((k, k / n, v, res.loop.level) for k, v in enumerate(res.loop.values.tolist())))
         print(f"caratheodory: N={cfg.angles} iters={cfg.iters} final_gap={res.final_gap:.3e}")
     elif cfg.subcommand == "normal-form":
         pp = poly_params(cfg.p_over_q, cfg.t)
@@ -89,13 +116,15 @@ def run(cfg: RunConfig) -> int:
         print(f"1-D: C_t = {C_t}")
         if params is not None:
             nf = reduce(params)
-            io.write_torus_csv(out + "_normal.csv", _jet_as_torus(nf))
+            _write_torus(out + "_normal.csv", 0, [h.coeffs.ravel() for h in nf.normal])
             print(f"2-D: C_at = {nf.C_at}, rescale A = {nf.rescale}")
     elif cfg.subcommand == "petal-check":
         params = make_params(cfg.p_over_q, cfg.t, cfg.a)
         rep = petal_check(params, reduce(params, D=2 * params.q + 8),
                           samples=cfg.samples, steps=cfg.iters, tol=cfg.tol, seed=cfg.seed)
-        io.write_trapping_csv(out + ".csv", rep)
+        io.write_csv(out + ".csv", f"trapping {rep.region}",
+                     "start_x_re,start_x_im,start_y_re,start_y_im,"
+                     "end_x_re,end_x_im,end_y_re,end_y_im,final_distance,verdict", rep.rows)
         print(f"petal-check: passed={rep.passed} rotation_failures={len(rep.rotation_failures)} "
               f"attraction_failures={len(rep.attraction_failures)} max_dist={rep.max_final_distance:.3e}")
         if not rep.passed:
@@ -111,9 +140,11 @@ def run(cfg: RunConfig) -> int:
             print(f"global: {glob.verdict} worst_h={glob.worst_h_expansion:.6f} "
                   f"worst_v={glob.worst_v_expansion:.3g} vertical_ok={glob.extras['vertical_ok']}")
     elif cfg.subcommand == "hyp-scan":
-        a_vals = np.linspace(-abs(cfg.a), abs(cfg.a), min(max(cfg.res, 3), 9))
-        cells = hyperbolicity_scan(cfg.p_over_q, cfg.ts, a_vals, seed=cfg.seed)
-        io.write_scan_csv(out + ".csv", cells)
+        pq, ts = cfg.p_over_q, cfg.ts
+        a_vals = np.linspace(-abs(cfg.a), abs(cfg.a), _clamped("res", cfg.res, 9, lo=3))
+        cells = hyperbolicity_scan(pq, ts, a_vals, seed=cfg.seed)
+        io.write_csv(out + ".csv", "hyperbolicity-scan", "t,a,verdict,worst_h,worst_v",
+                     ((c.t, c.a, c.verdict, c.worst_h, c.worst_v) for c in cells))
         n = len(a_vals)
         img = np.array([{"PASS": 255, "MARGINAL": 170, "FAIL": 60, "EXCLUDED": 0}[c.verdict]
                         for c in cells], dtype=float).reshape(-1, n)
@@ -122,38 +153,31 @@ def run(cfg: RunConfig) -> int:
     elif cfg.subcommand == "torus-iterate":
         params = make_params(cfg.p_over_q, cfg.t, cfg.a)
         result = torus_fixed_point(params, cfg.iters, cfg.angles, cfg.degree)
-        io.write_torus_csv(out + ".csv", result.torus)
+        _write_torus(out + ".csv", result.torus.level, result.torus.coeffs)
         resid = semiconjugacy_residual(params, result.torus, seed=cfg.seed)
         print(f"torus: gap={result.final_gap:.3e} separation={result.separations[-1]:.3e} "
               f"semiconjugacy_residual={resid:.3e}")
     elif cfg.subcommand == "continuity":
         rj, rs = continuity_experiment(cfg.p_over_q, cfg.a, cfg.ts, resolution=cfg.res,
                                        n_angles=cfg.angles, n_iters=cfg.iters, depth=cfg.depth)
-        io.write_hausdorff_csv(out + "_j.csv", rj)
-        io.write_hausdorff_csv(out + "_jplus.csv", rs)
+        _write_distances(out + "_j.csv", rj)
+        _write_distances(out + "_jplus.csv", rs)
         print(f"continuity J: {['%.4f' % d for d in rj.distances]} decreasing={rj.strictly_decreasing}")
         print(f"continuity J+: {['%.4f' % d for d in rs.distances]} decreasing={rs.strictly_decreasing}")
     elif cfg.subcommand == "connectivity-scan":
         w = abs(cfg.a)
         cells = connectivity_scan(cfg.p_over_q, cfg.t, (-w, w, -w, w),
-                                  resolution=min(max(cfg.res, 3), 16),
-                                  n_angles=min(cfg.angles, 256), n_iters=min(cfg.iters, 12))
+                                  resolution=_clamped("res", cfg.res, 16, lo=3),
+                                  n_angles=_clamped("angles", cfg.angles, 256),
+                                  n_iters=_clamped("iters", cfg.iters, 12))
         io.write_pgm(out + ".pgm", connectivity_image(cells))
         flat = [c for row in cells for c in row]
         print(f"connectivity: {sum(c.verdict.startswith('CONNECTED') for c in flat)}/{len(flat)} connected")
     elif cfg.subcommand == "radial-demo":
         r = radial_demo(cfg.p_over_q, cfg.ts, N=cfg.angles, n_iters=cfg.iters)
-        io.write_hausdorff_csv(out + ".csv", r)
+        _write_distances(out + ".csv", r)
         print(f"radial: {['%.4f' % d for d in r.distances]} decreasing={r.strictly_decreasing}")
     return 0
-
-
-def _jet_as_torus(nf):
-    """Pack the normal-form coefficient rows into the torus CSV layout."""
-    from .torus import SolidTorus
-
-    rows = np.vstack([nf.normal[0].coeffs.ravel(), nf.normal[1].coeffs.ravel()])
-    return SolidTorus(coeffs=rows, level=0)
 
 
 def main(argv=None) -> int:

@@ -67,6 +67,8 @@ def in_repelling_sector(params, x, rho: float = 0.15):
 def sector_samples(params: HenonParams, n: int, rho: float = 0.15,
                    r_loc: float = 0.1, seed: int = 0) -> np.ndarray:
     """n normalized-coordinate points of W^- = sector x D_{r_loc}."""
+    if n < 1:
+        raise PreconditionError(f"sample count must be >= 1, got {n}")
     inner = repelling_inner_radius(params)
     if inner >= rho**params.q:
         raise PreconditionError(

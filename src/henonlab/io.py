@@ -1,5 +1,6 @@
-"""CSV and portable-graymap writers.  All formats carry a versioned header
-line and format floats with %.17g so identical runs emit identical bytes."""
+"""CSV and portable-graymap writers.  Every file carries a versioned header
+line and floats are written with %.17g, so identical runs emit identical
+bytes."""
 
 from __future__ import annotations
 
@@ -10,62 +11,22 @@ from .errors import PreconditionError
 _SCHEMA = "# henonlab-csv v1"
 
 
-def _f(x: float) -> str:
-    return "%.17g" % x
+def write_csv(path, kind, columns, rows):
+    """CSV under the header ``# henonlab-csv v1 <kind>`` and the column line.
 
+    A float is one %.17g field, a complex value fills two (real, imaginary),
+    anything else is written with str."""
 
-def write_loop_csv(path, loop):
+    def field(v) -> str:
+        if isinstance(v, complex):
+            return "%.17g,%.17g" % (v.real, v.imag)
+        if isinstance(v, float):
+            return "%.17g" % v
+        return str(v)
+
     with open(path, "w") as fh:
-        fh.write(f"{_SCHEMA} loop\n")
-        fh.write("k,s,re,im,level\n")
-        n = loop.N
-        for k, v in enumerate(loop.values):
-            fh.write(f"{k},{_f(k / n)},{_f(v.real)},{_f(v.imag)},{_f(loop.level)}\n")
-
-
-def write_cloud_csv(path, cloud):
-    with open(path, "w") as fh:
-        fh.write(f"{_SCHEMA} cloud {cloud.meta}\n")
-        fh.write("x_re,x_im,y_re,y_im\n")
-        for x, y in cloud.points:
-            fh.write(f"{_f(x.real)},{_f(x.imag)},{_f(y.real)},{_f(y.imag)}\n")
-
-
-def write_torus_csv(path, torus):
-    with open(path, "w") as fh:
-        fh.write(f"{_SCHEMA} torus\n")
-        fh.write("level,k,s,coeff_index,re,im\n")
-        n = torus.n_angles
-        for k in range(n):
-            for m, c in enumerate(torus.coeffs[k]):
-                fh.write(f"{torus.level},{k},{_f(k / n)},{m},{_f(c.real)},{_f(c.imag)}\n")
-
-
-def write_trapping_csv(path, report):
-    with open(path, "w") as fh:
-        fh.write(f"{_SCHEMA} trapping {report.region}\n")
-        fh.write("start_x_re,start_x_im,start_y_re,start_y_im,"
-                 "end_x_re,end_x_im,end_y_re,end_y_im,final_distance,verdict\n")
-        for sx, sy, ex, ey, d, verdict in report.rows:
-            fh.write(",".join([_f(sx.real), _f(sx.imag), _f(sy.real), _f(sy.imag),
-                               _f(ex.real), _f(ex.imag), _f(ey.real), _f(ey.imag),
-                               _f(d), verdict]) + "\n")
-
-
-def write_scan_csv(path, cells):
-    with open(path, "w") as fh:
-        fh.write(f"{_SCHEMA} hyperbolicity-scan\n")
-        fh.write("t,a,verdict,worst_h,worst_v\n")
-        for c in cells:
-            fh.write(f"{_f(c.t)},{_f(c.a)},{c.verdict},{_f(c.worst_h)},{_f(c.worst_v)}\n")
-
-
-def write_hausdorff_csv(path, result):
-    with open(path, "w") as fh:
-        fh.write(f"{_SCHEMA} hausdorff {result.meta}\n")
-        fh.write("t,distance\n")
-        for t, d in zip(result.t_values, result.distances):
-            fh.write(f"{_f(t)},{_f(d)}\n")
+        fh.write(f"{_SCHEMA} {kind}\n{columns}\n")
+        fh.writelines(",".join(map(field, row)) + "\n" for row in rows)
 
 
 def write_pgm(path, values, levels: int = 255):
@@ -79,10 +40,3 @@ def write_pgm(path, values, levels: int = 255):
     with open(path, "wb") as fh:
         fh.write(b"P5\n# henonlab v1\n%d %d\n%d\n" % (img.shape[1], img.shape[0], levels))
         fh.write(img.tobytes())
-
-
-def write_escape_pgm(path, grid):
-    """Escape grid image: bounded cells black, escape times as gray ramp."""
-    t = grid.times.astype(float)
-    t[t < 0] = float(np.max(t)) + 1
-    write_pgm(path, -t)

@@ -217,7 +217,11 @@ class RunConfig:
     def from_file(cls, path):
         kwargs = {}
         types = {f.name: f.type for f in fields(cls)}
-        with open(path) as fh:
+        try:
+            fh = open(path)
+        except OSError as exc:
+            raise PreconditionError(f"cannot read config file {path}: {exc.strerror}") from None
+        with fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -227,6 +231,10 @@ class RunConfig:
                 if key not in types:
                     raise PreconditionError(f"unknown config key: {key}")
                 typ = types[key]
-                kwargs[key] = (float(val) if typ == "float"
-                               else int(val) if typ == "int" else val.strip())
+                try:
+                    kwargs[key] = (float(val) if typ == "float"
+                                   else int(val) if typ == "int" else val.strip())
+                except ValueError:
+                    raise PreconditionError(
+                        f"config key {key}: {val.strip()!r} is not a valid {typ}") from None
         return cls(**kwargs)

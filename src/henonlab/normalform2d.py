@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .henon import HenonParams, attracting_cycle, henon
+from .poly1d import eliminate_constants, repelling_inner_radius
 from .series import (
     TruncSeries1,
     TruncSeries2,
@@ -206,19 +207,10 @@ def reduce(params: HenonParams, D: int | None = None) -> NormalForm2D:
         apply(*_shear(series1_to_2(v, "y"), k))
 
     # step 3: eliminate non-resonant constants; normalize the (q+1)-slot
-    A = 1.0 + 0.0j
-    for k in range(2, 2 * q + 2):
-        a_k = H[0].coeff(k, 0)
-        if k == q + 1:
-            A = (a_k / lam) ** (1.0 / q)
-            apply((A * var_x, var_y), ((1.0 / A) * var_x, var_y))
-        elif k % q == 1 % q:
-            continue
-        else:
-            denom = lam - lam**k
-            if abs(denom) < 1e-8:
-                raise NumericalError(f"resonance too close: |lam - lam^{k}| = {abs(denom):.2e}")
-            apply(*_shear(TruncSeries2.from_terms({(0, 0): a_k / denom}, D), k))
+    A = eliminate_constants(
+        lam, q, lambda k: H[0].coeff(k, 0),
+        lambda s: apply((s * var_x, var_y), ((1.0 / s) * var_x, var_y)),
+        lambda k, b: apply(*_shear(TruncSeries2.from_terms({(0, 0): b}, D), k)))
 
     C_at = H[0].coeff(2 * q + 1, 0) / lam
     return NormalForm2D(
@@ -343,7 +335,7 @@ def petal_check(params: HenonParams, nf: NormalForm2D, samples: int = 1000,
             target = f"attracting {q}-cycle"
             Ax, Ay = Px.copy(), Py.copy()
         else:
-            rt = abs(t) / ((q + 1.0 / 3.0) * (math.tan(2 * math.pi / 9) / math.sqrt(1 + math.tan(2 * math.pi / 9) ** 2)))
+            rt = repelling_inner_radius(params)
             target = "fixed point"
             ax = rt ** (1.0 / q) * np.sqrt(rng.uniform(0, 1, samples)) * np.exp(2j * math.pi * rng.uniform(0, 1, samples))
             Ax, Ay = nf.from_normalized(ax, zs)

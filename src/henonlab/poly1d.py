@@ -239,27 +239,44 @@ def normal_form_1d(params: PolyParams, D: int | None = None):
     lam = params.lam
     f = recentered_map(params, D)
     change = TruncSeries1.identity(D)
+
+    def conjugate(T):
+        nonlocal f, change
+        f = compose1(compose1(T, f), invert1(T))
+        change = compose1(T, change)
+
+    def shear(k, b):
+        coeffs = np.zeros(D + 1, dtype=complex)
+        coeffs[1] = 1.0
+        coeffs[k] = b
+        conjugate(TruncSeries1(coeffs, D=D))
+
+    eliminate_constants(lam, q, lambda k: f.coeffs[k],
+                        lambda A: conjugate(TruncSeries1([0.0, A], D=D)), shear)
+    C_t = f.coeffs[2 * q + 1] / lam
+    return change, f, complex(C_t)
+
+
+def eliminate_constants(lam, q: int, coeff, rescale, shear) -> complex:
+    """The constant-coefficient step shared by the 1-D and 2-D normal forms.
+
+    For k = 2..2q+1, a_k = coeff(k) read after the earlier moves: slot q+1 is
+    made lam by rescale(A), A = (a_k/lam)^(1/q); the other k = 1 mod q are
+    resonant and stay (2q+1 carries C); any other a_k is removed by
+    shear(k, b), the conjugation by x + b x^k, b = a_k/(lam - lam^k), refused
+    when |lam - lam^k| < 1e-8.  Returns A."""
+    A = 1.0 + 0.0j
     for k in range(2, 2 * q + 2):
-        a_k = f.coeffs[k]
+        a_k = coeff(k)
         if k == q + 1:
-            # rescale so the first resonant coefficient becomes lam itself
             A = (a_k / lam) ** (1.0 / q)
-            T = TruncSeries1([0.0, A], D=D)
-        elif k % q == 1 % q:
-            continue  # resonant: 2q+1 carries C_t and stays
-        else:
+            rescale(A)
+        elif k % q != 1 % q:
             denom = lam - lam**k
             if abs(denom) < 1e-8:
                 raise NumericalError(f"resonance too close: |lam - lam^{k}| = {abs(denom):.2e}")
-            b = a_k / denom
-            coeffs = np.zeros(D + 1, dtype=complex)
-            coeffs[1] = 1.0
-            coeffs[k] = b
-            T = TruncSeries1(coeffs, D=D)
-        f = compose1(compose1(T, f), invert1(T))
-        change = compose1(T, change)
-    C_t = f.coeffs[2 * q + 1] / lam
-    return change, f, complex(C_t)
+            shear(k, a_k / denom)
+    return A
 
 
 def conjugacy_residual_1d(params: PolyParams, change: TruncSeries1, normal: TruncSeries1) -> float:

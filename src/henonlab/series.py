@@ -92,16 +92,28 @@ class TruncSeries1:
 
     def __call__(self, x):
         """Evaluate by Horner; x may be a scalar or ndarray."""
-        acc = np.zeros_like(np.asarray(x, dtype=complex))
-        for c in self.coeffs[::-1]:
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     def max_abs(self):
         return float(np.max(np.abs(self.coeffs)))
 
     def __repr__(self):
         return f"TruncSeries1(D={self.D}, coeffs={np.array2string(self.coeffs, precision=4)})"
+
+
+def horner(coeffs, x, out=None):
+    """sum_m coeffs[..., m] x^m by Horner, broadcasting the leading axes of
+    coeffs against x.  With ``out`` the sum is built in that array, which
+    must have the broadcast shape; a caller that evaluates in a loop passes
+    the same buffer every time.  Scalar input gives a scalar."""
+    if out is None:
+        out = np.zeros(np.broadcast(coeffs[..., 0], x).shape, dtype=complex)
+    else:
+        out.fill(0.0)
+    for m in range(coeffs.shape[-1] - 1, -1, -1):
+        out *= x
+        out += coeffs[..., m]
+    return out[()]
 
 
 def _coerce1(v, D):
@@ -270,12 +282,11 @@ class TruncSeries2:
         x = np.asarray(x, dtype=complex)
         y = np.asarray(y, dtype=complex)
         acc = np.zeros(np.broadcast(x, y).shape, dtype=complex)
+        rowval = np.empty_like(acc)
         for row in self.coeffs[::-1]:
-            rowval = np.zeros_like(acc)
-            for c in row[::-1]:
-                rowval = rowval * y + c
-            acc = acc * x + rowval
-        return acc
+            acc *= x
+            acc += horner(row, y, out=rowval)
+        return acc[()]
 
     def homogeneous_part(self, d):
         c = np.zeros_like(self.coeffs)

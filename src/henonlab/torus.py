@@ -17,6 +17,7 @@ import numpy as np
 from .errors import NumericalError, PreconditionError
 from .henon import FILTRATION_RADIUS, HenonParams, PointCloud, henon
 from .poly1d import LoopSample, continue_branch, equipotential_loop
+from .series import horner
 
 NODE_FRACTION = 0.9  # collocation radius as a fraction of the disk radius
 
@@ -54,19 +55,11 @@ class SolidTorus:
 
     def eval(self, k, z):
         """phi at angle index k (array ok) and points z (broadcast)."""
-        c = self.coeffs[np.asarray(k) % self.n_angles]
-        acc = np.zeros(np.broadcast(np.asarray(k), np.asarray(z)).shape, dtype=complex)
-        for m in range(self.disk_degree, -1, -1):
-            acc = acc * z + (c[..., m] if c.ndim > 1 else c[m])
-        return acc
+        return horner(self.coeffs[np.asarray(k) % self.n_angles], z)
 
     def node_values(self):
         """(n_angles, 2d) matrix of phi_s at the collocation nodes."""
-        z = self.nodes()[None, :]
-        acc = np.zeros((self.n_angles, z.shape[1]), dtype=complex)
-        for m in range(self.disk_degree, -1, -1):
-            acc = acc * z + self.coeffs[:, m][:, None]
-        return acc
+        return horner(self.coeffs[:, None, :], self.nodes())
 
     def max_slope(self):
         """Upper bound for sup |phi_s'| on the collocation circle."""
@@ -89,6 +82,8 @@ def torus_seed(params: HenonParams, loop0: LoopSample, disk_degree: int = 8,
         raise PreconditionError("n_angles does not match the seed loop")
     if loop0.level <= 0:
         raise PreconditionError("seed loop must sit at a positive Green level")
+    if disk_degree < 1:
+        raise PreconditionError(f"disk degree must be >= 1, got {disk_degree}")
     coeffs = np.zeros((loop0.N, disk_degree + 1), dtype=complex)
     coeffs[:, 0] = loop0.values
     return SolidTorus(coeffs=coeffs, level=0)
@@ -118,24 +113,20 @@ def graph_transform(params: HenonParams, torus: SolidTorus,
     # memory back to the OS and page-fault it in again each iteration.
     X = np.broadcast_to(seeds[:, None], (n, z.shape[1])).copy()
     az = a * z
+    # phi_{2s} and phi_{2s}' coefficients, broadcast over the nodes
+    phi = tcoeffs[:, None, :]
+    dphi = (tcoeffs[:, 1:] * np.arange(1, d + 1))[:, None, :]
     xa, g, gp, acc = (np.empty_like(X) for _ in range(4))
     step_abs, bound = np.empty(X.shape), np.empty(X.shape)
     converged = np.zeros(X.shape, dtype=bool)
     for _ in range(max_newton):
         np.multiply(a, X, out=xa)
         # g = X^2 + c + a z - phi_{2s}(a X), gp = 2 X - a^2 phi_{2s}'(a X)
-        acc.fill(0.0)
-        for m in range(d, -1, -1):
-            acc *= xa
-            acc += tcoeffs[:, m][:, None]
         np.multiply(X, X, out=g)
         g += c
         g += az
-        g -= acc
-        acc.fill(0.0)
-        for m in range(d, 0, -1):
-            acc *= xa
-            acc += m * tcoeffs[:, m][:, None]
+        g -= horner(phi, xa, out=acc)
+        horner(dphi, xa, out=acc)
         acc *= a * a
         np.multiply(2.0, X, out=gp)
         gp -= acc

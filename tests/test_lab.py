@@ -134,11 +134,41 @@ def test_cli_exit_codes(tmp_path):
     (["torus-iterate", "--pq=1/1", "--t=0.1", "--a=nan"], "|a| must be below 1/2"),
     (["cone-check", "--pq=1/3", "--t=-0.01", "--a=0.05", "--samples=100"],
      "repelling sector is empty"),
+    (["caratheodory", "--config=missing.cfg"], "cannot read config file missing.cfg"),
+    (["caratheodory", "--config=bad.cfg"], "config key angles: 'abc' is not a valid int"),
+    (["torus-iterate", "--pq=1/1", "--t=0.1", "--degree=0"], "disk degree must be >= 1"),
+    (["torus-iterate", "--pq=1/1", "--t=0.1", "--degree=-1"], "disk degree must be >= 1"),
+    (["cone-check", "--pq=1/1", "--t=0.05", "--a=0.05", "--samples=0"],
+     "sample count must be >= 1"),
+    (["cone-check", "--pq=1/1", "--t=0.05", "--a=0.05", "--samples=-3"],
+     "sample count must be >= 1"),
 ])
-def test_cli_bad_input_is_a_precondition_error(tmp_path, capsys, argv, cause):
+def test_cli_bad_input_is_a_precondition_error(tmp_path, monkeypatch, capsys, argv, cause):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text("pq=1/1\nangles=abc\n")
     assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition error:") and cause in err
+
+
+def test_cli_missing_output_directory_is_refused_before_computing(tmp_path, capsys):
+    argv = ["caratheodory", "--pq=1/1", "--t=0.1", "--out", str(tmp_path / "nodir" / "x")]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("precondition error: output directory")
+    assert "nodir" in err and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,warnings", [
+    (["hyp-scan", "--t-list=0.05", "--res=1"], ["--res 1 clamped to 3"]),
+    (["connectivity-scan", "--t=0.1", "--res=2", "--angles=512", "--iters=13"],
+     ["--res 2 clamped to 3", "--angles 512 clamped to 256", "--iters 13 clamped to 12"]),
+    (["connectivity-scan", "--t=0.1", "--res=3", "--angles=256", "--iters=12"], []),
+])
+def test_cli_says_when_it_clamps_a_value(tmp_path, capsys, argv, warnings):
+    assert cli.main(argv + ["--pq=1/1", "--a=0.05", "--out", str(tmp_path / "x")]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["warning: " + w for w in warnings]
 
 
 def test_cli_normal_form_checks_a_before_printing(tmp_path, capsys):
@@ -197,11 +227,72 @@ def test_pgm_writer(tmp_path):
     assert raw.endswith(bytes(range(0, 256, 255 // 11))[:12]) or len(raw) > 12
 
 
-def test_loop_csv_header(tmp_path):
-    loop = p1.equipotential_loop(p1.poly_params((1, 1), 0.1), 64)
-    path = tmp_path / "loop.csv"
-    io.write_loop_csv(path, loop)
+def _torus_rows(level, coeffs):
+    n = len(coeffs)
+    return [(level, k, k / n, m, c) for k in range(n) for m, c in enumerate(coeffs[k])]
+
+
+# kind -> (command line, library function the command writes from, the
+# header after "# henonlab-csv v1 ", the column line, the source rows)
+CSV_KINDS = {
+    "loop": (
+        ["caratheodory", "--pq=1/2", "--t=0.1", "--angles=1024", "--iters=5"],
+        "caratheodory", lambda r: "loop", "k,s,re,im,level",
+        lambda r: [(k, k / r.loop.N, v, r.loop.level) for k, v in enumerate(r.loop.values)]),
+    "torus": (
+        ["torus-iterate", "--pq=1/1", "--t=0.1", "--a=0.05", "--angles=64", "--iters=3",
+         "--degree=4"],
+        "torus_fixed_point", lambda r: "torus", "level,k,s,coeff_index,re,im",
+        lambda r: _torus_rows(r.torus.level, r.torus.coeffs)),
+    "normal-form": (
+        ["normal-form", "--pq=1/2", "--t=0.05", "--a=0.05"],
+        "reduce", lambda r: "torus", "level,k,s,coeff_index,re,im",
+        lambda r: _torus_rows(0, [h.coeffs.ravel() for h in r.normal])),
+    "trapping": (
+        ["petal-check", "--pq=1/1", "--t=0.05", "--a=0.05", "--samples=20", "--iters=50"],
+        "petal_check", lambda r: f"trapping {r.region}",
+        "start_x_re,start_x_im,start_y_re,start_y_im,"
+        "end_x_re,end_x_im,end_y_re,end_y_im,final_distance,verdict",
+        lambda r: r.rows),
+    "hyperbolicity-scan": (
+        ["hyp-scan", "--pq=1/1", "--t-list=0.0,0.05", "--a=0.05", "--res=3"],
+        "hyperbolicity_scan", lambda r: "hyperbolicity-scan", "t,a,verdict,worst_h,worst_v",
+        lambda r: [(c.t, c.a, c.verdict, c.worst_h, c.worst_v) for c in r]),
+    "hausdorff": (
+        ["radial-demo", "--pq=1/1", "--t-list=0.2,0.1", "--angles=1024", "--iters=20"],
+        "radial_demo", lambda r: f"hausdorff {r.meta}", "t,distance",
+        lambda r: list(zip(r.t_values, r.distances))),
+}
+
+
+@pytest.mark.parametrize("kind", CSV_KINDS)
+def test_csv_format(tmp_path, monkeypatch, kind):
+    # every CSV kind the CLI writes: header, column line, one row per source
+    # row, and each field parses back to exactly the value it was written from
+    argv, fn, header, columns, source_rows = CSV_KINDS[kind]
+    results = []
+    compute = getattr(cli, fn)
+    monkeypatch.setattr(cli, fn, lambda *a, **kw: results.append(compute(*a, **kw)) or results[-1])
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) in (0, 3)
+    (path,) = tmp_path.glob("*.csv")
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("# henonlab-csv v1 loop")
-    assert lines[1] == "k,s,re,im,level"
-    assert len(lines) == 2 + 64
+    assert lines[0] == "# henonlab-csv v1 " + header(results[0])
+    assert lines[1] == columns
+    rows = source_rows(results[0])
+    assert len(lines) == 2 + len(rows)
+    for line, row in zip(lines[2:], rows):
+        fields = iter(line.split(","))
+
+        def parses_back(x):  # repr tells -0.0 from 0.0 and matches nan
+            return repr(float(next(fields))) == repr(float(x))
+
+        for v in row:
+            if isinstance(v, complex):
+                assert parses_back(v.real) and parses_back(v.imag)
+            elif isinstance(v, float):
+                assert parses_back(v)
+            elif isinstance(v, int):
+                assert int(next(fields)) == v
+            else:
+                assert next(fields) == v
+        assert next(fields, None) is None

@@ -7,6 +7,7 @@ from henonlab.series import (
     TruncSeries2,
     compose1,
     compose2,
+    horner,
     invert1,
     invert2,
     series1_to_2,
@@ -162,3 +163,15 @@ def test_series1_lift_and_eval():
     fy = series1_to_2(f, "y")
     assert abs(fx(0.5, 99.0) - f(0.5)) < 1e-14
     assert abs(fy(99.0, 0.5) - f(0.5)) < 1e-14
+
+
+def test_horner_broadcasts_rows_and_fills_the_buffer():
+    rng = np.random.default_rng(3)
+    coeffs = rng.normal(size=(4, 1, 6)) + 1j * rng.normal(size=(4, 1, 6))
+    x = rng.normal(size=5) + 1j * rng.normal(size=5)
+    want = np.array([[np.polyval(c[0, ::-1], xi) for xi in x] for c in coeffs])
+    buf = np.full((4, 5), np.nan, dtype=complex)  # stale contents are overwritten
+    horner(coeffs, x, out=buf)
+    assert np.allclose(buf, want, rtol=1e-13, atol=0)
+    assert np.allclose(horner(coeffs, x), want, rtol=1e-13, atol=0)
+    assert isinstance(horner(coeffs[0, 0], 0.5), np.complex128)
