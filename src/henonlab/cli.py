@@ -63,8 +63,18 @@ def build_parser():
     return ap
 
 
+# Each scan's caps on the RunConfig sizes, which are also its defaults:
+# RunConfig's own res/angles/iters defaults belong to continuity and
+# torus-iterate, so only a value the user asks for can be clamped.
+SCAN_CAPS = {
+    "hyp-scan": {"res": 9},
+    "connectivity-scan": {"res": 16, "angles": 256, "iters": 12},
+}
+
+
 def config_from_args(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    defaults = SCAN_CAPS.get(args.subcommand, {})
+    cfg = RunConfig.from_file(args.config, **defaults) if args.config else RunConfig(**defaults)
     cfg.subcommand = args.subcommand
     for name in ("pq", "t", "angles", "degree", "iters", "res", "depth",
                  "seed", "samples", "tol", "out"):
@@ -141,7 +151,8 @@ def run(cfg: RunConfig) -> int:
                   f"worst_v={glob.worst_v_expansion:.3g} vertical_ok={glob.extras['vertical_ok']}")
     elif cfg.subcommand == "hyp-scan":
         pq, ts = cfg.p_over_q, cfg.ts
-        a_vals = np.linspace(-abs(cfg.a), abs(cfg.a), _clamped("res", cfg.res, 9, lo=3))
+        cap = SCAN_CAPS[cfg.subcommand]
+        a_vals = np.linspace(-abs(cfg.a), abs(cfg.a), _clamped("res", cfg.res, cap["res"], lo=3))
         cells = hyperbolicity_scan(pq, ts, a_vals, seed=cfg.seed)
         io.write_csv(out + ".csv", "hyperbolicity-scan", "t,a,verdict,worst_h,worst_v",
                      ((c.t, c.a, c.verdict, c.worst_h, c.worst_v) for c in cells))
@@ -165,11 +176,11 @@ def run(cfg: RunConfig) -> int:
         print(f"continuity J: {['%.4f' % d for d in rj.distances]} decreasing={rj.strictly_decreasing}")
         print(f"continuity J+: {['%.4f' % d for d in rs.distances]} decreasing={rs.strictly_decreasing}")
     elif cfg.subcommand == "connectivity-scan":
-        w = abs(cfg.a)
+        w, cap = abs(cfg.a), SCAN_CAPS[cfg.subcommand]
         cells = connectivity_scan(cfg.p_over_q, cfg.t, (-w, w, -w, w),
-                                  resolution=_clamped("res", cfg.res, 16, lo=3),
-                                  n_angles=_clamped("angles", cfg.angles, 256),
-                                  n_iters=_clamped("iters", cfg.iters, 12))
+                                  resolution=_clamped("res", cfg.res, cap["res"], lo=3),
+                                  n_angles=_clamped("angles", cfg.angles, cap["angles"]),
+                                  n_iters=_clamped("iters", cfg.iters, cap["iters"]))
         io.write_pgm(out + ".pgm", connectivity_image(cells))
         flat = [c for row in cells for c in row]
         print(f"connectivity: {sum(c.verdict.startswith('CONNECTED') for c in flat)}/{len(flat)} connected")

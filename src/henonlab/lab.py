@@ -214,8 +214,10 @@ class RunConfig:
                     fh.write(f"{f.name}={v}\n")
 
     @classmethod
-    def from_file(cls, path):
-        kwargs = {}
+    def from_file(cls, path, **defaults):
+        """The config in a key=value file; a key it leaves out takes its value
+        from ``defaults``, then from the field default."""
+        kwargs = dict(defaults)
         types = {f.name: f.type for f in fields(cls)}
         try:
             fh = open(path)

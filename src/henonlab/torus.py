@@ -10,7 +10,8 @@ model psi live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -20,6 +21,14 @@ from .poly1d import LoopSample, continue_branch, equipotential_loop
 from .series import horner
 
 NODE_FRACTION = 0.9  # collocation radius as a fraction of the disk radius
+# A Newton solution from the last level's samples whose distances to its
+# pullback seed and to minus that seed differ by less than this fraction of
+# |seed| is solved again from the seed.  Near the critical point x = 0 the two
+# preimages are almost equidistant from the seed, Newton from the seed can
+# reach either one, and which one it reaches decides the branch check.  In
+# scans at q = 1, 2, 3 the samples and the seed led to different roots on the
+# seed's side only at margins below 0.09.
+BRANCH_MARGIN = 0.25
 
 
 @dataclass(frozen=True)
@@ -27,6 +36,9 @@ class SolidTorus:
     coeffs: np.ndarray      # (n_angles, disk_degree+1) Taylor coefficients
     level: int              # iteration index
     r: float = FILTRATION_RADIUS
+    # (n_angles, 2 disk_degree) values at the nodes that the coefficients were
+    # fitted to; set by graph_transform, whose next step starts Newton there
+    samples: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -36,6 +48,12 @@ class SolidTorus:
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+        if self.samples is not None:
+            x = np.array(self.samples, dtype=complex, order="C")
+            if x.shape != (n, 2 * (c.shape[1] - 1)):
+                raise PreconditionError("torus samples must be (n_angles, 2 disk_degree)")
+            x.setflags(write=False)
+            object.__setattr__(self, "samples", x)
 
     @property
     def n_angles(self):
@@ -69,10 +87,13 @@ class SolidTorus:
 
     def separation(self):
         """min over s of the sup-distance between fibers at s and s + 1/2."""
-        vals = self.node_values()
-        half = self.n_angles // 2
-        d = np.max(np.abs(vals - np.roll(vals, -half, axis=0)), axis=1)
-        return float(np.min(d))
+        return _separation(self.node_values())
+
+
+def _separation(vals):
+    half = vals.shape[0] // 2
+    d = np.max(np.abs(vals - np.roll(vals, -half, axis=0)), axis=1)
+    return float(np.min(d))
 
 
 def torus_seed(params: HenonParams, loop0: LoopSample, disk_degree: int = 8,
@@ -95,61 +116,102 @@ def graph_transform(params: HenonParams, torus: SolidTorus,
 
         x^2 + c + a z_j = phi_{2s}(a x)
 
-    for x by Newton seeded at the 1-D pullback branch, then refit the degree-d
-    Taylor coefficients on the collocation circle (least squares = truncated
-    DFT on the uniform node grid)."""
+    for x by Newton, then refit the degree-d Taylor coefficients on the
+    collocation circle (least squares = truncated DFT on the uniform node
+    grid).  Every solution must keep the label of its 1-D pullback branch
+    (the branches of the center loop): it must lie closer to that branch's
+    value than to its negative.  Newton starts from ``torus.samples``, the
+    solution of the step that made ``torus``.  On the seed torus, and for
+    each angle where that start stalls or ends within BRANCH_MARGIN of the
+    other branch, it starts from the pullback branches instead, and their
+    outcome stands."""
     if params.a == 0:
         raise PreconditionError("graph transform requires a != 0")
     n, d = torus.n_angles, torus.disk_degree
-    a, c = params.a, params.c
     doubled = (2 * np.arange(n)) % n
-    # Newton seeds: the 1-D pullback branches of the center loop
-    seeds = continue_branch(np.sqrt(torus.centers[doubled] - c), unit="angle")
-    z = torus.nodes()[None, :]
+    seeds = continue_branch(np.sqrt(torus.centers[doubled] - params.c), unit="angle")
     tcoeffs = torus.coeffs[doubled]
+    solve = partial(_newton, params, torus.nodes(), newton_tol=newton_tol, max_newton=max_newton)
 
-    # The Newton loop works in place on buffers allocated once per call:
-    # fresh (n, 2d) temporaries at every step make the C allocator hand
-    # memory back to the OS and page-fault it in again each iteration.
-    X = np.broadcast_to(seeds[:, None], (n, z.shape[1])).copy()
-    az = a * z
-    # phi_{2s} and phi_{2s}' coefficients, broadcast over the nodes
-    phi = tcoeffs[:, None, :]
-    dphi = (tcoeffs[:, 1:] * np.arange(1, d + 1))[:, None, :]
-    xa, g, gp, acc = (np.empty_like(X) for _ in range(4))
-    step_abs, bound = np.empty(X.shape), np.empty(X.shape)
-    converged = np.zeros(X.shape, dtype=bool)
-    for _ in range(max_newton):
-        np.multiply(a, X, out=xa)
-        # g = X^2 + c + a z - phi_{2s}(a X), gp = 2 X - a^2 phi_{2s}'(a X)
-        np.multiply(X, X, out=g)
-        g += c
-        g += az
-        g -= horner(phi, xa, out=acc)
-        horner(dphi, xa, out=acc)
-        acc *= a * a
-        np.multiply(2.0, X, out=gp)
-        gp -= acc
-        step = np.divide(g, gp, out=g)
-        X -= step
-        np.abs(step, out=step_abs)
-        np.abs(X, out=bound)
-        bound += 1.0
-        bound *= newton_tol
-        np.less_equal(step_abs, bound, out=converged)
-        if converged.all():
-            break
-    if not converged.all():
-        k, j = np.argwhere(~converged)[0]
+    X, stalled = solve(tcoeffs, seeds if torus.samples is None else torus.samples.T)
+    if torus.samples is not None:
+        near_other = np.abs(X + seeds) - np.abs(X - seeds) < BRANCH_MARGIN * np.abs(seeds)
+        redo = np.any(stalled | near_other, axis=0)
+        if redo.any():
+            X[:, redo], stalled[:, redo] = solve(tcoeffs[redo], seeds[redo])
+    if stalled.any():
+        k, j = np.argwhere(stalled.T)[0]
         raise NumericalError(f"Newton stalled at angle {k}/{n}, node {j}")
-    # the two preimage labels must follow the seeded branches
-    if np.any(np.abs(X - seeds[:, None]) > np.abs(X + seeds[:, None])):
+    if np.any(np.abs(X - seeds) > np.abs(X + seeds)):
         raise NumericalError("resolution too coarse: node left its branch")
 
-    m2 = 2 * d
-    dft = np.fft.fft(X, axis=1)[:, : d + 1] / m2
+    dft = np.fft.fft(X, axis=0)[: d + 1] / (2 * d)
     scale = (NODE_FRACTION * torus.r) ** np.arange(d + 1)
-    return SolidTorus(coeffs=dft / scale, level=torus.level + 1)
+    return SolidTorus(coeffs=(dft / scale[:, None]).T, level=torus.level + 1,
+                      samples=X.T)
+
+
+def _newton(params, nodes, tcoeffs, start, newton_tol, max_newton):
+    """Newton for x^2 + c + a z_j = phi_s(a x) at the nodes z_j, for the
+    (n, d+1) coefficients ``tcoeffs`` of phi_s, from ``start`` (broadcast to
+    (2d, n)).  An angle leaves the iteration once all its nodes meet the
+    tolerance.  Returns the (2d, n) solutions and the mask of the entries
+    that had not converged at the last of ``max_newton`` steps."""
+    (n, d1), m2 = tcoeffs.shape, len(nodes)
+    a, c = params.a, params.c
+    az = a * nodes[:, None]
+    # Node-major: column i of every buffer holds angle angle[i], so each
+    # Horner add is a contiguous coefficient row.  The loop works in place on
+    # buffers allocated once per call, through views [:, :k] of the k active
+    # angles: fresh temporaries at every step make the C allocator hand
+    # memory back to the OS and page-fault it in again each iteration.
+    X = np.empty((m2, n), dtype=complex)
+    X[...] = start
+    # phi_s and phi_s' coefficients, one row per power
+    phi = np.ascontiguousarray(tcoeffs.T)
+    dphi = np.ascontiguousarray((tcoeffs[:, 1:] * np.arange(1, d1)).T)
+    work = [np.empty_like(X) for _ in range(4)]
+    step_abs, bound = np.empty(X.shape), np.empty(X.shape)
+    converged = np.empty(X.shape, dtype=bool)
+    solved = np.empty_like(X)
+    angle = np.arange(n)
+    # as if no step had converged, for max_newton = 0
+    step_ok, done = np.zeros(X.shape, dtype=bool), np.zeros(n, dtype=bool)
+    k = n
+    for _ in range(max_newton):
+        x, tol = X[:, :k], bound[:, :k]
+        xa, g, gp, acc = (w[:, :k] for w in work)
+        np.multiply(a, x, out=xa)
+        # g = x^2 + c + a z - phi_s(a x), gp = 2 x - a^2 phi_s'(a x)
+        np.multiply(x, x, out=g)
+        g += c
+        g += az
+        g -= horner(phi[:, :k].T, xa, out=acc)
+        horner(dphi[:, :k].T, xa, out=acc)
+        acc *= a * a
+        np.multiply(2.0, x, out=gp)
+        gp -= acc
+        step = np.divide(g, gp, out=g)
+        x -= step
+        np.abs(x, out=tol)
+        tol += 1.0
+        tol *= newton_tol
+        step_ok = np.less_equal(np.abs(step, out=step_abs[:, :k]), tol, out=converged[:, :k])
+        done = step_ok.all(axis=0)
+        if done.any():
+            solved[:, angle[done]] = x[:, done]
+            keep = ~done
+            angle = angle[keep]
+            for buf in (X, phi, dphi):
+                buf[:, :len(angle)] = buf[:, :k][:, keep]
+            k = len(angle)
+            if k == 0:
+                break
+    stalled = np.zeros(X.shape, dtype=bool)
+    solved[:, angle] = X[:, :k]
+    # `step_ok` still has the columns from before the last compaction
+    stalled[:, angle] = ~step_ok[:, ~done]
+    return solved, stalled
 
 
 @dataclass(frozen=True)
@@ -177,7 +239,7 @@ def torus_fixed_point(params: HenonParams, n_iters: int, n_angles: int,
         torus = graph_transform(params, torus)
         nxt = torus.node_values()
         gaps[i] = float(np.max(np.abs(nxt - vals)))
-        seps[i] = torus.separation()
+        seps[i] = _separation(nxt)
         vals = nxt
     return TorusResult(torus=torus, gaps=gaps, separations=seps)
 

@@ -171,6 +171,24 @@ def test_cli_says_when_it_clamps_a_value(tmp_path, capsys, argv, warnings):
     assert err.splitlines() == ["warning: " + w for w in warnings]
 
 
+@pytest.mark.parametrize("line", [
+    "connectivity-scan --pq 1/2 --t 0.1 --a 0.2 --res 9",  # the README line
+    "hyp-scan --pq 1/1 --t-list 0.0,0.05,0.1 --a 0.05",    # the README line without --res
+])
+def test_cli_scans_default_to_sizes_they_need_not_clamp(tmp_path, capsys, line):
+    assert cli.main(line.split() + ["--out", str(tmp_path / "x")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_warns_when_it_clamps_a_config_value(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("iters=13\n")
+    argv = ["connectivity-scan", "--config", str(cfg), "--pq=1/1", "--t=0.1", "--a=0.05",
+            "--res=3", "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err.splitlines() == ["warning: --iters 13 clamped to 12"]
+
+
 def test_cli_normal_form_checks_a_before_printing(tmp_path, capsys):
     argv = ["normal-form", "--pq=1/1", "--t=0.05", "--a=nan", "--out", str(tmp_path / "x")]
     assert cli.main(argv) == 2

@@ -5,6 +5,7 @@ import henonlab.henon as hn
 from henonlab import poly1d as p1
 from henonlab import torus as tor
 from henonlab.errors import NumericalError, PreconditionError
+from henonlab.series import horner
 
 SQUARE = p1.PolyParams(p=0, q=1, t=1.0, lam=2.0 + 0j, c=0.0 + 0j, alpha=1.0 + 0j)
 
@@ -47,6 +48,118 @@ def test_graph_transform_defining_residual():
     assert T1.level == 1
 
 
+def _full_array_graph_transform(params, torus, newton_tol=1e-13, max_newton=50):
+    """Reference: the graph transform whose Newton solve starts every (angle,
+    node) entry at the 1-D pullback seed and updates all of them until the
+    last one converges."""
+    n, d = torus.n_angles, torus.disk_degree
+    a, c = params.a, params.c
+    doubled = (2 * np.arange(n)) % n
+    seeds = p1.continue_branch(np.sqrt(torus.centers[doubled] - c), unit="angle")
+    z = torus.nodes()[None, :]
+    tcoeffs = torus.coeffs[doubled]
+    X = np.broadcast_to(seeds[:, None], (n, z.shape[1])).copy()
+    phi = tcoeffs[:, None, :]
+    dphi = (tcoeffs[:, 1:] * np.arange(1, d + 1))[:, None, :]
+    converged = np.zeros(X.shape, dtype=bool)
+    for _ in range(max_newton):
+        xa = a * X
+        g = X * X + c + a * z - horner(phi, xa)
+        gp = 2.0 * X - a * a * horner(dphi, xa)
+        step = g / gp
+        X = X - step
+        converged = np.abs(step) <= newton_tol * (np.abs(X) + 1.0)
+        if converged.all():
+            break
+    if not converged.all():
+        k, j = np.argwhere(~converged)[0]
+        raise NumericalError(f"Newton stalled at angle {k}/{n}, node {j}")
+    if np.any(np.abs(X - seeds[:, None]) > np.abs(X + seeds[:, None])):
+        raise NumericalError("resolution too coarse: node left its branch")
+    dft = np.fft.fft(X, axis=1)[:, : d + 1] / (2 * d)
+    scale = (tor.NODE_FRACTION * torus.r) ** np.arange(d + 1)
+    return tor.SolidTorus(coeffs=dft / scale, level=torus.level + 1)
+
+
+def _iterate(transform, params, n_iters, n_angles):
+    """(tori, gaps, separations) of n_iters transform steps from the seed
+    torus, or the level and message of the NumericalError that stopped them."""
+    torus = tor.torus_seed(params, p1.equipotential_loop(params.poly, n_angles))
+    tori, gaps, seps = [torus], [], []
+    for level in range(1, n_iters + 1):
+        try:
+            tori.append(transform(params, tori[-1]))
+        except NumericalError as exc:
+            return level, str(exc)
+        vals = tori[-1].node_values()
+        gaps.append(np.max(np.abs(vals - tori[-2].node_values())))
+        seps.append(tori[-1].separation())
+    return tori[-1], np.array(gaps), np.array(seps)
+
+
+# at a = 0.15 some angles of level 6 leave their branch from the samples of
+# level 5 and are solved again from the pullback seeds
+@pytest.mark.parametrize("pq,a", [((1, 1), 0.05), ((1, 2), 0.05 + 0.05j), ((1, 2), 0.15)])
+def test_fixed_point_matches_full_array_newton(pq, a):
+    # warm starts and retiring converged angles change the iterate only by
+    # rounding: the reference ends its Newton solve a step later everywhere
+    P = hn.make_params(pq, 0.1, a)
+    res = tor.torus_fixed_point(P, 30, 256)
+    torus, gaps, seps = _iterate(_full_array_graph_transform, P, 30, 256)
+    assert np.max(np.abs(res.torus.coeffs - torus.coeffs)) < 1e-14
+    assert np.max(np.abs(res.gaps - gaps)) < 1e-13
+    assert np.max(np.abs(res.separations - seps)) < 1e-13
+
+
+# at a = -0.1-0.15j the samples of level 3 lead Newton to a root on the seed's
+# side where Newton from the seed leaves the branch; within BRANCH_MARGIN the
+# seeded solve decides, so the error comes at level 4 in both
+@pytest.mark.parametrize("a", [0.2, -0.1 - 0.15j])
+def test_fixed_point_raises_like_full_array_newton(a):
+    P = hn.make_params((1, 2), 0.1, a)
+    expected = _iterate(_full_array_graph_transform, P, 30, 256)
+    assert expected == _iterate(tor.graph_transform, P, 30, 256)
+    with pytest.raises(NumericalError) as exc:
+        tor.torus_fixed_point(P, 30, 256)
+    assert str(exc.value) == expected[1]
+
+
+def test_torus_samples_warm_start_the_next_level():
+    P = hn.make_params((1, 1), 0.1, 0.05)
+    T0 = tor.torus_seed(P, p1.equipotential_loop(P.poly, 256))
+    T1 = tor.graph_transform(P, T0)
+    assert T0.samples is None
+    assert T1.samples.shape == (256, 16) and not T1.samples.flags.writeable
+    # the coefficients are the truncated DFT of the samples
+    d = T1.disk_degree
+    fit = np.fft.fft(T1.samples, axis=1)[:, : d + 1] / (2 * d)
+    assert np.array_equal(T1.coeffs, fit / (tor.NODE_FRACTION * T1.r) ** np.arange(d + 1))
+    with pytest.raises(PreconditionError, match="samples"):
+        tor.SolidTorus(coeffs=T1.coeffs, level=1, samples=T1.samples[:, :8])
+    # from the samples of a late level Newton needs fewer steps than from the seeds
+    T = tor.torus_fixed_point(P, 60, 256).torus
+    tor.graph_transform(P, T, max_newton=5)
+    with pytest.raises(NumericalError, match="stalled"):
+        tor.graph_transform(P, tor.SolidTorus(coeffs=T.coeffs, level=T.level), max_newton=5)
+
+
+@pytest.mark.parametrize("level,max_newton,entry", [
+    (0, 0, "angle 0/256, node 0"), (0, 1, "angle 0/256, node 0"), (0, 4, "angle 21/256, node 0"),
+    # from samples, the stalled angles start again from the pullback seeds
+    (1, 1, "angle 0/256, node 0"), (1, 5, "angle 0/256, node 12"),
+])
+def test_graph_transform_names_the_stalled_entry(level, max_newton, entry):
+    P = hn.make_params((1, 2), 0.1, 0.05 + 0.05j)
+    T = tor.torus_seed(P, p1.equipotential_loop(P.poly, 256))
+    for _ in range(level):
+        T = tor.graph_transform(P, T)
+    with pytest.raises(NumericalError) as expected:
+        _full_array_graph_transform(P, T, max_newton=max_newton)
+    with pytest.raises(NumericalError) as exc:
+        tor.graph_transform(P, T, max_newton=max_newton)
+    assert str(exc.value) == str(expected.value) == f"Newton stalled at {entry}"
+
+
 def test_graph_transform_requires_a():
     P = hn.make_params((1, 1), 0.1, 0.0)
     T0 = tor.torus_seed(P, p1.equipotential_loop(P.poly, 128))
@@ -76,6 +189,7 @@ def test_gaps_non_increasing_and_separation(fixed_q1):
     P, res = fixed_q1
     assert np.all(np.diff(res.gaps[5:]) <= 1e-14)
     assert np.all(res.separations > 1.0)
+    assert res.separations[-1] == res.torus.separation()
     assert res.torus.max_slope() < 0.2
 
 
