@@ -31,14 +31,15 @@ NODE_FRACTION = 0.9  # collocation radius as a fraction of the disk radius
 BRANCH_MARGIN = 0.25
 
 
-@dataclass(frozen=True)
+# eq=False: the fields are arrays, so a generated == would raise on them
+@dataclass(frozen=True, eq=False)
 class SolidTorus:
     coeffs: np.ndarray      # (n_angles, disk_degree+1) Taylor coefficients
     level: int              # iteration index
     r: float = FILTRATION_RADIUS
     # (n_angles, 2 disk_degree) values at the nodes that the coefficients were
     # fitted to; set by graph_transform, whose next step starts Newton there
-    samples: np.ndarray | None = field(default=None, compare=False, repr=False)
+    samples: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -182,13 +183,13 @@ def _newton(params, nodes, tcoeffs, start, newton_tol, max_newton):
         x, tol = X[:, :k], bound[:, :k]
         xa, g, gp, acc = (w[:, :k] for w in work)
         np.multiply(a, x, out=xa)
-        # g = x^2 + c + a z - phi_s(a x), gp = 2 x - a^2 phi_s'(a x)
+        # g = x^2 + c + a z - phi_s(a x) and its derivative gp = 2 x - a phi_s'(a x)
         np.multiply(x, x, out=g)
         g += c
         g += az
         g -= horner(phi[:, :k].T, xa, out=acc)
         horner(dphi[:, :k].T, xa, out=acc)
-        acc *= a * a
+        acc *= a
         np.multiply(2.0, x, out=gp)
         gp -= acc
         step = np.divide(g, gp, out=g)

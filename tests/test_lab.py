@@ -11,7 +11,8 @@ import henonlab
 import henonlab.henon as hn
 from henonlab import cli, io, lab
 from henonlab import poly1d as p1
-from henonlab.errors import PreconditionError
+from henonlab import torus as tor
+from henonlab.errors import NumericalError, PreconditionError
 
 
 def cloud(pts):
@@ -86,6 +87,79 @@ def test_connectivity_scan_small():
         assert flat[-c.a].verdict == c.verdict
     img = lab.connectivity_image(cells)
     assert img.shape == (3, 3)
+
+
+def _scan_calls(monkeypatch, window, res):
+    """The cells of a scan whose tori are stubbed out, and the a of each
+    cell that was computed, in order."""
+    computed = []
+
+    def stub(p_over_q, t, a, *args):
+        computed.append(a)
+        return lab.ConnectivityCell(a=a, verdict="UNKNOWN", final_gap=len(computed),
+                                    separation=1.0)
+
+    monkeypatch.setattr(lab, "_connectivity_cell", stub)
+    return lab.connectivity_scan((1, 2), 0.1, window, resolution=res), computed
+
+
+@pytest.mark.parametrize("res", range(2, 34))
+def test_connectivity_scan_computes_one_cell_per_pm_a_pair(monkeypatch, res):
+    w = 0.2  # np.linspace(-w, w, res) is not antisymmetric for most res
+    cells, computed = _scan_calls(monkeypatch, (-w, w, -w, w), res)
+    a = np.array([[c.a for c in row] for row in cells])
+    # the grid is antisymmetric bit for bit and is np.linspace up to rounding
+    assert np.array_equal(a, -a[::-1, ::-1])
+    axis = np.linspace(-w, w, res)
+    assert np.max(np.abs(a.real - axis[None, :])) <= 4 * np.spacing(w)
+    assert np.max(np.abs(a.imag - axis[:, None])) <= 4 * np.spacing(w)
+    # a cell whose -a came first reuses it; every other nonzero cell is computed
+    flat = [c for row in cells for c in row]
+    assert len(computed) == (res * res) // 2
+    for i, c in enumerate(flat):
+        if c.a == 0:
+            assert c.verdict == "EXCLUDED"
+        elif c.a in computed:
+            assert -c.a not in computed
+        else:
+            first = next(b for b in flat[:i] if b.a == -c.a)
+            assert (c.verdict, c.final_gap) == (first.verdict, first.final_gap)
+
+
+def test_connectivity_scan_asymmetric_window_computes_every_cell(monkeypatch):
+    cells, computed = _scan_calls(monkeypatch, (-0.1, 0.2, -0.15, 0.1), 5)
+    assert computed == [c.a for row in cells for c in row]
+
+
+@pytest.mark.parametrize("gaps,verdict", [
+    ((1e-15, 7e-16, 1.5e-15), "CONNECTED-BY-CONSTRUCTION"),  # a rise at the rounding floor
+    ((1e-15, 1e-15, 8e-15), "UNKNOWN"),                      # a rise above it
+])
+def test_connectivity_verdict_ignores_gap_rises_at_the_rounding_floor(monkeypatch, gaps, verdict):
+    # constant fibers of size 3, where an ulp is 4.4e-16
+    torus = tor.SolidTorus(coeffs=[[3, 0, 0]] * 4, level=3)
+    result = tor.TorusResult(torus=torus, gaps=np.array(gaps), separations=np.ones(3))
+    monkeypatch.setattr(lab, "torus_fixed_point", lambda *args: result)
+    cells = lab.connectivity_scan((1, 2), 0.1, (0.1, 0.2, 0.1, 0.2), resolution=2)
+    assert {c.verdict for row in cells for c in row} == {verdict}
+
+
+def test_connectivity_scan_reused_cells_match_a_direct_solve():
+    w = 0.15
+    cells = lab.connectivity_scan((1, 2), 0.1, (-w, w, -w, w), resolution=4,
+                                  n_angles=256, n_iters=12)
+    flat = [c for row in cells for c in row]
+    reused = flat[len(flat) // 2:]
+    assert {-c.a for c in reused} == {c.a for c in flat[:len(flat) // 2]}
+    assert {c.verdict for c in reused} == {"CONNECTED-BY-CONSTRUCTION", "UNKNOWN"}
+    for c in reused:
+        try:
+            direct = tor.torus_fixed_point(hn.make_params((1, 2), 0.1, c.a), 12, 256)
+        except NumericalError:
+            assert math.isnan(c.final_gap)
+            continue
+        assert abs(direct.final_gap - c.final_gap) < 1e-13
+        assert abs(direct.separations[-1] - c.separation) < 1e-13
 
 
 def test_connectivity_scan_window_guard():

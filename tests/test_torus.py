@@ -65,7 +65,7 @@ def _full_array_graph_transform(params, torus, newton_tol=1e-13, max_newton=50):
     for _ in range(max_newton):
         xa = a * X
         g = X * X + c + a * z - horner(phi, xa)
-        gp = 2.0 * X - a * a * horner(dphi, xa)
+        gp = 2.0 * X - a * horner(dphi, xa)
         step = g / gp
         X = X - step
         converged = np.abs(step) <= newton_tol * (np.abs(X) + 1.0)
@@ -143,13 +143,10 @@ def test_torus_samples_warm_start_the_next_level():
         tor.graph_transform(P, tor.SolidTorus(coeffs=T.coeffs, level=T.level), max_newton=5)
 
 
-@pytest.mark.parametrize("level,max_newton,entry", [
-    (0, 0, "angle 0/256, node 0"), (0, 1, "angle 0/256, node 0"), (0, 4, "angle 21/256, node 0"),
-    # from samples, the stalled angles start again from the pullback seeds
-    (1, 1, "angle 0/256, node 0"), (1, 5, "angle 0/256, node 12"),
-])
-def test_graph_transform_names_the_stalled_entry(level, max_newton, entry):
-    P = hn.make_params((1, 2), 0.1, 0.05 + 0.05j)
+def _stall_messages(a, level, max_newton):
+    """The stall messages of the reference and of graph_transform on the
+    level-``level`` torus at q=2, t=0.1."""
+    P = hn.make_params((1, 2), 0.1, a)
     T = tor.torus_seed(P, p1.equipotential_loop(P.poly, 256))
     for _ in range(level):
         T = tor.graph_transform(P, T)
@@ -157,7 +154,43 @@ def test_graph_transform_names_the_stalled_entry(level, max_newton, entry):
         _full_array_graph_transform(P, T, max_newton=max_newton)
     with pytest.raises(NumericalError) as exc:
         tor.graph_transform(P, T, max_newton=max_newton)
-    assert str(exc.value) == str(expected.value) == f"Newton stalled at {entry}"
+    return str(expected.value), str(exc.value)
+
+
+@pytest.mark.parametrize("level,max_newton,entry", [
+    (0, 0, "angle 0/256, node 0"), (0, 1, "angle 0/256, node 0"), (0, 4, "angle 21/256, node 0"),
+    # from samples, the stalled angles start again from the pullback seeds
+    (1, 1, "angle 0/256, node 0"), (1, 4, "angle 7/256, node 0"),
+])
+def test_graph_transform_names_the_stalled_entry(level, max_newton, entry):
+    expected = f"Newton stalled at {entry}"
+    assert _stall_messages(0.05 + 0.05j, level, max_newton) == (expected, expected)
+
+
+def test_graph_transform_names_the_first_stalled_node():
+    # the first stalled entry in angle-major order, here past node 0
+    expected = "Newton stalled at angle 42/256, node 2"
+    assert _stall_messages(0.1 + 0.1j, 1, 5) == (expected, expected)
+
+
+def test_torus_of_minus_a_is_the_torus_of_a_with_z_negated():
+    # S(x, y) = (x, -y) conjugates H_{c,a} to H_{c,-a}, and c is even in a, so
+    # the fiber of -a at z is the fiber of a at -z, the node half a turn on
+    a = 0.1 + 0.1j
+    results = [tor.torus_fixed_point(hn.make_params((1, 2), -0.02, b), 20, 512) for b in (a, -a)]
+    for res in results:
+        assert res.final_gap < 5e-2 and res.separations[-1] > 1e-2
+    plus, minus = (res.torus for res in results)
+    shifted = np.roll(plus.node_values(), plus.disk_degree, axis=1)
+    assert np.max(np.abs(minus.node_values() - shifted)) < 1e-13
+
+
+def test_solid_tori_compare_by_identity():
+    P = hn.make_params((1, 1), 0.1, 0.05)
+    T = tor.torus_seed(P, p1.equipotential_loop(P.poly, 64))
+    copy = tor.SolidTorus(coeffs=T.coeffs, level=T.level)
+    assert T == T
+    assert T != copy
 
 
 def test_graph_transform_requires_a():
