@@ -147,13 +147,24 @@ def connectivity_scan(p_over_q, t, a_window, resolution: int = 9,
     The cell -a takes the verdict, gap and separation of the cell a when a
     was computed first: c depends on a only through a^2, so S(x, y) = (x, -y)
     conjugates H_{c,a} to H_{c,-a}, and the torus of -a is that of a with
-    z -> -z, which moves neither the gaps nor the separations.  A window
-    symmetric about 0 gives a grid symmetric about 0 bit for bit, so such a
-    scan computes half of its cells.
+    z -> -z, which moves neither the gaps nor the separations.  When lam is
+    real (q = 1, 2) complex conjugation conjugates H_{c,a} to H_{conj c, conj a}
+    and c(conj a) = conj c(a), so the cells conj(a) and -conj(a) take the
+    result of a as well: the torus of conj(a) is the mirror image of that of
+    a, with s -> -s and z -> conj z.  A window symmetric about 0 gives a grid
+    symmetric about 0 bit for bit, so such a scan computes a quarter of its
+    cells when lam is real and half of them otherwise.
     """
     re_min, re_max, im_min, im_max = a_window
     if max(abs(re_min), abs(re_max), abs(im_min), abs(im_max)) >= 0.5:
         raise PreconditionError("a window must stay inside |a| < 1/2")
+    if n_iters < 2:
+        raise PreconditionError(
+            f"n_iters must be >= 2, got {n_iters}: the verdict compares the last two gaps")
+    if n_angles < 2 or n_angles & (n_angles - 1):
+        raise PreconditionError(f"n_angles must be a power of two >= 2, got {n_angles}")
+    # a bad p/q or t is refused here, not reported as UNKNOWN in every cell
+    real_lam = make_params(p_over_q, t, 0).lam.imag == 0
     res = resolution
     done = {}
     cells = []
@@ -161,8 +172,10 @@ def connectivity_scan(p_over_q, t, a_window, resolution: int = 9,
         row = []
         for re in _symmetric_axis(re_min, re_max, res):
             a = complex(re, im)
-            if -a in done:
-                cell = replace(done[-a], a=a)
+            twins = (-a, a.conjugate(), -a.conjugate()) if real_lam else (-a,)
+            twin = next((b for b in twins if b in done), None)
+            if twin is not None:
+                cell = replace(done[twin], a=a)
             elif a == 0 or abs(a) >= 0.5:
                 cell = ConnectivityCell(a=a, verdict="EXCLUDED",
                                         final_gap=float("nan"), separation=float("nan"))

@@ -63,7 +63,10 @@ def poly_params(p_over_q, t: float) -> PolyParams:
         raise PreconditionError(f"t must be a finite number, got {t}")
     frac = _normalize_pq(p_over_q)
     p, q = frac.numerator % frac.denominator, frac.denominator
-    lam = (1.0 + t) * np.exp(2j * math.pi * p / q)
+    # quarter turns exactly, so that lam is real at q = 1, 2 and the family
+    # is symmetric under complex conjugation bit for bit
+    root = 1j ** (4 * p // q) if 4 * p % q == 0 else np.exp(2j * math.pi * p / q)
+    lam = (1.0 + t) * root
     c = lam / 2.0 - lam * lam / 4.0
     return PolyParams(p=p, q=q, t=float(t), lam=complex(lam), c=complex(c), alpha=complex(lam / 2.0))
 

@@ -107,10 +107,9 @@ def horner(coeffs, x, out=None):
     must have the broadcast shape; a caller that evaluates in a loop passes
     the same buffer every time.  Scalar input gives a scalar."""
     if out is None:
-        out = np.zeros(np.broadcast(coeffs[..., 0], x).shape, dtype=complex)
-    else:
-        out.fill(0.0)
-    for m in range(coeffs.shape[-1] - 1, -1, -1):
+        out = np.empty(np.broadcast(coeffs[..., 0], x).shape, dtype=complex)
+    out[...] = coeffs[..., -1]
+    for m in range(coeffs.shape[-1] - 2, -1, -1):
         out *= x
         out += coeffs[..., m]
     return out[()]

@@ -184,3 +184,15 @@ def test_escape_times_match_full_grid_reference(shape, max_iter, q, start_in_vpl
     assert np.array_equal(got, want)
     if start_in_vplus:
         assert got.flat[0] == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(q=st.sampled_from([1, 2]), t=st.floats(-0.999, 0.999),
+       re=st.floats(-0.35, 0.35), im=st.floats(-0.35, 0.35))
+def test_params_of_conjugate_a_are_conjugate_when_lam_is_real(q, t, re, im):
+    # == on floats is bit for bit up to the sign of a zero; the connectivity
+    # scan relies on it to reuse the cell of a for conj(a)
+    a, t = complex(re, im), t / (2 * q)
+    P, Q = hn.make_params((1, q), t, a), hn.make_params((1, q), t, a.conjugate())
+    for name in ("lam", "c", "x_q", "nu", "w"):
+        assert getattr(Q, name) == getattr(P, name).conjugate(), name

@@ -89,7 +89,7 @@ def test_connectivity_scan_small():
     assert img.shape == (3, 3)
 
 
-def _scan_calls(monkeypatch, window, res):
+def _scan_calls(monkeypatch, window, res, pq=(1, 2)):
     """The cells of a scan whose tori are stubbed out, and the a of each
     cell that was computed, in order."""
     computed = []
@@ -100,30 +100,43 @@ def _scan_calls(monkeypatch, window, res):
                                     separation=1.0)
 
     monkeypatch.setattr(lab, "_connectivity_cell", stub)
-    return lab.connectivity_scan((1, 2), 0.1, window, resolution=res), computed
+    return lab.connectivity_scan(pq, 0.1, window, resolution=res), computed
+
+
+def _twins(a, q):
+    """The other cells whose result the cell a may take: -a, and at q = 1, 2,
+    where lam is real, conj(a) and -conj(a) too."""
+    return {-a, a.conjugate(), -a.conjugate()} - {a} if q <= 2 else {-a}
 
 
 @pytest.mark.parametrize("res", range(2, 34))
 def test_connectivity_scan_computes_one_cell_per_pm_a_pair(monkeypatch, res):
+    # at q = 3 one cell per pair {a, -a}; at q = 2, where lam is real, one
+    # per orbit {a, -a, conj(a), -conj(a)}
     w = 0.2  # np.linspace(-w, w, res) is not antisymmetric for most res
-    cells, computed = _scan_calls(monkeypatch, (-w, w, -w, w), res)
-    a = np.array([[c.a for c in row] for row in cells])
-    # the grid is antisymmetric bit for bit and is np.linspace up to rounding
-    assert np.array_equal(a, -a[::-1, ::-1])
-    axis = np.linspace(-w, w, res)
-    assert np.max(np.abs(a.real - axis[None, :])) <= 4 * np.spacing(w)
-    assert np.max(np.abs(a.imag - axis[:, None])) <= 4 * np.spacing(w)
-    # a cell whose -a came first reuses it; every other nonzero cell is computed
-    flat = [c for row in cells for c in row]
-    assert len(computed) == (res * res) // 2
-    for i, c in enumerate(flat):
-        if c.a == 0:
-            assert c.verdict == "EXCLUDED"
-        elif c.a in computed:
-            assert -c.a not in computed
+    for q in (2, 3):
+        cells, computed = _scan_calls(monkeypatch, (-w, w, -w, w), res, pq=(1, q))
+        a = np.array([[c.a for c in row] for row in cells])
+        # the grid is antisymmetric bit for bit and is np.linspace up to rounding
+        assert np.array_equal(a, -a[::-1, ::-1])
+        axis = np.linspace(-w, w, res)
+        assert np.max(np.abs(a.real - axis[None, :])) <= 4 * np.spacing(w)
+        assert np.max(np.abs(a.imag - axis[:, None])) <= 4 * np.spacing(w)
+        flat = [c for row in cells for c in row]
+        if q == 2:
+            orbits = {frozenset({b, *_twins(b, q)}) for b in a.ravel() if b != 0}
+            assert len(computed) == len(orbits)
         else:
-            first = next(b for b in flat[:i] if b.a == -c.a)
-            assert (c.verdict, c.final_gap) == (first.verdict, first.final_gap)
+            assert len(computed) == (res * res) // 2
+        # a cell whose twin came first reuses it; every other nonzero cell is computed
+        for i, c in enumerate(flat):
+            if c.a == 0:
+                assert c.verdict == "EXCLUDED"
+            elif c.a in computed:
+                assert not _twins(c.a, q) & set(computed)
+            else:
+                first = next(b for b in flat[:i] if b.a in _twins(c.a, q))
+                assert (c.verdict, c.final_gap) == (first.verdict, first.final_gap)
 
 
 def test_connectivity_scan_asymmetric_window_computes_every_cell(monkeypatch):
@@ -149,10 +162,13 @@ def test_connectivity_scan_reused_cells_match_a_direct_solve():
     cells = lab.connectivity_scan((1, 2), 0.1, (-w, w, -w, w), resolution=4,
                                   n_angles=256, n_iters=12)
     flat = [c for row in cells for c in row]
-    reused = flat[len(flat) // 2:]
-    assert {-c.a for c in reused} == {c.a for c in flat[:len(flat) // 2]}
-    assert {c.verdict for c in reused} == {"CONNECTED-BY-CONSTRUCTION", "UNKNOWN"}
-    for c in reused:
+    # a cell is reused when an earlier cell is one of its twins; the conj
+    # twins of the first row sit in the first half of the grid
+    reused = [(i, c) for i, c in enumerate(flat)
+              if any(b.a in _twins(c.a, 2) for b in flat[:i])]
+    assert len(reused) == 12 and any(i < len(flat) // 2 for i, _ in reused)
+    assert {c.verdict for _, c in reused} == {"CONNECTED-BY-CONSTRUCTION", "UNKNOWN"}
+    for _, c in reused:
         try:
             direct = tor.torus_fixed_point(hn.make_params((1, 2), 0.1, c.a), 12, 256)
         except NumericalError:
@@ -223,6 +239,20 @@ def test_cli_bad_input_is_a_precondition_error(tmp_path, monkeypatch, capsys, ar
     assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition error:") and cause in err
+
+
+@pytest.mark.parametrize("flags,cause", [
+    (["--pq=1/2", "--t=0.3"], "|t| must be below 1/(2q) = 0.25"),
+    (["--iters=0"], "n_iters must be >= 2, got 0"),
+    (["--iters=1"], "n_iters must be >= 2, got 1"),
+    (["--angles=3"], "n_angles must be a power of two >= 2, got 3"),
+])
+def test_cli_connectivity_scan_refuses_bad_input_up_front(tmp_path, capsys, flags, cause):
+    argv = ["connectivity-scan", "--pq=1/1", "--t=0.1", "--a=0.2", "--res=3"]
+    assert cli.main(argv + flags + ["--out", str(tmp_path / "x")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("precondition error:") and cause in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_missing_output_directory_is_refused_before_computing(tmp_path, capsys):

@@ -18,6 +18,14 @@ def test_params_curve_identity():
     assert abs(pp.dmap(pp.alpha) - pp.lam) < 1e-12
 
 
+@pytest.mark.parametrize("t", [0.1, 0.0, -0.02])
+def test_multiplier_is_exact_at_quarter_turns(t):
+    # real at q = 1, 2, which makes the family symmetric under conjugation
+    for pq, root in [((0, 1), 1), ((1, 2), -1), ((1, 4), 1j), ((3, 4), -1j)]:
+        lam = p1.poly_params(pq, t).lam
+        assert (lam.real, lam.imag) == ((1 + t) * root.real, (1 + t) * root.imag)
+
+
 def test_green_square_map():
     assert abs(p1.green(SQUARE, 2.0) - np.log(2.0)) < 1e-12
 

@@ -18,6 +18,7 @@ from henonlab.series import (
     TruncSeries2,
     compose1,
     compose2,
+    horner,
     invert1,
     invert2,
     reciprocal1,
@@ -154,3 +155,42 @@ def test_reciprocal1_is_the_multiplicative_inverse(D, seed):
     f = jet1(rng, D)
     f = TruncSeries1(np.append(1.0 + 0.3 * f.coeffs[0], f.coeffs[1:]), D=D)
     assert maxdiff(f * reciprocal1(f), TruncSeries1.constant(1.0, D)) < 1e-12
+
+
+def _horner_from_zero(coeffs, x, out=None):
+    """Horner started at 0, which spends one multiply-add on 0 x + coeffs[..., -1]."""
+    if out is None:
+        out = np.zeros(np.broadcast(coeffs[..., 0], x).shape, dtype=complex)
+    else:
+        out.fill(0.0)
+    for m in range(coeffs.shape[-1] - 1, -1, -1):
+        out *= x
+        out += coeffs[..., m]
+    return out[()]
+
+
+@PROPS
+@given(st.integers(min_value=0, max_value=9), seeds, st.integers(min_value=1, max_value=4),
+       st.booleans(), st.booleans())
+def test_horner_from_the_leading_coefficient_matches_a_zero_start(D, seed, rows, buffered, zeros):
+    # 0 x + c is c for finite x, so the sums agree bit for bit up to the
+    # sign of a zero, which is what == on floats compares; rows broadcast
+    # against the points as in SolidTorus
+    rng = np.random.default_rng(seed)
+    coeffs = _complex(rng, (rows, 1, D + 1)) * 2.0 ** rng.integers(-30, 30, (rows, 1, D + 1))
+    x = _complex(rng, 7) * 2.0 ** rng.integers(-8, 8, 7)
+    if zeros:  # exact zeros in both, where a sign of zero could differ
+        coeffs[rng.uniform(size=coeffs.shape) < 0.3] = 0.0
+        x[::3] = 0.0
+    want = _horner_from_zero(coeffs, x)
+    if buffered:
+        buf = np.full((rows, 7), np.nan, dtype=complex)
+        horner(coeffs, x, out=buf)
+        got = buf
+    else:
+        got = horner(coeffs, x)
+    assert got.shape == want.shape == (rows, 7)
+    assert np.array_equal(got, want)
+    scalar, scalar_want = horner(coeffs[0, 0], x[0]), _horner_from_zero(coeffs[0, 0], x[0])
+    assert isinstance(scalar, np.complex128)
+    assert scalar == scalar_want

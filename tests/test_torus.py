@@ -185,6 +185,33 @@ def test_torus_of_minus_a_is_the_torus_of_a_with_z_negated():
     assert np.max(np.abs(minus.node_values() - shifted)) < 1e-13
 
 
+def _conjugate_torus_mismatch(pq, t, a):
+    """Largest differences in node values, gaps and separations between the
+    torus of conj(a) and the mirror image of the torus of a: fiber k -> -k,
+    node j -> -j, values conjugated."""
+    plus, minus = (tor.torus_fixed_point(hn.make_params(pq, t, b), 20, 512)
+                   for b in (a, a.conjugate()))
+    vals = plus.torus.node_values()
+    k, j = (-np.arange(n) % n for n in vals.shape)
+    mirrored = np.conj(vals[k][:, j])
+    return (np.max(np.abs(minus.torus.node_values() - mirrored)),
+            np.max(np.abs(minus.gaps - plus.gaps)),
+            np.max(np.abs(minus.separations - plus.separations)))
+
+
+@pytest.mark.parametrize("pq,t", [((1, 1), 0.1), ((1, 2), 0.02), ((1, 2), -0.02)])
+def test_torus_of_conjugate_a_is_the_mirror_image_when_lam_is_real(pq, t):
+    # lam real makes c(conj a) = conj c(a), so conjugation carries the torus
+    # of a to that of conj(a), with the angle s -> -s and the node z -> conj z
+    assert max(_conjugate_torus_mismatch(pq, t, 0.1 + 0.1j)) < 1e-13
+
+
+def test_torus_of_conjugate_a_is_not_the_mirror_image_at_q3():
+    # lam is not real at q = 3: conj(a) belongs to the family of 2/3, so the
+    # connectivity scan must not reuse the cell a for it
+    assert _conjugate_torus_mismatch((1, 3), 0.05, 0.05 + 0.05j)[0] > 1e-6
+
+
 def test_solid_tori_compare_by_identity():
     P = hn.make_params((1, 1), 0.1, 0.05)
     T = tor.torus_seed(P, p1.equipotential_loop(P.poly, 64))
