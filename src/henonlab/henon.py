@@ -91,30 +91,85 @@ def in_vplus(x, y, r=FILTRATION_RADIUS):
     return np.abs(x) >= np.maximum(np.abs(y), r)
 
 
+# Longest run of steps between two V+ tests; the block doubles up to it
+# while no orbit enters V+ and drops back to one step when one does.
+BLOCK_CAP = 64
+
+
+def _entry_times(params: HenonParams, X, Y, n: int, max_iter: int, r: float, cap: int):
+    """First steps in [n, max_iter] at which the orbits (X, Y), flat arrays at
+    step n, lie in V+; -1 where none does.  X and Y are not written to.
+
+    The orbits outside V+ are copied and stepped in place, and V+ is tested
+    at the end of each block of steps.  An orbit that is in V+ there, or is
+    not finite (an overflow), is replayed from the block's start one step at
+    a time: this same loop with cap 1.
+    """
+    times = np.full(X.size, -1, dtype=int)
+    hit = in_vplus(X, Y, r)
+    times[hit] = n
+    idx = np.flatnonzero(~hit)       # position in X of each active orbit
+    X = X[idx]
+    Y = Y[idx]
+    T = np.empty_like(X)
+    CX = CY = None                   # checkpoint, sized at the first long block
+    block = 1
+    while idx.size and n < max_iter:
+        m, steps = idx.size, min(block, max_iter - n)
+        if steps > 1:
+            if CX is None:
+                CX, CY = np.empty_like(X), np.empty_like(Y)
+            CX[:m], CY[:m] = X, Y
+        for _ in range(steps):      # x*x + c + a*y and a*x, in place
+            np.multiply(params.a, Y, out=T[:m])
+            np.multiply(params.a, X, out=Y)
+            np.multiply(X, X, out=X)
+            np.add(X, params.c, out=X)
+            np.add(X, T[:m], out=X)
+        n += steps
+        hit = in_vplus(X, Y, r)
+        if steps > 1:
+            redo = np.flatnonzero(hit | ~(np.isfinite(X) & np.isfinite(Y)))
+            entry = _entry_times(params, CX[redo], CY[redo], n - steps, n, r, 1)
+            hit[redo] = entry >= 0   # every hit is in redo
+            times[idx[redo]] = entry
+        else:
+            times[idx[hit]] = n
+        if hit.any():
+            keep = ~hit
+            X = X[keep]
+            Y = Y[keep]
+            idx = idx[keep]
+            block = 1
+        else:
+            block = min(2 * block, cap)
+    return times
+
+
 def escape_times(params: HenonParams, X, Y, max_iter: int, r: float = FILTRATION_RADIUS):
     """Vectorized first-entry times into V+; -1 marks still-bounded orbits.
 
-    Only the orbits still outside V+ are stored and iterated, as flat arrays
-    beside their flat indices into the input; most of a slice escapes within
-    a few steps, so later steps cost little.
+    Y is broadcast to the shape of X.  Only the orbits still outside V+ are
+    stored and iterated, in place.  V+ = {|x| >= max(|y|, r)} is forward
+    invariant on the family: for |x| >= r > 3, |a| < 1/2 and the |c| <= 9/4
+    of the curve, |x'| >= |x|^2 - |a||x| - |c| >= |x| + 1 > |a||x| = |y'|.
+    An orbit outside V+ after a block of steps was therefore outside it
+    during the block, so V+ is tested once per block (`_entry_times`), and
+    the times are those of a test at every step, bit for bit.
     """
     if r <= 3.0:
         raise PreconditionError("filtration radius must exceed 3")
-    X = np.array(X, dtype=complex)
+    if max_iter < 0:
+        raise PreconditionError(f"max_iter must be >= 0, got {max_iter}")
+    X = np.asarray(X, dtype=complex)
     shape = X.shape
-    X = X.ravel()
-    Y = np.array(Y, dtype=complex).ravel()
-    times = np.full(X.size, -1, dtype=int)
-    idx = np.arange(X.size)
-    for n in range(max_iter + 1):
-        hit = in_vplus(X, Y, r)
-        if hit.any():
-            times[idx[hit]] = n
-            keep = ~hit
-            X, Y, idx = X[keep], Y[keep], idx[keep]
-        if not idx.size or n == max_iter:
-            break
-        X, Y = X * X + params.c + params.a * Y, params.a * X
+    Y = np.broadcast_to(np.asarray(Y, dtype=complex), shape)
+    # |x'| >= |x| + 1 and |y'| <= |x'| on V+ need |a| <= 1 and
+    # r^2 - (1 + |a|) r - |c| >= 1; parameters built off the family may fail it
+    a, c = abs(params.a), abs(params.c)
+    cap = BLOCK_CAP if a <= 1 and r * r - (1 + a) * r - c >= 1 else 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        times = _entry_times(params, X.reshape(-1), Y.reshape(-1), 0, max_iter, r, cap)
     return times.reshape(shape)
 
 
@@ -162,8 +217,7 @@ def jplus_slice(params: HenonParams, window, resolution: int, max_iter: int,
     xs = np.linspace(re_min, re_max, resolution)
     ys = np.linspace(im_min, im_max, resolution)
     X = xs[None, :] + 1j * ys[:, None]
-    Y = np.full_like(X, complex(y_slice))
-    times = escape_times(params, X, Y, max_iter, r)
+    times = escape_times(params, X, complex(y_slice), max_iter, r)
     bounded = times < 0
     esc = ~bounded
     neighbor_esc = np.zeros_like(esc)

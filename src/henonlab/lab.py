@@ -81,9 +81,13 @@ def continuity_experiment(p_over_q, a, t_list, resolution: int = 400,
 
     def clouds(t):
         params = make_params(p_over_q, t, a)
+        slice_ = jplus_slice(params, window, resolution, max_iter).boundary
+        if not len(slice_):
+            raise PreconditionError(
+                f"the J+ slice y=0 at t={t} has no boundary cell at resolution "
+                f"{resolution}: raise --res")
         torus = torus_fixed_point(params, n_iters, n_angles).torus
         jc = julia_from_sigma(params, torus, depth=depth)
-        slice_ = jplus_slice(params, window, resolution, max_iter).boundary
         return jc, slice_
 
     ref_j, ref_slice = clouds(0.0)

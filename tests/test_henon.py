@@ -1,9 +1,13 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import henonlab.henon as hn
+from henonlab import lab
 from henonlab import poly1d as p1
 from henonlab.errors import PreconditionError
 
@@ -145,45 +149,129 @@ def test_jplus_resolution_cap():
 
 def full_grid_escape_times(params, X, Y, max_iter, r=hn.FILTRATION_RADIUS):
     """Reference: every step tests V+ on the whole grid and updates the
-    still-active entries in place, as escape_times did before it kept only
-    the active orbits."""
+    still-active entries, as escape_times did before it tested V+ once per
+    block of steps."""
     X = np.array(X, dtype=complex)
-    Y = np.array(Y, dtype=complex)
+    Y = np.array(np.broadcast_to(np.asarray(Y, dtype=complex), X.shape))
     times = np.full(X.shape, -1, dtype=int)
     active = np.ones(X.shape, dtype=bool)
-    for n in range(max_iter + 1):
-        hit = active & hn.in_vplus(X, Y, r)
-        times[hit] = n
-        active &= ~hit
-        if not active.any() or n == max_iter:
-            break
-        Xa, Ya = X[active], Y[active]
-        X[active] = Xa * Xa + params.c + params.a * Ya
-        Y[active] = params.a * Xa
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(max_iter + 1):
+            hit = active & hn.in_vplus(X, Y, r)
+            times[hit] = n
+            active &= ~hit
+            if not active.any() or n == max_iter:
+                break
+            Xa, Ya = X[active], Y[active]
+            X[active] = Xa * Xa + params.c + params.a * Ya
+            Y[active] = params.a * Xa
     return times
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def escape_times_without_warnings(*args):
+    # a numpy overflow warning would reach the CLI's stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return hn.escape_times(*args)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(shape=st.sampled_from([(), (1,), (1, 1), (17,), (5, 3), (24, 24), (2, 3, 4)]),
-       max_iter=st.sampled_from([0, 1, 2, 7, 40, 120]),
+       max_iter=st.sampled_from([0, 1, 2, 7, 40, 63, 64, 65, 120, 200]),
        q=st.integers(min_value=1, max_value=3),
+       r=st.sampled_from([hn.FILTRATION_RADIUS, 3 + 1e-9, 10.0]),
+       y_size=st.sampled_from([1.0, 1e3]),
+       scalar_y=st.booleans(),
        start_in_vplus=st.booleans(),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_escape_times_match_full_grid_reference(shape, max_iter, q, start_in_vplus, seed):
+def test_escape_times_match_full_grid_reference(shape, max_iter, q, r, y_size, scalar_y,
+                                                start_in_vplus, seed):
+    # |y| up to 1e3 starts orbits in V-; entries sparse and late enough to
+    # overflow inside a long block are the case of the next test
     rng = np.random.default_rng(seed)
     t = float(rng.uniform(-0.9, 0.9) / (2 * q))
     a = rng.uniform(0.0, 0.49) * np.exp(2j * np.pi * rng.uniform())
     P = hn.make_params((1, q), t, a)
     X = np.asarray(rng.uniform(-2.5, 2.5, shape) + 1j * rng.uniform(-2.5, 2.5, shape))
-    Y = np.asarray(rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape))
+    y_shape = () if scalar_y else shape
+    Y = y_size * (rng.uniform(-1.0, 1.0, y_shape) + 1j * rng.uniform(-1.0, 1.0, y_shape))
     if start_in_vplus:
-        X.flat[0] = 10.0
-    got = hn.escape_times(P, X, Y, max_iter)
-    want = full_grid_escape_times(P, X, Y, max_iter)
+        X.flat[0] = 1e3 * r
+    got = escape_times_without_warnings(P, X, Y, max_iter, r)
+    want = full_grid_escape_times(P, X, Y, max_iter, r)
     assert got.shape == shape
     assert np.array_equal(got, want)
     if start_in_vplus:
         assert got.flat[0] == 0
+
+
+def test_escape_times_replays_late_entries_that_overflow_within_a_block():
+    # points just right of the semi-parabolic fixed point x = 0.49875 escape
+    # slowly, at steps 25 to 166 here; the entries are sparse enough for
+    # the blocks to grow, so they land inside long blocks and overflow to
+    # inf/nan before the block ends
+    P = hn.make_params((1, 1), 0.0, 0.05)
+    X = np.linspace(0.5, 0.55, 25) + 1e-5j
+    got = escape_times_without_warnings(P, X, 0.0, 200)
+    want = full_grid_escape_times(P, X, 0.0, 200)
+    assert np.array_equal(got, want)
+    assert got.max() > 2 * hn.BLOCK_CAP
+
+
+def test_escape_times_stay_exact_off_the_family():
+    # with c = -10 the point x = 3, y = 0 lies in V+ (r just above 3) and maps
+    # to x' = -1, outside it: V+ is not forward invariant, and a block test
+    # would miss entries.  Orbits leaving the saddle fixed point x = -2.79
+    # enter V+ after a quiet stretch of up to ~20 steps, inside long blocks.
+    a = 0.45
+    P = dataclasses.replace(hn.make_params((1, 1), 0.0, a), c=-10.0 + 0.0j)
+    b = 1 - a * a
+    xf = (b - np.sqrt(b * b + 40)) / 2
+    X = xf + np.logspace(-15, -2, 14)[:, None] * np.exp(2j * np.pi * np.arange(20) / 20)
+    got = escape_times_without_warnings(P, X, a * xf, 60, 3 + 1e-9)
+    assert np.array_equal(got, full_grid_escape_times(P, X, a * xf, 60, 3 + 1e-9))
+
+
+def test_escape_times_refuses_negative_max_iter():
+    P = hn.make_params((1, 1), 0.0, 0.1)
+    with pytest.raises(PreconditionError, match="max_iter must be >= 0"):
+        hn.escape_times(P, [10.0], [0.0], -1)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.2, 0.1, 0.05, 0.025])
+def test_jplus_slice_of_the_continuity_experiment_matches_full_grid_reference(t):
+    P = hn.make_params((1, 1), t, 0.05)
+    grid = hn.jplus_slice(P, lab.DEFAULT_WINDOW, 200, 200)
+    X = grid.xs[None, :] + 1j * grid.ys[:, None]
+    assert np.array_equal(grid.times, full_grid_escape_times(P, X, 0.0, 200))
+
+
+def test_jplus_slice_off_the_zero_slice_matches_full_grid_reference():
+    P = hn.make_params((1, 2), 0.05, 0.2 - 0.1j)
+    y = 0.7 - 0.4j
+    grid = hn.jplus_slice(P, (-2, 2, -2, 2), 64, 120, y_slice=y)
+    X = grid.xs[None, :] + 1j * grid.ys[:, None]
+    assert np.array_equal(grid.times, full_grid_escape_times(P, X, y, 120))
+    assert np.all(grid.boundary.points[:, 1] == y)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(q=st.integers(min_value=1, max_value=3), t=st.floats(-0.999, 0.999),
+       a_abs=st.floats(0.0, 0.499), a_arg=st.floats(0.0, 1.0),
+       x_abs=st.floats(0.0, 1e6), x_arg=st.floats(0.0, 1.0),
+       y_rel=st.floats(0.0, 1.0), y_arg=st.floats(0.0, 1.0))
+def test_vplus_is_forward_invariant_on_the_family(q, t, a_abs, a_arg, x_abs, x_arg,
+                                                  y_rel, y_arg):
+    # escape_times tests V+ once per block on the strength of this step
+    r = 3 + 1e-9
+    P = hn.make_params((1, q), t / (2 * q), a_abs * np.exp(2j * np.pi * a_arg))
+    assert abs(P.c) <= 9 / 4
+    x = (r + x_abs) * np.exp(2j * np.pi * x_arg)
+    y = y_rel * abs(x) * np.exp(2j * np.pi * y_arg)
+    assume(hn.in_vplus(x, y, r))
+    x1, y1 = hn.henon(P, (x, y))
+    assert hn.in_vplus(x1, y1, r)
+    assert abs(x1) >= abs(x) + 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

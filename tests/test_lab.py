@@ -232,6 +232,8 @@ def test_cli_exit_codes(tmp_path):
      "sample count must be >= 1"),
     (["cone-check", "--pq=1/1", "--t=0.05", "--a=0.05", "--samples=-3"],
      "sample count must be >= 1"),
+    (["continuity", "--pq=1/1", "--a=0.05", "--t-list=0.2,0.1", "--res=4"],
+     "the J+ slice y=0 at t=0.0 has no boundary cell at resolution 4: raise --res"),
 ])
 def test_cli_bad_input_is_a_precondition_error(tmp_path, monkeypatch, capsys, argv, cause):
     monkeypatch.chdir(tmp_path)
