@@ -216,27 +216,42 @@ def julia_slice_tree(params: HenonParams, n: int = 2048, iters: int = 48) -> cKD
 
 def in_V(params: HenonParams, nf: NormalForm2D, vs: VSpec, x, y,
          j_tree: cKDTree | None = None):
-    """Membership in the desk realization of the neighborhood V."""
+    """Membership in the disk realization of the neighborhood V.
+
+    x and y are broadcast against each other.  Each test runs only on the
+    points every earlier test accepted, and only where it can reject: the
+    |y| bound and the critical strip on every point, the Green bound on
+    those kept, the Julia-collar query on kept points with G = 0, the tube-B
+    chart on kept points in B, then the tube-B' chart on kept points in B'.
+    Every test is elementwise, so the mask equals the one from running every
+    test on every point.
+    """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    x = np.broadcast_to(x, shape).ravel()
+    y = np.broadcast_to(y, shape).ravel()
     alpha = params.poly.alpha
     ok = (np.abs(y) <= vs.r) & (np.abs(2 * x) >= vs.crit_strip)
-    G = green(params.poly, x, iters=80)
+    G = np.zeros(x.shape)
+    G[ok] = green(params.poly, x[ok], iters=80)
     ok &= G <= math.log(vs.R) / 2.0 + 1e-12
-    if j_tree is None:
-        j_tree = julia_slice_tree(params)
-    d, _ = j_tree.query(np.column_stack([x.real.ravel(), x.imag.ravel()]))
-    ok &= (G > 0) | (d.reshape(x.shape) <= vs.collar)
+    # Julia collar: only the non-escaping points must lie near J
+    near = ok & ~(G > 0)
+    if near.any():
+        if j_tree is None:
+            j_tree = julia_slice_tree(params)
+        d, _ = j_tree.query(np.column_stack([x[near].real, x[near].imag]))
+        ok[near] = d <= vs.collar
     # tube B: keep repelling sectors only
     in_B = np.abs(x - alpha) <= vs.rho_prime
-    xn, _ = nf.to_normalized(x, y)
-    ok &= ~in_B | in_repelling_sector(params, xn, vs.rho)
+    sel = ok & in_B
+    ok[sel] = in_repelling_sector(params, nf.to_normalized(x[sel], y[sel])[0], vs.rho)
     # tube B' = H^{-1}(B) - B: keep preimages of the repelling sectors
     hx, hy = henon(params, (x, y))
-    in_Bp = (np.abs(hx - alpha) <= vs.rho_prime) & ~in_B & (np.abs(x) <= vs.r)
-    hxn, _ = nf.to_normalized(hx, hy)
-    ok &= ~in_Bp | in_repelling_sector(params, hxn, vs.rho)
-    return ok
+    sel = ok & (np.abs(hx - alpha) <= vs.rho_prime) & ~in_B & (np.abs(x) <= vs.r)
+    ok[sel] = in_repelling_sector(params, nf.to_normalized(hx[sel], hy[sel])[0], vs.rho)
+    return ok.reshape(shape)[()]
 
 
 def _boundary_tree(params, nf, vs: VSpec, n_loop: int = 512):
@@ -273,6 +288,8 @@ def global_cone_check(params: HenonParams, v_spec: VSpec | None = None,
     """
     if params.a == 0:
         raise PreconditionError("global cone check requires a != 0")
+    if sample_count < 1:
+        raise PreconditionError(f"sample count must be >= 1, got {sample_count}")
     vs = v_spec or VSpec()
     vs.validate(params)
     if nf is None:
@@ -287,6 +304,8 @@ def global_cone_check(params: HenonParams, v_spec: VSpec | None = None,
         x = 2.5 * np.sqrt(rng.uniform(0, 1, m)) * np.exp(2j * math.pi * rng.uniform(0, 1, m))
         y = vs.r * np.sqrt(rng.uniform(0, 1, m)) * np.exp(2j * math.pi * rng.uniform(0, 1, m))
         keep = in_V(params, nf, vs, x, y, j_tree) & (np.abs(x - alpha) > vs.rho_prime)
+        if not len(xs) and not keep.any():
+            raise PreconditionError(f"no sample of V - B among {m} draws: {vs} leaves it empty")
         xs = np.append(xs, x[keep])
         ys = np.append(ys, y[keep])
     xs, ys = xs[:sample_count], ys[:sample_count]

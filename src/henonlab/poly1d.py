@@ -100,25 +100,27 @@ def green(params: PolyParams, z, iters: int = 60):
 
     Iteration continues past the escape radius until |z| is astronomically
     large, so the returned value is stable in `iters` once the orbit escapes.
+    Only the orbits still below that size are stored and stepped.
     """
     if iters < 1:
         raise PreconditionError("iters must be >= 1")
     z0 = np.asarray(z, dtype=complex)
-    scalar = z0.ndim == 0
-    w = np.atleast_1d(z0).copy()
+    w = z0.ravel()
     out = np.zeros(w.shape, dtype=float)
-    active = np.ones(w.shape, dtype=bool)
+    idx = np.arange(w.size)          # position in z0 of each active orbit
     for n in range(1, iters + 1):
-        w[active] = w[active] ** 2 + params.c
-        far = active & (np.abs(w) > _FAR)
+        w = w ** 2 + params.c
+        far = np.abs(w) > _FAR
         if np.any(far):
-            out[far] = np.log(np.abs(w[far])) / 2.0**n
-            active &= ~far
-        if not active.any():
+            out[idx[far]] = np.log(np.abs(w[far])) / 2.0**n
+            keep = ~far
+            w = w[keep]
+            idx = idx[keep]
+        if not idx.size:
             break
-    tail = active & (np.abs(w) > ESCAPE_RADIUS)
-    out[tail] = np.log(np.abs(w[tail])) / 2.0**iters
-    return float(out[0]) if scalar else out.reshape(z0.shape)
+    tail = np.abs(w) > ESCAPE_RADIUS
+    out[idx[tail]] = np.log(np.abs(w[tail])) / 2.0**iters
+    return float(out[0]) if z0.ndim == 0 else out.reshape(z0.shape)
 
 
 def pullback_loop(params: PolyParams, loop: LoopSample) -> LoopSample:

@@ -1,11 +1,17 @@
+import dataclasses
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import henonlab.henon as hn
 from henonlab import cones
 from henonlab import normalform2d as nf2
 from henonlab.errors import PreconditionError
-from henonlab.poly1d import EPS1
+from henonlab.poly1d import EPS1, green
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +151,125 @@ def test_hyperbolicity_scan_verdicts():
     # sign symmetry of verdicts in a
     for t in (0.0, 0.05):
         assert by[(t, 0.05)].verdict == by[(t, -0.05)].verdict
+
+
+def test_global_refuses_sample_count_below_one():
+    P = hn.make_params((1, 1), 0.1, 0.05)
+    for n in (0, -3):
+        with pytest.raises(PreconditionError, match=f"sample count must be >= 1, got {n}"):
+            cones.global_cone_check(P, sample_count=n)
+
+
+def test_global_refuses_an_empty_region():
+    # no draw in the radius-2.5 disk meets |2x| >= 6, so sampling would never end
+    P = hn.make_params((1, 1), 0.1, 0.05)
+    with pytest.raises(PreconditionError, match=r"among 104 draws: VSpec\(.*crit_strip=6\.0"):
+        cones.global_cone_check(P, cones.VSpec(crit_strip=6.0), sample_count=10)
+
+
+# ------------------------------------------------ in_V against its full-array form
+
+def in_V_full(params, nf, vs, x, y, j_tree=None):
+    """in_V as it ran before the narrowing: every test on every point."""
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    alpha = params.poly.alpha
+    ok = (np.abs(y) <= vs.r) & (np.abs(2 * x) >= vs.crit_strip)
+    G = green(params.poly, x, iters=80)
+    ok &= G <= math.log(vs.R) / 2.0 + 1e-12
+    if j_tree is None:
+        j_tree = cones.julia_slice_tree(params)
+    d, _ = j_tree.query(np.column_stack([x.real.ravel(), x.imag.ravel()]))
+    ok &= (G > 0) | (d.reshape(x.shape) <= vs.collar)
+    in_B = np.abs(x - alpha) <= vs.rho_prime
+    xn, _ = nf.to_normalized(x, y)
+    ok &= ~in_B | cones.in_repelling_sector(params, xn, vs.rho)
+    hx, hy = hn.henon(params, (x, y))
+    in_Bp = (np.abs(hx - alpha) <= vs.rho_prime) & ~in_B & (np.abs(x) <= vs.r)
+    hxn, _ = nf.to_normalized(hx, hy)
+    ok &= ~in_Bp | cones.in_repelling_sector(params, hxn, vs.rho)
+    return ok
+
+
+@functools.lru_cache(maxsize=None)
+def _v_setup(q, t):
+    P = hn.make_params((1, q), t, 0.05)
+    return P, nf2.reduce(P, D=2 * q + 8), cones.julia_slice_tree(P)
+
+
+def _v_points(P, vs, n, seed):
+    """n draws split over four groups: the sampling box of global_cone_check
+    (with |y| up to 1.1 r), near alpha (tube B), near H^{-1}(B) (tube B')
+    and near the critical strip."""
+    rng = np.random.default_rng(seed)
+
+    def disk(radius):
+        return radius * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+
+    alpha = P.poly.alpha
+    y = disk(1.1 * vs.r)
+    sign = np.where(rng.uniform(0, 1, n) < 0.5, -1.0, 1.0)
+    pre_B = sign * np.sqrt(alpha + disk(1.2 * vs.rho_prime) - P.c - P.a * y)
+    x = np.select([np.arange(n) % 4 == k for k in range(4)],
+                  [disk(2.5), alpha + disk(1.2 * vs.rho_prime), pre_B,
+                   disk(0.3 * vs.crit_strip) + 0.25 * vs.crit_strip])
+    return x, y
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(q=st.sampled_from([1, 2, 3]), t=st.sampled_from([-0.01, 0.0, 0.05]),
+       layout=st.sampled_from(["0-d", "1-d", "2-d", "scalar y"]),
+       n=st.integers(min_value=0, max_value=60), seed=st.integers(0, 2**32 - 1))
+def test_in_V_matches_full_array_oracle(q, t, layout, n, seed):
+    P, nf, tree = _v_setup(q, t)
+    vs = cones.VSpec()
+    x, y = _v_points(P, vs, max(n, 1), seed)
+    if layout == "0-d":
+        x, y = x[0], y[0]
+    elif layout == "1-d":
+        x, y = x[:n], y[:n]
+    elif layout == "2-d":
+        x, y = x[: n - n % 3].reshape(3, -1), y[: n - n % 3].reshape(3, -1)
+    else:
+        x, y = x[:n], y[0]
+    got = cones.in_V(P, nf, vs, x, y, tree)
+    want = in_V_full(P, nf, vs, x, y, tree)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("q,t", [(1, -0.01), (2, 0.0), (3, 0.05)])
+def test_in_V_oracle_points_reach_both_tubes(q, t):
+    # the drawn points make both tube tests decide: each tube holds points
+    # that pass every other test, some kept by the chart and some rejected
+    P, nf, tree = _v_setup(q, t)
+    vs = cones.VSpec()
+    x, y = _v_points(P, vs, 4000, 7)
+    wide = dataclasses.replace(vs, rho=10.0)  # every point of a tube in its sector
+    kept, kept_wide = in_V_full(P, nf, vs, x, y, tree), in_V_full(P, nf, wide, x, y, tree)
+    in_B = np.abs(x - P.poly.alpha) <= vs.rho_prime
+    in_Bp = (np.abs(hn.henon(P, (x, y))[0] - P.poly.alpha) <= vs.rho_prime) & ~in_B
+    for tube in (in_B, in_Bp):
+        assert np.any(kept & tube)
+        assert np.any(kept_wide & ~kept & tube)
+    assert np.array_equal(cones.in_V(P, nf, vs, x, y, tree), kept)
+
+
+def _assert_reports_equal(got, want):
+    for f in dataclasses.fields(cones.ConeReport):
+        assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+
+
+@pytest.mark.parametrize("pq,t,a", [
+    ((1, 1), 0.05, 0.05),                                        # README cone-check line
+    ((1, 1), 0.0506888437030501, 0.0506888437030501),            # jets, seed 0
+    ((1, 2), -0.020275537481220043, 0.0506888437030501),         # jets, seed 0
+])
+def test_global_cone_check_matches_full_array_in_V(monkeypatch, pq, t, a):
+    P = hn.make_params(pq, t, a)
+    nf = nf2.reduce(P, D=2 * P.q + 8)
+    got = cones.global_cone_check(P, sample_count=10000, seed=0, nf=nf)
+    monkeypatch.setattr(cones, "in_V", in_V_full)
+    want = cones.global_cone_check(P, sample_count=10000, seed=0, nf=nf)
+    _assert_reports_equal(got, want)

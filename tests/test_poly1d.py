@@ -42,6 +42,64 @@ def test_green_stability_in_iters():
     assert max(vals) - min(vals) < 1e-8
 
 
+def green_masked(params, z, iters=60):
+    """green as it ran before the active-set compaction: a boolean mask over
+    the full array at every iteration."""
+    z0 = np.asarray(z, dtype=complex)
+    scalar = z0.ndim == 0
+    w = np.atleast_1d(z0).copy()
+    out = np.zeros(w.shape, dtype=float)
+    active = np.ones(w.shape, dtype=bool)
+    for n in range(1, iters + 1):
+        w[active] = w[active] ** 2 + params.c
+        far = active & (np.abs(w) > p1._FAR)
+        if np.any(far):
+            out[far] = np.log(np.abs(w[far])) / 2.0**n
+            active &= ~far
+        if not active.any():
+            break
+    tail = active & (np.abs(w) > p1.ESCAPE_RADIUS)
+    out[tail] = np.log(np.abs(w[tail])) / 2.0**iters
+    return float(out[0]) if scalar else out.reshape(z0.shape)
+
+
+def _assert_green_matches(params, z, iters):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = p1.green(params, z, iters), green_masked(params, z, iters)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pq=st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 5)]), t=st.sampled_from([-0.02, 0.0, 0.1]),
+       shape=st.sampled_from([(), (1,), (0,), (33,), (4, 9), (2, 3, 5)]),
+       iters=st.sampled_from([1, 2, 3, 7, 60, 80]), scale=st.sampled_from([0.5, 2.0, 1e3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_green_matches_masked_reference(pq, t, shape, iters, scale, seed):
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(shape))
+    z = scale * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    _assert_green_matches(p1.poly_params(pq, t), z.reshape(shape) if shape else z[0], iters)
+
+
+def test_green_matches_masked_reference_at_edges():
+    pp = p1.poly_params((1, 1), 0.0)
+    # a scalar returns a float; one iteration
+    assert isinstance(p1.green(pp, 2.0, iters=1), float)
+    _assert_green_matches(pp, 2.0, 1)
+    _assert_green_matches(pp, np.array([0.3, 2.0, 50.0, 1e60]), 1)
+    # past ESCAPE_RADIUS but not _FAR after the last iteration: the tail branch
+    z = np.array([[4.0, 12.0, 1e3], [0.2j, 3.0 - 1j, 1e120]])
+    _assert_green_matches(pp, z, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = p1.green(pp, z, 3)
+    assert 0 < g[0, 0] < np.log(1e100) / 8 and g[1, 0] == 0.0
+    # infinite and nan input
+    _assert_green_matches(pp, np.array([np.inf, complex(np.inf, 1.0), complex(0, -np.inf), np.nan, 0.1]), 60)
+    _assert_green_matches(pp, complex(np.inf, np.inf), 5)
+
+
 def test_pullback_circle():
     loop = p1.LoopSample(values=4.0 * np.exp(2j * np.pi * np.arange(64) / 64),
                          level=np.log(4.0))
