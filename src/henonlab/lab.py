@@ -96,6 +96,10 @@ def continuity_experiment(p_over_q, a, t_list, resolution: int = 400,
         jc, sl = clouds(t)
         dj.append(hausdorff(jc, ref_j))
         ds.append(hausdorff(sl, ref_slice))
+        if ds[-1] == 0:
+            raise PreconditionError(
+                f"the J+ slices at t={t} and t=0 have the same boundary cells at "
+                f"resolution {resolution}: raise --res")
     meta = f"pq={p_over_q} a={a} angles={n_angles} iters={n_iters} res={resolution}"
     return (HausdorffResult(t_values=t_vals, distances=dj, meta="J " + meta),
             HausdorffResult(t_values=t_vals, distances=ds, meta="J+slice " + meta))

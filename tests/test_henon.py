@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -86,17 +87,17 @@ def test_jacobian_is_minus_a_squared():
 
 def test_classify_forward():
     P = hn.make_params((1, 1), 0.0, 0.1)
-    assert hn.classify_forward(P, (10.0, 0.0), 100) == 0
-    assert hn.classify_forward(P, P.q_fixed, 300) is None
+    assert hn.escape_times(P, [10.0], [0.0], 100)[0] == 0
+    assert hn.escape_times(P, [P.q_fixed[0]], [P.q_fixed[1]], 300)[0] == -1
     with pytest.raises(PreconditionError):
-        hn.classify_forward(P, (0, 0), 10, r=2.9)
+        hn.escape_times(P, [0.0], [0.0], 10, r=2.9)
 
 
 def test_petal_point_is_bounded():
     # t > 0: a point near the attracting cycle stays bounded
     P = hn.make_params((1, 1), 0.05, 0.05)
     cyc = hn.attracting_cycle(P)
-    assert hn.classify_forward(P, (cyc[0, 0] + 1e-3, cyc[0, 1]), 500) is None
+    assert hn.escape_times(P, [cyc[0, 0] + 1e-3], [cyc[0, 1]], 500)[0] == -1
 
 
 def test_attracting_cycle_is_a_cycle():
@@ -136,7 +137,7 @@ def test_jplus_boundary_near_fixed_point():
 
 def test_escaped_fraction_monotone_in_max_iter():
     P = hn.make_params((1, 2), 0.05, 0.05)
-    fracs = [hn.jplus_slice(P, (-2, 2, -2, 2), 128, m).escaped_fraction
+    fracs = [np.mean(hn.jplus_slice(P, (-2, 2, -2, 2), 128, m).times >= 0)
              for m in (5, 20, 80)]
     assert fracs[0] <= fracs[1] <= fracs[2]
 
@@ -238,21 +239,88 @@ def test_escape_times_refuses_negative_max_iter():
         hn.escape_times(P, [10.0], [0.0], -1)
 
 
-@pytest.mark.parametrize("t", [0.0, 0.2, 0.1, 0.05, 0.025])
-def test_jplus_slice_of_the_continuity_experiment_matches_full_grid_reference(t):
-    P = hn.make_params((1, 1), t, 0.05)
-    grid = hn.jplus_slice(P, lab.DEFAULT_WINDOW, 200, 200)
-    X = grid.xs[None, :] + 1j * grid.ys[:, None]
-    assert np.array_equal(grid.times, full_grid_escape_times(P, X, 0.0, 200))
+def full_grid_boundary(X, times):
+    """Reference J+ cloud: X at the bounded cells with an escaped neighbour."""
+    esc = np.pad(times >= 0, 1)
+    near = esc[:-2, 1:-1] | esc[2:, 1:-1] | esc[1:-1, :-2] | esc[1:-1, 2:]
+    return X[near & (times < 0)]
 
 
-def test_jplus_slice_off_the_zero_slice_matches_full_grid_reference():
-    P = hn.make_params((1, 2), 0.05, 0.2 - 0.1j)
-    y = 0.7 - 0.4j
-    grid = hn.jplus_slice(P, (-2, 2, -2, 2), 64, 120, y_slice=y)
+# ESCAPE_BLOCK as a function of the resolution: one row per block, three
+# rows, and seven rows plus five orbits (7 divides none of the resolutions
+# tested, so the last block is short)
+ROW_BLOCKS = {"1row": lambda res: 1, "3rows": lambda res: 3 * res,
+              "7rows": lambda res: 7 * res + 5}
+
+
+def assert_slice_matches_full_grid(monkeypatch, block, P, window, res, max_iter, y=0.0):
+    if block is not None:
+        monkeypatch.setattr(hn, "ESCAPE_BLOCK", ROW_BLOCKS[block](res))
+    blocks = []
+    escape_times = hn.escape_times
+
+    def spy(params, X, *args):
+        blocks.append(X)
+        return escape_times(params, X, *args)
+
+    monkeypatch.setattr(hn, "escape_times", spy)
+    grid = hn.jplus_slice(P, window, res, max_iter, y_slice=y)
     X = grid.xs[None, :] + 1j * grid.ys[:, None]
-    assert np.array_equal(grid.times, full_grid_escape_times(P, X, y, 120))
-    assert np.all(grid.boundary.points[:, 1] == y)
+    # the blocks tile the grid in order; a row left out would leave its times
+    # as whatever np.empty found, which can equal them by chance
+    rows = max(1, hn.ESCAPE_BLOCK // res)
+    assert [len(b) for b in blocks] == [min(rows, res - i) for i in range(0, res, rows)]
+    assert np.concatenate(blocks).tobytes() == X.tobytes()
+    times = full_grid_escape_times(P, X, y, max_iter)
+    assert np.array_equal(grid.times, times)
+    edge = full_grid_boundary(X, times)
+    want = np.column_stack([edge, np.full(len(edge), complex(y))])
+    assert len(edge) > 0 and grid.boundary.points.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("t,block", [pytest.param(t, None, id=str(t))
+                                     for t in (0.0, 0.2, 0.1, 0.05, 0.025)]
+                         + [pytest.param(0.05, b, id=f"0.05-{b}") for b in ROW_BLOCKS])
+def test_jplus_slice_of_the_continuity_experiment_matches_full_grid_reference(
+        monkeypatch, t, block):
+    assert_slice_matches_full_grid(monkeypatch, block, hn.make_params((1, 1), t, 0.05),
+                                   lab.DEFAULT_WINDOW, 200, 200)
+
+
+def _off_family():
+    # c = -10 leaves V+ not forward invariant, so escape_times steps with
+    # block cap 1; cells within ~1e-4 of the saddle x = -2.79 stay outside
+    # V+ for all 6 steps, so the slice has boundary cells
+    a = 0.45
+    b = 1 - a * a
+    xf = (b - np.sqrt(b * b + 40)) / 2
+    P = dataclasses.replace(hn.make_params((1, 1), 0.0, a), c=-10.0 + 0.0j)
+    return P, (xf - 1e-3, xf + 1e-3, -1e-3, 1e-3), 64, 6, a * xf
+
+
+OFF_ZERO_SLICES = {
+    "q2": (hn.make_params((1, 2), 0.05, 0.2 - 0.1j), (-2, 2, -2, 2), 64, 120, 0.7 - 0.4j),
+    "res2": (hn.make_params((1, 2), 0.05, 0.2 - 0.1j), (0, 3, -0.1, 0.1), 2, 120, 0.7 - 0.4j),
+    "off-family": _off_family(),
+}
+
+
+@pytest.mark.parametrize("block", [None, *ROW_BLOCKS], ids=["default", *ROW_BLOCKS])
+@pytest.mark.parametrize("case", OFF_ZERO_SLICES)
+def test_jplus_slice_off_the_zero_slice_matches_full_grid_reference(monkeypatch, case, block):
+    assert_slice_matches_full_grid(monkeypatch, block, *OFF_ZERO_SLICES[case])
+
+
+def test_jplus_slice_allocates_no_full_grid_array():
+    # the times take 8 bytes a cell; a full-grid complex array would add 16
+    P = hn.make_params((1, 1), 0.1, 0.05)
+    tracemalloc.start()
+    try:
+        hn.jplus_slice(P, lab.DEFAULT_WINDOW, 800, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 800**2
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -234,6 +234,11 @@ def test_cli_exit_codes(tmp_path):
      "sample count must be >= 1"),
     (["continuity", "--pq=1/1", "--a=0.05", "--t-list=0.2,0.1", "--res=4"],
      "the J+ slice y=0 at t=0.0 has no boundary cell at resolution 4: raise --res"),
+    (["continuity", "--pq=1/1", "--a=0.05", "--t-list=0.2,0.1", "--res=8"],
+     "the J+ slices at t=0.2 and t=0 have the same boundary cells at resolution 8: raise --res"),
+    (["continuity", "--pq=1/1", "--a=0.05", "--t-list=0.2,0.1,0.05,0.025", "--res=200"],
+     "the J+ slices at t=0.025 and t=0 have the same boundary cells at resolution 200: "
+     "raise --res"),
 ])
 def test_cli_bad_input_is_a_precondition_error(tmp_path, monkeypatch, capsys, argv, cause):
     monkeypatch.chdir(tmp_path)
