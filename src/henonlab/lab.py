@@ -75,31 +75,34 @@ def continuity_experiment(p_over_q, a, t_list, resolution: int = 400,
     """d_H(J_t, J_0) and d_H of the y=0 slices of J+, against the t=0 clouds.
 
     All clouds on both sides are built at identical resolution; the reference
-    is the semi-parabolic member t = 0.
+    is the semi-parabolic member t = 0.  The J+ slices come first, so that a
+    resolution they cannot resolve is refused before any torus is solved.
     """
     t_vals = _check_t_list(t_list)
 
-    def clouds(t):
-        params = make_params(p_over_q, t, a)
-        slice_ = jplus_slice(params, window, resolution, max_iter).boundary
-        if not len(slice_):
+    def slice_boundary(t):
+        boundary = jplus_slice(make_params(p_over_q, t, a), window, resolution, max_iter).boundary
+        if not len(boundary):
             raise PreconditionError(
                 f"the J+ slice y=0 at t={t} has no boundary cell at resolution "
                 f"{resolution}: raise --res")
-        torus = torus_fixed_point(params, n_iters, n_angles).torus
-        jc = julia_from_sigma(params, torus, depth=depth)
-        return jc, slice_
+        return boundary
 
-    ref_j, ref_slice = clouds(0.0)
-    dj, ds = [], []
+    def julia_cloud(t):
+        params = make_params(p_over_q, t, a)
+        torus = torus_fixed_point(params, n_iters, n_angles).torus
+        return julia_from_sigma(params, torus, depth=depth)
+
+    ref_slice = slice_boundary(0.0)
+    ds = []
     for t in t_vals:
-        jc, sl = clouds(t)
-        dj.append(hausdorff(jc, ref_j))
-        ds.append(hausdorff(sl, ref_slice))
+        ds.append(hausdorff(slice_boundary(t), ref_slice))
         if ds[-1] == 0:
             raise PreconditionError(
                 f"the J+ slices at t={t} and t=0 have the same boundary cells at "
                 f"resolution {resolution}: raise --res")
+    ref_j = julia_cloud(0.0)
+    dj = [hausdorff(julia_cloud(t), ref_j) for t in t_vals]
     meta = f"pq={p_over_q} a={a} angles={n_angles} iters={n_iters} res={resolution}"
     return (HausdorffResult(t_values=t_vals, distances=dj, meta="J " + meta),
             HausdorffResult(t_values=t_vals, distances=ds, meta="J+slice " + meta))
@@ -161,7 +164,9 @@ def connectivity_scan(p_over_q, t, a_window, resolution: int = 9,
     result of a as well: the torus of conj(a) is the mirror image of that of
     a, with s -> -s and z -> conj z.  A window symmetric about 0 gives a grid
     symmetric about 0 bit for bit, so such a scan computes a quarter of its
-    cells when lam is real and half of them otherwise.
+    cells when lam is real and half of them otherwise.  On the axes (a real or
+    imaginary) the mirror maps each torus to itself, so graph_transform
+    solves only its fibers 0 .. n/2.
     """
     re_min, re_max, im_min, im_max = a_window
     if max(abs(re_min), abs(re_max), abs(im_min), abs(im_max)) >= 0.5:

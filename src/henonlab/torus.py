@@ -29,6 +29,10 @@ NODE_FRACTION = 0.9  # collocation radius as a fraction of the disk radius
 # scans at q = 1, 2, 3 the samples and the seed led to different roots on the
 # seed's side only at margins below 0.09.
 BRANCH_MARGIN = 0.25
+# A torus is mirror-symmetric when its coefficients match their mirror images
+# to this many ulps of the largest one.  Measured at q = 1, 2: 0.5 ulp on seed
+# tori, 0.2 ulp on later levels (the DFT of exactly symmetric samples).
+MIRROR_ULPS = 4
 
 
 # eq=False: the fields are arrays, so a generated == would raise on them
@@ -125,24 +129,35 @@ def graph_transform(params: HenonParams, torus: SolidTorus,
     solution of the step that made ``torus``.  On the seed torus, and for
     each angle where that start stalls or ends within BRANCH_MARGIN of the
     other branch, it starts from the pullback branches instead, and their
-    outcome stands."""
+    outcome stands.
+
+    On a torus with a mirror (``_mirror_nodes``) only the angles 0 .. n/2 are
+    solved.  As conj(a) = e a and conj(phi_s(w)) = phi_{-s}(e conj w), the
+    conjugate of the equation at angle k and node z_j is
+    conj(x)^2 + c + a e conj(z_j) = phi_{-2k}(a conj x), the one at angle -k and
+    node e conj(z_j) = z_{P(j)}.  So X[j, (-k) % n] = conj(X[P(j), k]) fills
+    the other angles, and each of them is branch-checked against its own seed."""
     if params.a == 0:
         raise PreconditionError("graph transform requires a != 0")
     n, d = torus.n_angles, torus.disk_degree
+    mirror = _mirror_nodes(params, torus)
+    h = n if mirror is None else n // 2 + 1  # the angles Newton solves
     doubled = (2 * np.arange(n)) % n
     seeds = continue_branch(np.sqrt(torus.centers[doubled] - params.c), unit="angle")
-    tcoeffs = torus.coeffs[doubled]
+    tcoeffs, seeds_h = torus.coeffs[doubled[:h]], seeds[:h]
     solve = partial(_newton, params, torus.nodes(), newton_tol=newton_tol, max_newton=max_newton)
 
-    X, stalled = solve(tcoeffs, seeds if torus.samples is None else torus.samples.T)
+    X, stalled = solve(tcoeffs, seeds_h if torus.samples is None else torus.samples[:h].T)
     if torus.samples is not None:
-        near_other = np.abs(X + seeds) - np.abs(X - seeds) < BRANCH_MARGIN * np.abs(seeds)
+        near_other = np.abs(X + seeds_h) - np.abs(X - seeds_h) < BRANCH_MARGIN * np.abs(seeds_h)
         redo = np.any(stalled | near_other, axis=0)
         if redo.any():
-            X[:, redo], stalled[:, redo] = solve(tcoeffs[redo], seeds[redo])
+            X[:, redo], stalled[:, redo] = solve(tcoeffs[redo], seeds_h[redo])
     if stalled.any():
         k, j = np.argwhere(stalled.T)[0]
         raise NumericalError(f"Newton stalled at angle {k}/{n}, node {j}")
+    if h < n:
+        X = np.concatenate([X, np.conj(X[mirror][:, (-np.arange(h, n)) % n])], axis=1)
     if np.any(np.abs(X - seeds) > np.abs(X + seeds)):
         raise NumericalError("resolution too coarse: node left its branch")
 
@@ -150,6 +165,25 @@ def graph_transform(params: HenonParams, torus: SolidTorus,
     scale = (NODE_FRACTION * torus.r) ** np.arange(d + 1)
     return SolidTorus(coeffs=(dft / scale[:, None]).T, level=torus.level + 1,
                       samples=X.T)
+
+
+def _mirror_nodes(params, torus):
+    """The node map P of the mirror of ``torus``, or None when it has none.
+
+    With c real and e = 1 for real a, -1 for imaginary a, conj(a) = e a, so
+    C(x, y) = (conj x, e conj y) commutes with H.  C maps the torus to itself
+    when phi_{-s}(w) = conj(phi_s(e conj w)), i.e. coeffs[-k, m] = e^m
+    conj(coeffs[k, m]), here within MIRROR_ULPS.  e conj(z_j) is the node
+    z_{P(j)}: P(j) = -j for e = 1 and d - j for e = -1, mod 2d."""
+    if params.c.imag != 0 or (params.a.imag != 0 and params.a.real != 0):
+        return None
+    e = 1 if params.a.imag == 0 else -1
+    n, d = torus.n_angles, torus.disk_degree
+    coeffs = torus.coeffs
+    mirrored = np.conj(coeffs[(-np.arange(n)) % n]) * e ** np.arange(d + 1)
+    if np.max(np.abs(coeffs - mirrored)) > MIRROR_ULPS * np.spacing(np.max(np.abs(coeffs))):
+        return None
+    return ((1 - e) // 2 * d - np.arange(2 * d)) % (2 * d)
 
 
 def _newton(params, nodes, tcoeffs, start, newton_tol, max_newton):

@@ -248,6 +248,17 @@ def test_cli_bad_input_is_a_precondition_error(tmp_path, monkeypatch, capsys, ar
     assert err.startswith("precondition error:") and cause in err
 
 
+def test_continuity_refuses_a_coarse_res_before_solving_any_torus(monkeypatch):
+    def no_torus(*args, **kwargs):
+        raise AssertionError("torus_fixed_point called before the J+ slice checks")
+
+    monkeypatch.setattr(lab, "torus_fixed_point", no_torus)
+    with pytest.raises(PreconditionError) as exc:
+        lab.continuity_experiment((1, 1), 0.05, [0.2, 0.1, 0.05, 0.025], resolution=200)
+    assert str(exc.value) == ("the J+ slices at t=0.025 and t=0 have the same boundary "
+                              "cells at resolution 200: raise --res")
+
+
 @pytest.mark.parametrize("flags,cause", [
     (["--pq=1/2", "--t=0.3"], "|t| must be below 1/(2q) = 0.25"),
     (["--iters=0"], "n_iters must be >= 2, got 0"),

@@ -103,12 +103,87 @@ def _iterate(transform, params, n_iters, n_angles):
 def test_fixed_point_matches_full_array_newton(pq, a):
     # warm starts and retiring converged angles change the iterate only by
     # rounding: the reference ends its Newton solve a step later everywhere
-    P = hn.make_params(pq, 0.1, a)
+    _fixed_point_of_full_array_newton(hn.make_params(pq, 0.1, a))
+
+
+def _fixed_point_of_full_array_newton(P):
+    """The 30-level fixed point at 256 angles, checked against the reference."""
     res = tor.torus_fixed_point(P, 30, 256)
     torus, gaps, seps = _iterate(_full_array_graph_transform, P, 30, 256)
     assert np.max(np.abs(res.torus.coeffs - torus.coeffs)) < 1e-14
     assert np.max(np.abs(res.gaps - gaps)) < 1e-13
     assert np.max(np.abs(res.separations - seps)) < 1e-13
+    return res
+
+
+def _mirror(vals, e=1):
+    """(n_angles, 2d) node values under the mirror (x, y) -> (conj x, e conj y):
+    fiber k -> -k, node z_j -> e conj(z_j), values conjugated."""
+    (n, m), d = vals.shape, vals.shape[1] // 2
+    k = (-np.arange(n)) % n
+    j = (-np.arange(m)) % m if e == 1 else (d - np.arange(m)) % m
+    return np.conj(vals[k][:, j])
+
+
+@pytest.mark.parametrize("pq,t,a", [
+    ((1, 1), 0.0, 0.05), ((1, 1), 0.1, 0.05),
+    ((1, 2), 0.1, 0.05j), ((1, 2), 0.1, -0.05j), ((1, 2), 0.1, -0.1),
+])
+def test_mirror_symmetric_fixed_point_matches_full_array_newton(pq, t, a):
+    # c real and a real or imaginary: graph_transform solves fibers 0 .. n/2
+    # and mirrors the rest, which moves the iterate only by rounding
+    P = hn.make_params(pq, t, a)
+    res = _fixed_point_of_full_array_newton(P)
+    # the mirrored fibers are copies bit for bit; fibers 0 and n/2 are their
+    # own mirrors and are solved on every node, so they match to rounding
+    X, n = res.torus.samples, res.torus.n_angles
+    mirrored = _mirror(X, 1 if P.a.imag == 0 else -1)
+    paired = np.r_[1:n // 2, n // 2 + 1:n]
+    assert np.array_equal(X[paired], mirrored[paired])
+    assert np.max(np.abs(X - mirrored)) < 1e-15
+
+
+def _solved_angles(monkeypatch, params, torus):
+    """The number of angles graph_transform hands to its first Newton solve
+    on ``torus``, and the transformed torus."""
+    widths = []
+    newton = tor._newton
+
+    def spy(params, nodes, tcoeffs, start, **kwargs):
+        widths.append(len(tcoeffs))
+        return newton(params, nodes, tcoeffs, start, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(tor, "_newton", spy)
+        out = tor.graph_transform(params, torus)
+    return widths[0], out
+
+
+@pytest.mark.parametrize("pq,t,a,mirrored", [
+    ((1, 1), 0.1, 0.05, True), ((1, 2), 0.1, 0.05j, True), ((1, 2), 0.1, -0.05j, True),
+    ((1, 2), 0.1, 0.05 + 0.05j, False), ((1, 3), 0.05, 0.05, False),
+])
+def test_graph_transform_solves_half_the_fibers_only_on_the_mirror_axes(
+        monkeypatch, pq, t, a, mirrored):
+    P = hn.make_params(pq, t, a)
+    T = tor.torus_seed(P, p1.equipotential_loop(P.poly, 256))
+    for _ in range(3):
+        width, T = _solved_angles(monkeypatch, P, T)
+        assert width == (129 if mirrored else 256)
+
+
+def test_graph_transform_solves_every_fiber_of_an_asymmetric_torus(monkeypatch):
+    # one fiber moved by 1e-10 breaks the mirror of the input torus, so every
+    # fiber is solved, and the result still matches the reference
+    P = hn.make_params((1, 1), 0.1, 0.05)
+    T = tor.torus_fixed_point(P, 3, 256).torus
+    coeffs = T.coeffs.copy()
+    coeffs[5, 0] += 1e-10
+    bent = tor.SolidTorus(coeffs=coeffs, level=T.level, samples=T.samples)
+    width, out = _solved_angles(monkeypatch, P, bent)
+    assert width == 256
+    expected = _full_array_graph_transform(P, bent)
+    assert np.max(np.abs(out.coeffs - expected.coeffs)) < 1e-14
 
 
 # at a = -0.1-0.15j the samples of level 3 lead Newton to a root on the seed's
@@ -191,10 +266,7 @@ def _conjugate_torus_mismatch(pq, t, a):
     node j -> -j, values conjugated."""
     plus, minus = (tor.torus_fixed_point(hn.make_params(pq, t, b), 20, 512)
                    for b in (a, a.conjugate()))
-    vals = plus.torus.node_values()
-    k, j = (-np.arange(n) % n for n in vals.shape)
-    mirrored = np.conj(vals[k][:, j])
-    return (np.max(np.abs(minus.torus.node_values() - mirrored)),
+    return (np.max(np.abs(minus.torus.node_values() - _mirror(plus.torus.node_values()))),
             np.max(np.abs(minus.gaps - plus.gaps)),
             np.max(np.abs(minus.separations - plus.separations)))
 
