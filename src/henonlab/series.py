@@ -5,14 +5,18 @@ no silent degree growth.  One-variable series are plain coefficient vectors
 ``c[0..D]``; two-variable series are total-degree truncated, i.e. only
 coefficients with ``i + j <= D`` are carried.
 
-The two-variable product is a Kronecker substitution: the (D+1)x(D+1)
-coefficient array is laid out row by row with stride 2D+1, one 1-D
-``np.convolve`` multiplies the flattened rows, and no carry crosses a row
-because j1 + j2 <= 2D.  ``compose2`` is Horner in the first inner component
-U over rows that are linear combinations of the powers of V, so a
-composition costs about 3D products.  ``invert2`` is the generic inverse,
-solving F(G) = id degree by degree; callers that know their map's inverse in
-closed form should use it instead.
+Products are linear operators.  A gather table cached per D turns a jet u
+into the SxS matrix ``append(u[slots], 0)[table]`` of multiplication by u
+over the S = (D+1)(D+2)/2 slots i + j <= D; its leading (D+1)x(D+1) block is
+the Toeplitz operator of a one-variable jet, used by ``compose1``.
+``compose2`` gathers the operators of U and V once, then builds the powers
+of V and the Horner in U for both components as jmax + imax small matmuls.
+An SxS operator meets a single vector v as ``np.vecdot(v.conj(), op)``
+(vecdot conjugates its first argument), not ``op @ v``: numpy sends that to
+BLAS gemv, which OpenBLAS spreads over every core once S >= 64 (D >= 10),
+where it runs slower than on one.
+``invert2`` is the generic inverse, solving F(G) = id degree by degree;
+callers that know their map's inverse in closed form should use it instead.
 """
 
 from __future__ import annotations
@@ -133,10 +137,12 @@ def compose1(outer: TruncSeries1, inner: TruncSeries1) -> TruncSeries1:
         raise PreconditionError("mixed truncation orders")
     if inner.coeffs[0] != 0:
         raise PreconditionError("composition requires inner(0)=0")
-    acc = TruncSeries1.constant(outer.coeffs[outer.D], outer.D)
-    for k in range(outer.D - 1, -1, -1):
-        acc = acc * inner + outer.coeffs[k]
-    return acc
+    op = np.append(inner.coeffs, 0.0)[_simplex(outer.D)[2][: outer.D + 1, : outer.D + 1]]
+    acc = np.zeros(outer.D + 1, dtype=complex)
+    for c in outer.coeffs[::-1]:
+        acc = op @ acc
+        acc[0] += c
+    return TruncSeries1(acc, D=outer.D)
 
 
 def invert1(f: TruncSeries1) -> TruncSeries1:
@@ -176,17 +182,20 @@ def _outside_simplex(D: int) -> np.ndarray:
     return mask
 
 
-def _mul2(a: np.ndarray, b: np.ndarray, D: int) -> np.ndarray:
-    """Truncated product of two simplex coefficient arrays (Kronecker substitution)."""
-    stride = 2 * D + 1
-    pa = np.zeros((D + 1, stride), dtype=complex)
-    pb = np.zeros((D + 1, stride), dtype=complex)
-    pa[:, : D + 1] = a
-    pb[:, : D + 1] = b
-    flat = np.convolve(pa.ravel(), pb.ravel())[: (D + 1) * stride]
-    c = flat.reshape(D + 1, stride)[:, : D + 1].copy()
-    c[_outside_simplex(D)] = 0.0
-    return c
+@lru_cache(maxsize=None)
+def _simplex(D: int):
+    """Slots i + j <= D, row by row (1, y, ..., y^D first), as index arrays
+    (i, j), and the product's gather table: entry (k, l) is the slot of
+    monomial k over monomial l, or -1 when l does not divide k, so that
+    ``np.append(c, 0)[table]`` multiplies by the jet with slot values c."""
+    i, j = np.nonzero(~_outside_simplex(D))
+    slot = np.full((D + 1, D + 1), -1)
+    slot[i, j] = np.arange(len(i))
+    di, dj = i[:, None] - i, j[:, None] - j
+    table = np.where((di >= 0) & (dj >= 0), slot[di, dj], -1)
+    for arr in (i, j, table):
+        arr.setflags(write=False)
+    return i, j, table
 
 
 class TruncSeries2:
@@ -261,7 +270,11 @@ class TruncSeries2:
             return TruncSeries2(self.coeffs * other, D=self.D)
         if other.D != self.D:
             raise PreconditionError("mixed truncation orders")
-        return TruncSeries2(_mul2(self.coeffs, other.coeffs, self.D), D=self.D)
+        i, j, table = _simplex(self.D)
+        c = np.zeros_like(self.coeffs)
+        op = np.append(self.coeffs[i, j], 0.0)[table]
+        c[i, j] = np.vecdot(other.coeffs[i, j].conj(), op)
+        return TruncSeries2(c, D=self.D)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -332,22 +345,25 @@ def compose2(outer, inner):
         raise PreconditionError("mixed truncation orders")
     if U.coeffs[0, 0] != 0 or V.coeffs[0, 0] != 0:
         raise PreconditionError("composition requires inner(0,0)=(0,0)")
+    i, j, table = _simplex(D)
     outer_c = np.stack([P.coeffs, Q.coeffs])
-    # powers of V only up to the highest power of y the outer pair uses
+    # the highest powers of y and x the outer pair uses
     jmax = max(np.flatnonzero(outer_c.any(axis=(0, 1))), default=0)
-    vpow = [TruncSeries2.from_terms({(0, 0): 1.0}, D).coeffs]
-    for _ in range(jmax):
-        vpow.append(_mul2(vpow[-1], V.coeffs, D))
-    # rows[c, i] = sum_j outer_c[c, i, j] V^j, then Horner in U over i
-    rows = np.tensordot(outer_c[:, :, : jmax + 1], np.stack(vpow), axes=1)
-    out = []
-    for comp_c, comp_rows in zip(outer_c, rows):
-        imax = max(np.flatnonzero(comp_c.any(axis=1)), default=0)
-        acc = comp_rows[imax]
-        for i in range(imax - 1, -1, -1):
-            acc = _mul2(acc, U.coeffs, D) + comp_rows[i]
-        out.append(TruncSeries2(acc, D=D))
-    return out[0], out[1]
+    imax = max(np.flatnonzero(outer_c.any(axis=(0, 2))), default=0)
+    vpow = np.zeros((jmax + 1, len(i)), dtype=complex)
+    vpow[0, 0] = 1.0
+    op_v = np.append(V.coeffs[i, j], 0.0)[table]
+    for k in range(jmax):
+        vpow[k + 1] = np.vecdot(vpow[k].conj(), op_v)
+    # rows[c, r] = sum_j outer_c[c, r, j] V^j, then Horner in U over r
+    rows = outer_c[:, : imax + 1, : jmax + 1] @ vpow
+    op_u = np.append(U.coeffs[i, j], 0.0)[table]
+    acc = rows[:, imax].T
+    for r in range(imax - 1, -1, -1):
+        acc = op_u @ acc + rows[:, r].T
+    out = np.zeros((2, D + 1, D + 1), dtype=complex)
+    out[:, i, j] = acc.T
+    return TruncSeries2(out[0], D=D), TruncSeries2(out[1], D=D)
 
 
 def invert2(pair):

@@ -334,6 +334,23 @@ def test_cli_negative_t_list_as_separate_argument():
     assert cli.config_from_args(split).ts == [-0.02, -0.01]
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--t", "-2e-2"), ("--a", "-0.1j"), ("--a", "-0.05-0.05j"), ("--t", "-0.02"),
+])
+def test_cli_negative_number_as_separate_argument(flag, value):
+    parser = cli.build_parser()
+    split = parser.parse_args(["normal-form", flag, value])
+    assert split == parser.parse_args(["normal-form", f"{flag}={value}"])
+    assert getattr(split, flag[2:]) == complex(value)
+
+
+def test_cli_runs_with_negative_numbers_as_separate_arguments(tmp_path, capsys):
+    argv = ["normal-form", "--pq", "1/1", "--t", "-2e-2", "--a", "-0.05-0.05j",
+            "--out", str(tmp_path / "nf")]
+    assert cli.main(argv) == 0
+    assert "C_at" in capsys.readouterr().out
+
+
 def test_cli_import_stays_light():
     # scipy.signal and scipy.spatial cost most of a second to import; only
     # the commands that build k-d trees may load scipy.spatial
