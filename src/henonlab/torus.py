@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -46,19 +46,17 @@ class SolidTorus:
     samples: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        n = c.shape[0]
+        for name in ("coeffs", "samples"):  # read-only complex arrays are kept, not copied
+            x = getattr(self, name)
+            if x is not None and (getattr(x, "dtype", None) != complex or x.flags.writeable):
+                x = np.array(x, dtype=complex)
+                x.setflags(write=False)
+                object.__setattr__(self, name, x)
+        c, n = self.coeffs, self.coeffs.shape[0]
         if c.ndim != 2 or n < 2 or (n & (n - 1)) != 0:
             raise PreconditionError("torus needs a power-of-two number of angle fibers")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-        if self.samples is not None:
-            x = np.array(self.samples, dtype=complex, order="C")
-            if x.shape != (n, 2 * (c.shape[1] - 1)):
-                raise PreconditionError("torus samples must be (n_angles, 2 disk_degree)")
-            x.setflags(write=False)
-            object.__setattr__(self, "samples", x)
+        if self.samples is not None and self.samples.shape != (n, 2 * (c.shape[1] - 1)):
+            raise PreconditionError("torus samples must be (n_angles, 2 disk_degree)")
 
     @property
     def n_angles(self):
@@ -82,7 +80,14 @@ class SolidTorus:
 
     def node_values(self):
         """(n_angles, 2d) matrix of phi_s at the collocation nodes."""
-        return horner(self.coeffs[:, None, :], self.nodes())
+        return self._node_values
+
+    @cached_property
+    def _node_values(self):  # the coefficients are a truncated DFT on the nodes
+        scaled = self.coeffs * (NODE_FRACTION * self.r) ** np.arange(self.disk_degree + 1)
+        vals = np.fft.ifft(scaled, n=2 * self.disk_degree, axis=1, norm="forward")
+        vals.setflags(write=False)
+        return vals
 
     def max_slope(self):
         """Upper bound for sup |phi_s'| on the collocation circle."""
@@ -92,13 +97,8 @@ class SolidTorus:
 
     def separation(self):
         """min over s of the sup-distance between fibers at s and s + 1/2."""
-        return _separation(self.node_values())
-
-
-def _separation(vals):
-    half = vals.shape[0] // 2
-    d = np.max(np.abs(vals - np.roll(vals, -half, axis=0)), axis=1)
-    return float(np.min(d))
+        vals, half = self.node_values(), self.n_angles // 2
+        return float(np.min(np.max(np.abs(vals[:half] - vals[half:]), axis=1)))
 
 
 def torus_seed(params: HenonParams, loop0: LoopSample, disk_degree: int = 8,
@@ -115,8 +115,8 @@ def torus_seed(params: HenonParams, loop0: LoopSample, disk_degree: int = 8,
     return SolidTorus(coeffs=coeffs, level=0)
 
 
-def graph_transform(params: HenonParams, torus: SolidTorus,
-                    newton_tol: float = 1e-13, max_newton: int = 50) -> SolidTorus:
+def graph_transform(params: HenonParams, torus: SolidTorus, max_newton: int = 50,
+                    _scratch: list | None = None) -> SolidTorus:
     """One application of the operator: solve, per angle s and node z_j,
 
         x^2 + c + a z_j = phi_{2s}(a x)
@@ -125,18 +125,22 @@ def graph_transform(params: HenonParams, torus: SolidTorus,
     collocation circle (least squares = truncated DFT on the uniform node
     grid).  Every solution must keep the label of its 1-D pullback branch
     (the branches of the center loop): it must lie closer to that branch's
-    value than to its negative.  Newton starts from ``torus.samples``, the
-    solution of the step that made ``torus``.  On the seed torus, and for
-    each angle where that start stalls or ends within BRANCH_MARGIN of the
-    other branch, it starts from the pullback branches instead, and their
-    outcome stands.
+    value than to its negative.  The fibers at s and s + 1/2 share phi_{2s}, so
+    their branches must be the two square roots.  Newton starts from
+    ``torus.samples``, the solution of the step that made ``torus``.  On the
+    seed torus, and for each angle where that start stalls or ends within
+    BRANCH_MARGIN of the other branch, it starts from the pullback branches
+    instead, and their outcome stands.
 
     On a torus with a mirror (``_mirror_nodes``) only the angles 0 .. n/2 are
     solved.  As conj(a) = e a and conj(phi_s(w)) = phi_{-s}(e conj w), the
     conjugate of the equation at angle k and node z_j is
     conj(x)^2 + c + a e conj(z_j) = phi_{-2k}(a conj x), the one at angle -k and
     node e conj(z_j) = z_{P(j)}.  So X[j, (-k) % n] = conj(X[P(j), k]) fills
-    the other angles, and each of them is branch-checked against its own seed."""
+    the other angles, and each of them is branch-checked against its own seed.
+
+    In the list ``_scratch`` Newton keeps its work arrays from call to call;
+    fresh ones are page-faulted in each time, a third of a one-step solve."""
     if params.a == 0:
         raise PreconditionError("graph transform requires a != 0")
     n, d = torus.n_angles, torus.disk_degree
@@ -144,8 +148,11 @@ def graph_transform(params: HenonParams, torus: SolidTorus,
     h = n if mirror is None else n // 2 + 1  # the angles Newton solves
     doubled = (2 * np.arange(n)) % n
     seeds = continue_branch(np.sqrt(torus.centers[doubled] - params.c), unit="angle")
+    if not np.array_equal(seeds[n // 2:], -seeds[: n // 2]):
+        raise NumericalError("resolution too coarse: fibers at s and s+1/2 took the same preimage")
     tcoeffs, seeds_h = torus.coeffs[doubled[:h]], seeds[:h]
-    solve = partial(_newton, params, torus.nodes(), newton_tol=newton_tol, max_newton=max_newton)
+    solve = partial(_newton, params, torus.nodes(), r=torus.r, max_newton=max_newton,
+                    scratch=[] if _scratch is None else _scratch)
 
     X, stalled = solve(tcoeffs, seeds_h if torus.samples is None else torus.samples[:h].T)
     if torus.samples is not None:
@@ -156,15 +163,16 @@ def graph_transform(params: HenonParams, torus: SolidTorus,
     if stalled.any():
         k, j = np.argwhere(stalled.T)[0]
         raise NumericalError(f"Newton stalled at angle {k}/{n}, node {j}")
-    if h < n:
-        X = np.concatenate([X, np.conj(X[mirror][:, (-np.arange(h, n)) % n])], axis=1)
+    if h < n:  # angle-major, so that the samples X.T are contiguous
+        X = np.concatenate([X.T, np.conj(X.T[n - np.arange(h, n)][:, mirror])]).T
     if np.any(np.abs(X - seeds) > np.abs(X + seeds)):
         raise NumericalError("resolution too coarse: node left its branch")
 
-    dft = np.fft.fft(X, axis=0)[: d + 1] / (2 * d)
-    scale = (NODE_FRACTION * torus.r) ** np.arange(d + 1)
-    return SolidTorus(coeffs=(dft / scale[:, None]).T, level=torus.level + 1,
-                      samples=X.T)
+    dft = np.fft.fft(X, axis=0)[: d + 1]
+    dft /= 2 * d * ((NODE_FRACTION * torus.r) ** np.arange(d + 1))[:, None]
+    for arr in (dft, X):  # read-only, so that SolidTorus does not copy them
+        arr.setflags(write=False)
+    return SolidTorus(coeffs=dft.T, level=torus.level + 1, samples=X.T)
 
 
 def _mirror_nodes(params, torus):
@@ -186,67 +194,72 @@ def _mirror_nodes(params, torus):
     return ((1 - e) // 2 * d - np.arange(2 * d)) % (2 * d)
 
 
-def _newton(params, nodes, tcoeffs, start, newton_tol, max_newton):
-    """Newton for x^2 + c + a z_j = phi_s(a x) at the nodes z_j, for the
-    (n, d+1) coefficients ``tcoeffs`` of phi_s, from ``start`` (broadcast to
-    (2d, n)).  An angle leaves the iteration once all its nodes meet the
-    tolerance.  Returns the (2d, n) solutions and the mask of the entries
-    that had not converged at the last of ``max_newton`` steps."""
+def _newton(params, nodes, tcoeffs, start, r, max_newton, scratch):
+    """Newton for F(x) = x^2 + c + a z_j - phi_s(a x) = 0 at the nodes z_j, for the (n, d+1)
+    coefficients ``tcoeffs`` of phi_s on D_r, from ``start`` (broadcast to (2d, n)).  An angle
+    retires when at every node the step s just taken predicts a next step M |s|^2 / (2 |F'(x)|)
+    <= eps (1 + |x|) / 2 <= ulp(1 + |x|) (Newton-Kantorovich), M >= sup |F''| per angle on
+    |a x| <= max(r, |a| max |start|).  Returns the (2d, n) solutions and the mask of the
+    entries not retired after ``max_newton`` steps."""
     (n, d1), m2 = tcoeffs.shape, len(nodes)
-    a, c = params.a, params.c
-    az = a * nodes[:, None]
-    # Node-major: column i of every buffer holds angle angle[i], so each
-    # Horner add is a contiguous coefficient row.  The loop works in place on
-    # buffers allocated once per call, through views [:, :k] of the k active
-    # angles: fresh temporaries at every step make the C allocator hand
-    # memory back to the OS and page-fault it in again each iteration.
-    X = np.empty((m2, n), dtype=complex)
-    X[...] = start
-    # phi_s and phi_s' coefficients, one row per power
-    phi = np.ascontiguousarray(tcoeffs.T)
-    dphi = np.ascontiguousarray((tcoeffs[:, 1:] * np.arange(1, d1)).T)
-    work = [np.empty_like(X) for _ in range(4)]
-    step_abs, bound = np.empty(X.shape), np.empty(X.shape)
-    converged = np.empty(X.shape, dtype=bool)
-    solved = np.empty_like(X)
-    angle = np.arange(n)
+    a, c, az = params.a, params.c, params.a * nodes[:, None]
+    # Node-major: column i holds angle angle[i], so each Horner add is a contiguous coefficient
+    # row.  The (rows, k) arrays of the k active angles are the first rows * k entries of flat
+    # buffers: steps work in place on contiguous memory, retiring moves the rest to the front.
+    k, angle = n, np.arange(n)
+
+    def active(buf):
+        return buf[: buf.size // n * k].reshape(buf.size // n, k)
+
+    sizes = np.array([m2, m2, m2, m2, d1, d1 - 1]) * n
+    if len(scratch) < len(sizes) or any(b.size < size for b, size in zip(scratch, sizes)):
+        scratch[:] = [np.empty(size, dtype=complex) for size in sizes]
+    X, xa, g, gp, phi, dphi = (b[:size] for b, size in zip(scratch, sizes))
+    active(X)[...] = start
+    active(phi)[...] = tcoeffs.T
+    np.multiply(tcoeffs[:, 1:].T, np.arange(1, d1)[:, None], out=active(dphi))
+    m = np.arange(2, d1)[:, None]
+    R = max(r, abs(a) * np.max(np.abs(start)))
+    M = 2.0 + abs(a) ** 2 * np.sum(np.abs(active(phi)[2:]) * (m * (m - 1) * R ** (m - 2.0)), axis=0)
+    M_eps, converged = M / np.finfo(float).eps, np.empty(m2 * n, dtype=bool)
+    solved = np.empty((n, m2), dtype=complex)  # angle-major: retiring angles fill rows
     # as if no step had converged, for max_newton = 0
-    step_ok, done = np.zeros(X.shape, dtype=bool), np.zeros(n, dtype=bool)
-    k = n
+    step_ok, done = np.zeros((m2, n), dtype=bool), np.zeros(n, dtype=bool)
     for _ in range(max_newton):
-        x, tol = X[:, :k], bound[:, :k]
-        xa, g, gp, acc = (w[:, :k] for w in work)
-        np.multiply(a, x, out=xa)
-        # g = x^2 + c + a z - phi_s(a x) and its derivative gp = 2 x - a phi_s'(a x)
-        np.multiply(x, x, out=g)
-        g += c
-        g += az
-        g -= horner(phi[:, :k].T, xa, out=acc)
-        horner(dphi[:, :k].T, xa, out=acc)
-        acc *= a
-        np.multiply(2.0, x, out=gp)
-        gp -= acc
-        step = np.divide(g, gp, out=g)
+        x, w, f, fp = active(X), active(xa), active(g), active(gp)
+        np.multiply(a, x, out=w)
+        # f = F(x) and fp = F'(x) = 2 x - a phi_s'(a x)
+        np.multiply(x, x, out=f)
+        f += c
+        f += az
+        f -= horner(active(phi).T, w, out=fp)
+        horner(active(dphi).T, w, out=fp)
+        fp *= -a
+        fp += np.multiply(2.0, x, out=w)
+        step = np.divide(f, fp, out=f)
         x -= step
-        np.abs(x, out=tol)
-        tol += 1.0
-        tol *= newton_tol
-        step_ok = np.less_equal(np.abs(step, out=step_abs[:, :k]), tol, out=converged[:, :k])
+        # M |s|^2 / eps <= (1 + |x|) |F'|, in two real arrays over the spent a x
+        s2, tol = w.view(float).reshape(2, m2, k)
+        np.add(np.abs(x, out=s2), 1.0, out=s2)
+        np.multiply(np.abs(fp, out=tol), s2, out=tol)
+        np.square(np.abs(step, out=s2), out=s2)
+        s2 *= active(M_eps)
+        step_ok = np.less_equal(s2, tol, out=active(converged))
         done = step_ok.all(axis=0)
         if done.any():
-            solved[:, angle[done]] = x[:, done]
-            keep = ~done
-            angle = angle[keep]
-            for buf in (X, phi, dphi):
-                buf[:, :len(angle)] = buf[:, :k][:, keep]
+            solved[angle[done]] = np.compress(done, x, axis=1).T
+            angle = angle[~done]
+            rest = [np.compress(~done, active(b), axis=1) for b in (X, phi, dphi, M_eps)]
             k = len(angle)
+            for b, v in zip((X, phi, dphi, M_eps), rest):
+                active(b)[...] = v
             if k == 0:
                 break
-    stalled = np.zeros(X.shape, dtype=bool)
-    solved[:, angle] = X[:, :k]
+    stalled = np.zeros((m2, n), dtype=bool)
+    solved[angle] = active(X).T
     # `step_ok` still has the columns from before the last compaction
     stalled[:, angle] = ~step_ok[:, ~done]
-    return solved, stalled
+    return solved.T, stalled
 
 
 @dataclass(frozen=True)
@@ -267,15 +280,12 @@ def torus_fixed_point(params: HenonParams, n_iters: int, n_angles: int,
         raise PreconditionError("n_iters must be >= 1")
     loop0 = equipotential_loop(params.poly, n_angles)
     torus = torus_seed(params, loop0, disk_degree)
-    gaps = np.empty(n_iters)
-    seps = np.empty(n_iters)
-    vals = torus.node_values()
+    gaps, seps, scratch = np.empty(n_iters), np.empty(n_iters), []
     for i in range(n_iters):
-        torus = graph_transform(params, torus)
-        nxt = torus.node_values()
-        gaps[i] = float(np.max(np.abs(nxt - vals)))
-        seps[i] = _separation(nxt)
-        vals = nxt
+        prev = torus  # frees the level before last, so two tori are alive per call
+        torus = graph_transform(params, prev, _scratch=scratch)
+        gaps[i] = np.max(np.abs(torus.node_values() - prev.node_values()))
+        seps[i] = torus.separation()
     return TorusResult(torus=torus, gaps=gaps, separations=seps)
 
 

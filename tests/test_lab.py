@@ -216,6 +216,15 @@ def test_cli_exit_codes(tmp_path):
                      "--out", out]) == 3
 
 
+@pytest.mark.parametrize("pq,angles", [("1/1", 2), ("1/1", 4), ("1/2", 4)])
+def test_cli_torus_iterate_refuses_a_torus_whose_half_turn_fibers_coincide(
+        tmp_path, capsys, pq, angles):
+    argv = ["torus-iterate", f"--pq={pq}", "--t=0.1", "--a=0.05", f"--angles={angles}",
+            "--iters=5", "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 3
+    assert "took the same preimage" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,cause", [
     (["caratheodory", "--pq=abc"], "rotation number"),
     (["caratheodory", "--pq=1/0"], "rotation number"),
