@@ -4,7 +4,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -71,17 +70,16 @@ def build_parser():
     return ap
 
 
-# Each scan's caps on the RunConfig sizes, which are also its defaults:
-# RunConfig's own res/angles/iters defaults belong to continuity and
-# torus-iterate, so only a value the user asks for can be clamped.
-SCAN_CAPS = {
+# Each scan's defaults for the RunConfig sizes: RunConfig's own
+# res/angles/iters defaults belong to continuity and torus-iterate.
+SCAN_DEFAULTS = {
     "hyp-scan": {"res": 9},
     "connectivity-scan": {"res": 16, "angles": 256, "iters": 12},
 }
 
 
 def config_from_args(args) -> RunConfig:
-    defaults = SCAN_CAPS.get(args.subcommand, {})
+    defaults = SCAN_DEFAULTS.get(args.subcommand, {})
     cfg = RunConfig.from_file(args.config, **defaults) if args.config else RunConfig(**defaults)
     cfg.subcommand = args.subcommand
     for name in ("pq", "t", "angles", "degree", "iters", "res", "depth",
@@ -108,19 +106,13 @@ def _write_distances(path, result):
                  zip(result.t_values, result.distances))
 
 
-def _clamped(flag, value, hi, lo=-math.inf):
-    """value limited to [lo, hi], with a warning on stderr when that changes it."""
-    used = min(max(value, lo), hi)
-    if used != value:
-        print(f"warning: --{flag} {value} clamped to {used}", file=sys.stderr)
-    return used
-
-
 def run(cfg: RunConfig) -> int:
     out = cfg.out
     out_dir = os.path.dirname(out)
     if out_dir and not os.path.isdir(out_dir):
         raise PreconditionError(f"output directory {out_dir!r} of --out does not exist")
+    if cfg.subcommand in SCAN_DEFAULTS and cfg.res < 1:
+        raise PreconditionError(f"--res must be at least 1, got {cfg.res}")
     if cfg.subcommand == "caratheodory":
         res = caratheodory(poly_params(cfg.p_over_q, cfg.t), cfg.angles, cfg.iters)
         n = res.loop.N
@@ -159,8 +151,7 @@ def run(cfg: RunConfig) -> int:
                   f"worst_v={glob.worst_v_expansion:.3g} vertical_ok={glob.extras['vertical_ok']}")
     elif cfg.subcommand == "hyp-scan":
         pq, ts = cfg.p_over_q, cfg.ts
-        cap = SCAN_CAPS[cfg.subcommand]
-        a_vals = np.linspace(-abs(cfg.a), abs(cfg.a), _clamped("res", cfg.res, cap["res"], lo=3))
+        a_vals = np.linspace(-abs(cfg.a), abs(cfg.a), cfg.res)
         cells = hyperbolicity_scan(pq, ts, a_vals, seed=cfg.seed)
         io.write_csv(out + ".csv", "hyperbolicity-scan", "t,a,verdict,worst_h,worst_v",
                      ((c.t, c.a, c.verdict, c.worst_h, c.worst_v) for c in cells))
@@ -184,11 +175,9 @@ def run(cfg: RunConfig) -> int:
         print(f"continuity J: {['%.4f' % d for d in rj.distances]} decreasing={rj.strictly_decreasing}")
         print(f"continuity J+: {['%.4f' % d for d in rs.distances]} decreasing={rs.strictly_decreasing}")
     elif cfg.subcommand == "connectivity-scan":
-        w, cap = abs(cfg.a), SCAN_CAPS[cfg.subcommand]
-        cells = connectivity_scan(cfg.p_over_q, cfg.t, (-w, w, -w, w),
-                                  resolution=_clamped("res", cfg.res, cap["res"], lo=3),
-                                  n_angles=_clamped("angles", cfg.angles, cap["angles"]),
-                                  n_iters=_clamped("iters", cfg.iters, cap["iters"]))
+        w = abs(cfg.a)
+        cells = connectivity_scan(cfg.p_over_q, cfg.t, (-w, w, -w, w), resolution=cfg.res,
+                                  n_angles=cfg.angles, n_iters=cfg.iters)
         io.write_pgm(out + ".pgm", connectivity_image(cells))
         flat = [c for row in cells for c in row]
         print(f"connectivity: {sum(c.verdict.startswith('CONNECTED') for c in flat)}/{len(flat)} connected")

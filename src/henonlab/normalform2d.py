@@ -9,13 +9,13 @@ price is h(0,0) = O(a) rather than 0, which is what every estimate
 downstream actually consumes.
 
 Every move T of the reduction is an elementary triangular change of
-coordinates whose inverse is known: (x + w(y), y) undoes the straightening
-(x - w(y), y); (x, psi^{-1}(y)) undoes the Koenigs move, with psi^{-1} from
-``invert1``; (x / u(y), y) undoes (u(y) x, y) through a reciprocal series;
-(x / A, y) undoes the rescaling; and the inverse of (x + v(y) x^k, y) is the
-fixed point G = x - v(y) G^k, which gains k-1 orders per pass.  ``reduce``
-conjugates by each pair (T, T^{-1}) and accumulates ``change`` and
-``change_inv`` side by side, so the generic ``invert2`` is never needed.
+coordinates whose inverse is known in closed form: (x + w(y), y) undoes the
+straightening (x - w(y), y); (x, psi^{-1}(y)) undoes the Koenigs move, with
+psi^{-1} from ``invert1``; (x / u(y), y) undoes (u(y) x, y) through a
+reciprocal series; (x / A, y) undoes the rescaling; and ``poly1d.shear_pair``
+gives the shear (x + v(y) x^k, y) with its inverse.  ``reduce`` conjugates by
+each pair (T, T^{-1}) and accumulates ``change`` and ``change_inv`` side by
+side, so the generic ``invert2`` is never needed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .henon import HenonParams, attracting_cycle, henon
-from .poly1d import eliminate_constants, repelling_inner_radius
+from .poly1d import eliminate_constants, repelling_inner_radius, shear_pair
 from .series import (
     TruncSeries1,
     TruncSeries2,
@@ -38,7 +38,7 @@ from .series import (
     series1_to_2,
 )
 
-_STAGNATION = 1e-14
+_NEGLIGIBLE = 1e-14
 _RESONANCE = 1e-10
 
 
@@ -91,28 +91,10 @@ def _koenigs(rho: TruncSeries1, nu: complex) -> TruncSeries1:
     return TruncSeries1(psi, D=D)
 
 
-def _scale_argument(f: TruncSeries1, factor: complex) -> TruncSeries1:
-    return TruncSeries1(f.coeffs * factor ** np.arange(f.D + 1), D=f.D)
-
-
-def _shear(v: TruncSeries2, k: int):
-    """The move (x + v(y) x^k, y), k >= 2, and its inverse (G, y).
-
-    G = x - v(y) G^k is solved by fixed-point passes from G = x: after n
-    passes G is exact through degree (n+1)(k-1).
-    """
-    D = v.D
-    x, y = TruncSeries2.var_x(D), TruncSeries2.var_y(D)
-    xk = x
-    for _ in range(k - 1):
-        xk = xk * x
-    G, exact = x, k - 1
-    while exact < D:
-        Gk = G
-        for _ in range(k - 1):
-            Gk = Gk * G
-        G, exact = x - v * Gk, exact + k - 1
-    return (x + v * xk, y), (G, y)
+def _shear(v: TruncSeries1, k: int):
+    """The move (x + v(y) x^k, y) and its inverse, from ``shear_pair``."""
+    y = TruncSeries2.var_y(v.D)
+    return tuple((TruncSeries2(c), y) for c in shear_pair(v, k))
 
 
 @dataclass(frozen=True)
@@ -175,42 +157,34 @@ def reduce(params: HenonParams, D: int | None = None) -> NormalForm2D:
         psi = _koenigs(rho, nu)
         apply((var_x, series1_to_2(psi, "y")), (var_x, series1_to_2(invert1(psi), "y")))
 
-    # step 1: x-linear coefficient a1(y) -> constant lambda, via the
-    # infinite product u(y) of b1 at geometrically shrunk arguments
-    b1 = TruncSeries1(H[0].coeffs[1, :].copy(), D=D) * (1.0 / lam)
-    u = TruncSeries1.constant(1.0, D)
-    for n in range(200):
-        g = _scale_argument(b1, nu**n)
-        u = u * g
-        if np.max(np.abs(g.coeffs[1:])) < _STAGNATION and abs(g.coeffs[0] - 1.0) < _STAGNATION:
-            break
-    if np.max(np.abs(u.coeffs[1:])) > _STAGNATION or abs(u.coeffs[0] - 1.0) > _STAGNATION:
+    # step 1: x-linear coefficient a1(y) -> constant lambda by (u(y) x, y),
+    # u(y) = b1(y) u(nu y) with b1 = a1/lambda; no divisor here or in step 2
+    # vanishes, as |nu| < 1/2 (|a|, |t| < 1/2) and |nu| |lambda|^{2q} < 1
+    b1 = H[0].coeffs[1, :] / lam
+    u = np.ones(D + 1, dtype=complex)  # u(0) = 1; u[m] is set in order below
+    for m in range(1, D + 1):
+        terms = b1[1 : m + 1] * nu ** np.arange(m - 1, -1, -1) * u[m - 1 :: -1]
+        u[m] = terms.sum() / (1.0 - nu**m)
+    if np.max(np.abs(u[1:])) > _NEGLIGIBLE:
+        u = TruncSeries1(u, D=D)
         apply((series1_to_2(u, "y") * var_x, var_y),
               (series1_to_2(reciprocal1(u), "y") * var_x, var_y))
 
-    # step 2: a_k(y) -> constants for 2 <= k <= 2q+1
+    # step 2: a_k(y) -> constants for 2 <= k <= 2q+1 by (x + v(y) x^k, y),
+    # v(y) - lambda^{k-1} v(nu y) = (a_k(y) - a_k(0)) / lambda
     for k in range(2, 2 * q + 2):
-        a_k = TruncSeries1(H[0].coeffs[k, :].copy(), D=D)
-        if np.max(np.abs(a_k.coeffs[1:])) < _STAGNATION:
+        a_k = H[0].coeffs[k, :]
+        if np.max(np.abs(a_k[1:])) < _NEGLIGIBLE:
             continue
-        osc = TruncSeries1(np.append(0.0, a_k.coeffs[1:]), D=D)
-        total = TruncSeries1.zero(D)
-        ratio = nu * lam ** (k - 1)
-        for n in range(400):
-            term = _scale_argument(osc, nu**n) * lam ** (n * (k - 1))
-            total = total + term
-            if term.max_abs() < _STAGNATION:
-                break
-        else:
-            raise NumericalError(f"coefficient sum stagnated too slowly (|ratio|={abs(ratio):.3f})")
-        v = total * (1.0 / lam)
-        apply(*_shear(series1_to_2(v, "y"), k))
+        m = np.arange(1, D + 1)
+        v = np.append(0.0, a_k[1:] / (lam * (1.0 - nu**m * lam ** (k - 1))))
+        apply(*_shear(TruncSeries1(v, D=D), k))
 
     # step 3: eliminate non-resonant constants; normalize the (q+1)-slot
     A = eliminate_constants(
         lam, q, lambda k: H[0].coeff(k, 0),
         lambda s: apply((s * var_x, var_y), ((1.0 / s) * var_x, var_y)),
-        lambda k, b: apply(*_shear(TruncSeries2.from_terms({(0, 0): b}, D), k)))
+        lambda k, b: apply(*_shear(TruncSeries1.constant(b, D), k)))
 
     C_at = H[0].coeff(2 * q + 1, 0) / lam
     return NormalForm2D(

@@ -245,19 +245,18 @@ def normal_form_1d(params: PolyParams, D: int | None = None):
     f = recentered_map(params, D)
     change = TruncSeries1.identity(D)
 
-    def conjugate(T):
+    def conjugate(T, T_inv):
         nonlocal f, change
-        f = compose1(compose1(T, f), invert1(T))
+        f = compose1(compose1(T, f), T_inv)
         change = compose1(T, change)
 
     def shear(k, b):
-        coeffs = np.zeros(D + 1, dtype=complex)
-        coeffs[1] = 1.0
-        coeffs[k] = b
-        conjugate(TruncSeries1(coeffs, D=D))
+        T, T_inv = shear_pair(TruncSeries1.constant(b, D), k)
+        conjugate(TruncSeries1(T[:, 0]), TruncSeries1(T_inv[:, 0]))
 
     eliminate_constants(lam, q, lambda k: f.coeffs[k],
-                        lambda A: conjugate(TruncSeries1([0.0, A], D=D)), shear)
+                        lambda A: conjugate(TruncSeries1([0.0, A], D=D),
+                                            TruncSeries1([0.0, 1.0 / A], D=D)), shear)
     C_t = f.coeffs[2 * q + 1] / lam
     return change, f, complex(C_t)
 
@@ -282,6 +281,24 @@ def eliminate_constants(lam, q: int, coeff, rescale, shear) -> complex:
                 raise NumericalError(f"resonance too close: |lam - lam^{k}| = {abs(denom):.2e}")
             shear(k, a_k / denom)
     return A
+
+
+def shear_pair(v: TruncSeries1, k: int):
+    """Coefficient arrays [i, j] of x^i y^j (i + j <= D) of T = x + v(y) x^k,
+    2 <= k <= D, and of T^{-1} = x B_k(-v(y) x^{k-1}), where B_k, the root of
+    B = 1 + z B^k, has the coefficients C(kn, n) / ((k-1)n + 1) (Graham, Knuth
+    & Patashnik, Concrete Mathematics, 5.4).  A constant v gives the
+    one-variable pair in column 0."""
+    D = v.D
+    T, T_inv = np.zeros((2, D + 1, D + 1), dtype=complex)
+    T[1, 0] = 1.0
+    T[k, : D + 1 - k] = v.coeffs[: D + 1 - k]
+    w = TruncSeries1.constant(1.0, D)  # (-v)^n: y is a parameter, one-variable products
+    for n in range((D - 1) // (k - 1) + 1):
+        i = (k - 1) * n + 1
+        T_inv[i, : D + 1 - i] = math.comb(k * n, n) // i * w.coeffs[: D + 1 - i]
+        w = w * -v
+    return T, T_inv
 
 
 def conjugacy_residual_1d(params: PolyParams, change: TruncSeries1, normal: TruncSeries1) -> float:

@@ -101,11 +101,8 @@ class SolidTorus:
         return float(np.min(np.max(np.abs(vals[:half] - vals[half:]), axis=1)))
 
 
-def torus_seed(params: HenonParams, loop0: LoopSample, disk_degree: int = 8,
-               n_angles: int | None = None) -> SolidTorus:
+def torus_seed(loop0: LoopSample, disk_degree: int = 8) -> SolidTorus:
     """Constant-in-z disks over the seed equipotential: phi_s = gamma_0(s)."""
-    if n_angles is not None and n_angles != loop0.N:
-        raise PreconditionError("n_angles does not match the seed loop")
     if loop0.level <= 0:
         raise PreconditionError("seed loop must sit at a positive Green level")
     if disk_degree < 1:
@@ -279,7 +276,7 @@ def torus_fixed_point(params: HenonParams, n_iters: int, n_angles: int,
     if n_iters < 1:
         raise PreconditionError("n_iters must be >= 1")
     loop0 = equipotential_loop(params.poly, n_angles)
-    torus = torus_seed(params, loop0, disk_degree)
+    torus = torus_seed(loop0, disk_degree)
     gaps, seps, scratch = np.empty(n_iters), np.empty(n_iters), []
     for i in range(n_iters):
         prev = torus  # frees the level before last, so two tori are alive per call

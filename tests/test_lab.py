@@ -290,16 +290,15 @@ def test_cli_missing_output_directory_is_refused_before_computing(tmp_path, caps
     assert "nodir" in err and list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv,warnings", [
-    (["hyp-scan", "--t-list=0.05", "--res=1"], ["--res 1 clamped to 3"]),
-    (["connectivity-scan", "--t=0.1", "--res=2", "--angles=512", "--iters=13"],
-     ["--res 2 clamped to 3", "--angles 512 clamped to 256", "--iters 13 clamped to 12"]),
-    (["connectivity-scan", "--t=0.1", "--res=3", "--angles=256", "--iters=12"], []),
-])
-def test_cli_says_when_it_clamps_a_value(tmp_path, capsys, argv, warnings):
-    assert cli.main(argv + ["--pq=1/1", "--a=0.05", "--out", str(tmp_path / "x")]) == 0
-    err = capsys.readouterr().err
-    assert err.splitlines() == ["warning: " + w for w in warnings]
+@pytest.mark.parametrize("command", ["hyp-scan", "connectivity-scan"])
+@pytest.mark.parametrize("res", ["0", "-1"])
+def test_cli_scans_refuse_a_resolution_below_one(tmp_path, capsys, command, res):
+    argv = [command, "--pq=1/1", "--t=0.1", "--t-list=0.05", "--a=0.05", f"--res={res}",
+            "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("precondition error: --res")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("line", [
@@ -311,13 +310,21 @@ def test_cli_scans_default_to_sizes_they_need_not_clamp(tmp_path, capsys, line):
     assert capsys.readouterr().err == ""
 
 
-def test_cli_warns_when_it_clamps_a_config_value(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("iters=13\n")
-    argv = ["connectivity-scan", "--config", str(cfg), "--pq=1/1", "--t=0.1", "--a=0.05",
-            "--res=3", "--out", str(tmp_path / "x")]
+def test_cli_scan_sizes_above_their_defaults_run_as_given(tmp_path, capsys, monkeypatch):
+    # --angles 512 and --iters 13 are above the defaults, which were once caps
+    seen = {}
+    scan = cli.connectivity_scan
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "connectivity_scan", spy)
+    argv = ["connectivity-scan", "--pq=1/1", "--t=0.1", "--a=0.05", "--res=3",
+            "--angles=512", "--iters=13", "--out", str(tmp_path / "x")]
     assert cli.main(argv) == 0
-    assert capsys.readouterr().err.splitlines() == ["warning: --iters 13 clamped to 12"]
+    assert capsys.readouterr().err == ""
+    assert (seen["resolution"], seen["n_angles"], seen["n_iters"]) == (3, 512, 13)
 
 
 def test_cli_normal_form_checks_a_before_printing(tmp_path, capsys):

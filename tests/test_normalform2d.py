@@ -78,6 +78,18 @@ def test_conjugacy_residual(nf_q1, nf_q2):
         assert nf2.conjugacy_residual(P, nf) < 1e-8
 
 
+@pytest.mark.parametrize("pq,t", [((1, 1), 0.05), ((1, 2), -0.02), ((1, 3), 0.01), ((2, 5), 0.01)])
+@pytest.mark.parametrize("a", [0.1, 0.05 + 0.1j, 0.45])
+def test_steps_1_and_2_leave_the_low_rows_constant_in_y(pq, t, a):
+    # the rows x^1 .. x^{2q+1} of the first component carry no y after reduce,
+    # up to rounding on the scale of the largest coefficient (5.8e3 at 2/5, a = 0.45)
+    P = hn.make_params(pq, t, a)
+    nf = nf2.reduce(P)
+    N1 = nf.normal[0].coeffs
+    worst = max(np.max(np.abs(N1[k, 1 : nf.D + 1 - k])) for k in range(1, 2 * P.q + 2))
+    assert worst < 1e-12 * np.max(np.abs(N1))
+
+
 def test_change_is_horizontal_and_triangular(nf_q1):
     P, nf = nf_q1
     c1, c2 = nf.change

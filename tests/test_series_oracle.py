@@ -9,11 +9,18 @@ coefficient, a dominating series), whose largest intermediate bounds every
 product, partial sum and Horner accumulator of the float computation in any
 summation order.  Below 2^53 all of them are integers held exactly in
 doubles, so the float result must equal the oracle with ``==``.
+
+The closed-form shear inverse of ``poly1d.shear_pair`` is checked against
+the fixed-point passes G = x - v(y) G^k, run on the same dicts with
+Gaussian-rational coefficients (pairs of Fractions).
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from henonlab.poly1d import shear_pair
 from henonlab.series import TruncSeries1, TruncSeries2, compose1, compose2, invert1
 
 EXACT = 2**53
@@ -144,3 +151,32 @@ def test_invert1_matches_the_exact_oracle(D, unit):
     assert bound([f], g, {}, D) < EXACT
     got = invert1(TruncSeries1(to_array(f, D, 1), D=D))
     assert np.array_equal(got.coeffs, to_array(g, D, 1))
+
+
+def shear_inverse_by_passes(v, k, D):
+    """The inverse G of x + v(y) x^k from G = x by the passes G = x - v G^k;
+    after n passes G is exact through degree (n+1)(k-1)."""
+    x = {(1, 0): (Fraction(1), Fraction(0))}
+    G, exact = x, k - 1
+    while exact < D:
+        Gk = G
+        for _ in range(k - 1):
+            Gk = mul(Gk, G, D)
+        G = add(x, {m: (-a, -b) for m, (a, b) in mul(v, Gk, D).items()})
+        exact += k - 1
+    return G
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("D", [7, 10, 14])
+@pytest.mark.parametrize("constant", [False, True])
+def test_shear_pair_matches_the_exact_fixed_point_passes(k, D, constant):
+    rng = np.random.default_rng(5000 + 100 * k + D)
+    # dyadic coefficients (a + ib) / 2^(j+1), |a|, |b| <= 3: exact in doubles
+    v = {(0, j): tuple(Fraction(int(c), 2 ** (j + 1)) for c in rng.integers(-3, 4, 2))
+         for j in range(1 if constant else D + 1)}
+    T, T_inv = shear_pair(TruncSeries1(to_array(v, D)[0, :], D=D), k)
+    want_T = add({(1, 0): (1, 0)}, mul(v, {(k, 0): (1, 0)}, D))
+    assert np.array_equal(T, to_array(want_T, D))
+    want = to_array(shear_inverse_by_passes(v, k, D), D)
+    assert np.max(np.abs(T_inv - want)) <= 1e-14 * np.max(np.abs(want))

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import convolve2d
 
+from henonlab.poly1d import shear_pair
 from henonlab.series import (
     TruncSeries1,
     TruncSeries2,
@@ -155,6 +156,21 @@ def test_reciprocal1_is_the_multiplicative_inverse(D, seed):
     f = jet1(rng, D)
     f = TruncSeries1(np.append(1.0 + 0.3 * f.coeffs[0], f.coeffs[1:]), D=D)
     assert maxdiff(f * reciprocal1(f), TruncSeries1.constant(1.0, D)) < 1e-12
+
+
+@PROPS
+@given(st.integers(min_value=2, max_value=14), st.integers(min_value=2, max_value=14), seeds)
+def test_shear_pair_round_trips(D, k, seed):
+    # the inverse of x + v x^k converges for |x|^(k-1) < (k-1)^(k-1) / (k^k |v|):
+    # v is scaled down so that the coefficients of the inverse stay of order one
+    k = min(k, D)
+    rng = np.random.default_rng(seed)
+    v = 0.2 * jet1(rng, D)
+    y = TruncSeries2.var_y(D)
+    T, T_inv = ((TruncSeries2(c, D=D), y) for c in shear_pair(v, k))
+    ident = (TruncSeries2.var_x(D), y)
+    for pair in (compose2(T, T_inv), compose2(T_inv, T)):
+        assert max(maxdiff(a, b) for a, b in zip(pair, ident)) < 1e-13
 
 
 def _horner_from_zero(coeffs, x, out=None):

@@ -20,24 +20,15 @@ def fixed_q1():
 
 def test_seed_square_family():
     # c=0: the level-log(sqrt R) equipotential is the radius-2 circle
-    loop = p1.equipotential_loop(SQUARE, 64)
-    P = hn.make_params((1, 1), 0.1, 0.05)  # params only carry the interface here
-    T = tor.torus_seed(P, loop)
+    T = tor.torus_seed(p1.equipotential_loop(SQUARE, 64))
     assert np.max(np.abs(np.abs(T.centers) - 2.0)) < 1e-12
     assert np.max(np.abs(T.coeffs[:, 1:])) == 0.0
     assert T.level == 0
 
 
-def test_seed_angle_mismatch():
-    loop = p1.equipotential_loop(SQUARE, 64)
-    P = hn.make_params((1, 1), 0.1, 0.05)
-    with pytest.raises(PreconditionError, match="n_angles"):
-        tor.torus_seed(P, loop, n_angles=128)
-
-
 def test_graph_transform_defining_residual():
     P = hn.make_params((1, 1), 0.1, 0.05)
-    T0 = tor.torus_seed(P, p1.equipotential_loop(P.poly, 256))
+    T0 = tor.torus_seed(p1.equipotential_loop(P.poly, 256))
     T1 = tor.graph_transform(P, T0)
     # H of the new fiber lands on the input fiber over the doubled angle,
     # for both halves of the two-to-one angle structure
@@ -93,7 +84,7 @@ def _full_array_graph_transform(params, torus, max_newton=50):
 def _iterate(transform, params, n_iters, n_angles):
     """(tori, gaps, separations) of n_iters transform steps from the seed
     torus, or the level and message of the NumericalError that stopped them."""
-    torus = tor.torus_seed(params, p1.equipotential_loop(params.poly, n_angles))
+    torus = tor.torus_seed(p1.equipotential_loop(params.poly, n_angles))
     tori, gaps, seps = [torus], [], []
     for level in range(1, n_iters + 1):
         try:
@@ -175,7 +166,7 @@ def _solved_angles(monkeypatch, params, torus):
 def test_graph_transform_solves_half_the_fibers_only_on_the_mirror_axes(
         monkeypatch, pq, t, a, mirrored):
     P = hn.make_params(pq, t, a)
-    T = tor.torus_seed(P, p1.equipotential_loop(P.poly, 256))
+    T = tor.torus_seed(p1.equipotential_loop(P.poly, 256))
     for _ in range(3):
         width, T = _solved_angles(monkeypatch, P, T)
         assert width == (129 if mirrored else 256)
@@ -214,7 +205,7 @@ def test_fixed_point_keeps_newton_buffers_without_changing_a_bit():
     # graph_transform calls, each with fresh arrays, gives the same bits
     P = hn.make_params((1, 2), 0.1, 0.15)
     res = tor.torus_fixed_point(P, 8, 256)
-    T = tor.torus_seed(P, p1.equipotential_loop(P.poly, 256))
+    T = tor.torus_seed(p1.equipotential_loop(P.poly, 256))
     for _ in range(8):
         T = tor.graph_transform(P, T)
     assert np.array_equal(res.torus.samples, T.samples)
@@ -222,7 +213,7 @@ def test_fixed_point_keeps_newton_buffers_without_changing_a_bit():
 
 def test_torus_samples_warm_start_the_next_level():
     P = hn.make_params((1, 1), 0.1, 0.05)
-    T0 = tor.torus_seed(P, p1.equipotential_loop(P.poly, 256))
+    T0 = tor.torus_seed(p1.equipotential_loop(P.poly, 256))
     T1 = tor.graph_transform(P, T0)
     assert T0.samples is None
     assert T1.samples.shape == (256, 16) and not T1.samples.flags.writeable
@@ -243,7 +234,7 @@ def _stall_messages(a, level, max_newton):
     """The stall messages of the reference and of graph_transform on the
     level-``level`` torus at q=2, t=0.1."""
     P = hn.make_params((1, 2), 0.1, a)
-    T = tor.torus_seed(P, p1.equipotential_loop(P.poly, 256))
+    T = tor.torus_seed(p1.equipotential_loop(P.poly, 256))
     for _ in range(level):
         T = tor.graph_transform(P, T)
     with pytest.raises(NumericalError) as expected:
@@ -278,7 +269,7 @@ def test_newton_retires_samples_that_solve_their_equation_to_rounding(q, levels,
     # the samples at level L solve x^2 + c + a z = phi_{2s}(a x) for the torus
     # of level L - 1 within 8 ulps of the largest term, mirrored fibers included
     P = hn.make_params((1, q), 0.1, a)
-    T = tor.torus_seed(P, p1.equipotential_loop(P.poly, 64))
+    T = tor.torus_seed(p1.equipotential_loop(P.poly, 64))
     for _ in range(levels):
         prev, T = T, tor.graph_transform(P, T)
     x, z = T.samples, T.nodes()[None, :]
@@ -345,7 +336,7 @@ def test_torus_of_conjugate_a_is_not_the_mirror_image_at_q3():
 
 def test_solid_tori_compare_by_identity():
     P = hn.make_params((1, 1), 0.1, 0.05)
-    T = tor.torus_seed(P, p1.equipotential_loop(P.poly, 64))
+    T = tor.torus_seed(p1.equipotential_loop(P.poly, 64))
     copy = tor.SolidTorus(coeffs=T.coeffs, level=T.level)
     assert T == T
     assert T != copy
@@ -353,7 +344,7 @@ def test_solid_tori_compare_by_identity():
 
 def test_graph_transform_requires_a():
     P = hn.make_params((1, 1), 0.1, 0.0)
-    T0 = tor.torus_seed(P, p1.equipotential_loop(P.poly, 128))
+    T0 = tor.torus_seed(p1.equipotential_loop(P.poly, 128))
     with pytest.raises(PreconditionError):
         tor.graph_transform(P, T0)
 
@@ -367,7 +358,7 @@ def test_fibers_follow_polynomial_pullback_as_a_shrinks():
     for a in avals:
         P = hn.make_params((1, 1), 0.1, a)
         loop = p1.equipotential_loop(P.poly, 256)
-        T1 = tor.graph_transform(P, tor.torus_seed(P, loop))
+        T1 = tor.graph_transform(P, tor.torus_seed(loop))
         pb = p1.pullback_loop(P.poly, loop)
         sup_diffs.append(np.max(np.abs(T1.node_values() - pb.values[:, None])))
         center_diffs.append(np.max(np.abs(T1.centers - pb.values)))
@@ -444,7 +435,7 @@ def test_semiconjugacy_residual_and_negative_control(fixed_q1):
     resid = tor.semiconjugacy_residual(P, res.torus)
     rho = res.gaps[-1] / res.gaps[-2]
     assert resid < 2 * res.final_gap * rho / (1 - rho)
-    seed = tor.torus_seed(P, p1.equipotential_loop(P.poly, res.torus.n_angles))
+    seed = tor.torus_seed(p1.equipotential_loop(P.poly, res.torus.n_angles))
     assert tor.semiconjugacy_residual(P, seed) > 1e3 * resid
 
 
