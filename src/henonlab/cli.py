@@ -195,6 +195,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"precondition error: the input is too large to allocate: {exc}", file=sys.stderr)
+        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -230,13 +230,6 @@ def jplus_slice(params: HenonParams, window, resolution: int, max_iter: int,
     return EscapeGrid(xs=xs, ys=ys, times=times, y_slice=complex(y_slice), boundary=cloud)
 
 
-def iterate(params: HenonParams, point, n: int):
-    pt = point
-    for _ in range(n):
-        pt = henon(params, pt)
-    return pt
-
-
 def attracting_cycle(params: HenonParams, tol: float = 1e-12, max_newton: int = 50):
     """Newton-polished attracting q-cycle for t > 0, as an array of q points.
 

@@ -8,14 +8,23 @@ The change of coordinates maps {y = const} to {y = const} exactly; the
 price is h(0,0) = O(a) rather than 0, which is what every estimate
 downstream actually consumes.
 
-Every move T of the reduction is an elementary triangular change of
-coordinates whose inverse is known in closed form: (x + w(y), y) undoes the
-straightening (x - w(y), y); (x, psi^{-1}(y)) undoes the Koenigs move, with
-psi^{-1} from ``invert1``; (x / u(y), y) undoes (u(y) x, y) through a
-reciprocal series; (x / A, y) undoes the rescaling; and ``poly1d.shear_pair``
-gives the shear (x + v(y) x^k, y) with its inverse.  ``reduce`` conjugates by
-each pair (T, T^{-1}) and accumulates ``change`` and ``change_inv`` side by
-side, so the generic ``invert2`` is never needed.
+``reduce`` conjugates H once per group of moves whose coefficients it can
+find before conjugating.  It accumulates ``change`` and ``change_inv`` side
+by side from each group and its inverse, known in closed form up to the
+one-variable ``invert1`` of psi, so the generic ``invert2`` is never needed.
+The groups:
+
+- straightening and Koenigs move together, (x - w(y), psi(y)), undone by
+  (x + w(psi^{-1}(y)), psi^{-1}(y)): psi linearizes a w(y), the second
+  component on {x = 0} once W^ss is straightened;
+- step 1, (u(y) x, y), undone by (x / u(y), y) through a reciprocal series;
+- each shear of step 2, (x + v(y) x^k, y) with its inverse from
+  ``poly1d.shear_pair``.  These stay one per k: v_k reads a_k(y) after the
+  earlier shears, which reach it through the x h term of the second
+  component;
+- all of step 3.  Its moves touch x alone, so on {y = 0} they conjugate the
+  column H1(x, 0), where ``poly1d.eliminate_constants`` finds them and their
+  inverses in one variable.
 """
 
 from __future__ import annotations
@@ -91,12 +100,6 @@ def _koenigs(rho: TruncSeries1, nu: complex) -> TruncSeries1:
     return TruncSeries1(psi, D=D)
 
 
-def _shear(v: TruncSeries1, k: int):
-    """The move (x + v(y) x^k, y) and its inverse, from ``shear_pair``."""
-    y = TruncSeries2.var_y(v.D)
-    return tuple((TruncSeries2(c), y) for c in shear_pair(v, k))
-
-
 @dataclass(frozen=True)
 class NormalForm2D:
     params: HenonParams
@@ -145,17 +148,15 @@ def reduce(params: HenonParams, D: int | None = None) -> NormalForm2D:
         change = compose2(T, change)
         change_inv = compose2(change_inv, T_inv)
 
-    # straighten W^ss to {x = 0}
+    # straighten W^ss to {x = 0} and linearize along it, as one move; below
+    # the threshold the nonlinear part of a w is O(|a|^3), far under any tolerance
     w = wss_graph(params, D)
-    w2 = series1_to_2(w, "y")
-    apply((var_x - w2, var_y), (var_x + w2, var_y))
-
-    # linearize along the straightened manifold; below the threshold the
-    # nonlinear part of the restriction is O(|a|^3), far under any tolerance
+    psi = psi_inv = TruncSeries1.identity(D)
     if abs(nu) >= 1e-8:
-        rho = TruncSeries1(H[1].coeffs[0, :].copy(), D=D)
-        psi = _koenigs(rho, nu)
-        apply((var_x, series1_to_2(psi, "y")), (var_x, series1_to_2(invert1(psi), "y")))
+        psi = _koenigs(params.a * w, nu)
+        psi_inv = invert1(psi)
+    apply((var_x - series1_to_2(w, "y"), series1_to_2(psi, "y")),
+          (var_x + series1_to_2(compose1(w, psi_inv), "y"), series1_to_2(psi_inv, "y")))
 
     # step 1: x-linear coefficient a1(y) -> constant lambda by (u(y) x, y),
     # u(y) = b1(y) u(nu y) with b1 = a1/lambda; no divisor here or in step 2
@@ -178,13 +179,13 @@ def reduce(params: HenonParams, D: int | None = None) -> NormalForm2D:
             continue
         m = np.arange(1, D + 1)
         v = np.append(0.0, a_k[1:] / (lam * (1.0 - nu**m * lam ** (k - 1))))
-        apply(*_shear(TruncSeries1(v, D=D), k))
+        T, T_inv = (TruncSeries2(c) for c in shear_pair(TruncSeries1(v, D=D), k))
+        apply((T, var_y), (T_inv, var_y))
 
-    # step 3: eliminate non-resonant constants; normalize the (q+1)-slot
-    A = eliminate_constants(
-        lam, q, lambda k: H[0].coeff(k, 0),
-        lambda s: apply((s * var_x, var_y), ((1.0 / s) * var_x, var_y)),
-        lambda k, b: apply(*_shear(TruncSeries1.constant(b, D), k)))
+    # step 3: eliminate non-resonant constants and normalize the (q+1)-slot
+    # on the column H1(x, 0), then conjugate by all of its moves at once
+    tau, tau_inv, _, A = eliminate_constants(TruncSeries1(H[0].coeffs[:, 0]), lam, q)
+    apply((series1_to_2(tau), var_y), (series1_to_2(tau_inv), var_y))
 
     C_at = H[0].coeff(2 * q + 1, 0) / lam
     return NormalForm2D(

@@ -91,9 +91,6 @@ class LoopSample:
     def N(self):
         return len(self.values)
 
-    def angles(self):
-        return np.arange(self.N) / self.N
-
 
 def green(params: PolyParams, z, iters: int = 60):
     """Green function estimate 2^{-n} log|p^n(z)|; 0 on the non-escaping set.
@@ -241,46 +238,40 @@ def normal_form_1d(params: PolyParams, D: int | None = None):
         D = 2 * q + 4
     if D < 2 * q + 2:
         raise PreconditionError("truncation order must be at least 2q+2")
-    lam = params.lam
-    f = recentered_map(params, D)
-    change = TruncSeries1.identity(D)
-
-    def conjugate(T, T_inv):
-        nonlocal f, change
-        f = compose1(compose1(T, f), T_inv)
-        change = compose1(T, change)
-
-    def shear(k, b):
-        T, T_inv = shear_pair(TruncSeries1.constant(b, D), k)
-        conjugate(TruncSeries1(T[:, 0]), TruncSeries1(T_inv[:, 0]))
-
-    eliminate_constants(lam, q, lambda k: f.coeffs[k],
-                        lambda A: conjugate(TruncSeries1([0.0, A], D=D),
-                                            TruncSeries1([0.0, 1.0 / A], D=D)), shear)
-    C_t = f.coeffs[2 * q + 1] / lam
-    return change, f, complex(C_t)
+    change, _, normal, _ = eliminate_constants(recentered_map(params, D), params.lam, q)
+    return change, normal, complex(normal.coeffs[2 * q + 1] / params.lam)
 
 
-def eliminate_constants(lam, q: int, coeff, rescale, shear) -> complex:
-    """The constant-coefficient step shared by the 1-D and 2-D normal forms.
+def eliminate_constants(f: TruncSeries1, lam, q: int):
+    """The constant-coefficient step of the 1-D and 2-D normal forms, on a
+    jet f = lam x + ...
 
-    For k = 2..2q+1, a_k = coeff(k) read after the earlier moves: slot q+1 is
-    made lam by rescale(A), A = (a_k/lam)^(1/q); the other k = 1 mod q are
-    resonant and stay (2q+1 carries C); any other a_k is removed by
-    shear(k, b), the conjugation by x + b x^k, b = a_k/(lam - lam^k), refused
-    when |lam - lam^k| < 1e-8.  Returns A."""
+    For k = 2..2q+1, a_k is read after the earlier moves: slot q+1 is made
+    lam by the rescaling A x, A = (a_k/lam)^(1/q); the other k = 1 mod q are
+    resonant and stay (2q+1 carries lam C); any other a_k is removed by the
+    shear x + b x^k, b = a_k/(lam - lam^k), refused when |lam - lam^k| < 1e-8.
+    Returns (change, change_inv, normal, A), with
+    change o f o change_inv = normal through D."""
+    D = f.D
+    change = change_inv = TruncSeries1.identity(D)
     A = 1.0 + 0.0j
     for k in range(2, 2 * q + 2):
-        a_k = coeff(k)
+        a_k = f.coeffs[k]
         if k == q + 1:
             A = (a_k / lam) ** (1.0 / q)
-            rescale(A)
+            T, T_inv = TruncSeries1([0.0, A], D=D), TruncSeries1([0.0, 1.0 / A], D=D)
         elif k % q != 1 % q:
             denom = lam - lam**k
             if abs(denom) < 1e-8:
                 raise NumericalError(f"resonance too close: |lam - lam^{k}| = {abs(denom):.2e}")
-            shear(k, a_k / denom)
-    return A
+            pair = shear_pair(TruncSeries1.constant(a_k / denom, D), k)
+            T, T_inv = (TruncSeries1(c[:, 0]) for c in pair)
+        else:
+            continue
+        f = compose1(compose1(T, f), T_inv)
+        change = compose1(T, change)
+        change_inv = compose1(change_inv, T_inv)
+    return change, change_inv, f, A
 
 
 def shear_pair(v: TruncSeries1, k: int):

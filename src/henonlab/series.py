@@ -48,10 +48,6 @@ class TruncSeries1:
         self.D = D
 
     @classmethod
-    def zero(cls, D):
-        return cls([], D=D)
-
-    @classmethod
     def identity(cls, D):
         """The series x."""
         return cls([0.0, 1.0], D=D)

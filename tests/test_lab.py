@@ -301,6 +301,18 @@ def test_cli_scans_refuse_a_resolution_below_one(tmp_path, capsys, command, res)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["hyp-scan", "connectivity-scan"])
+def test_cli_scans_refuse_a_resolution_too_large_to_allocate(tmp_path, capsys, command):
+    # 2^58 grid points need 2 EiB per array, refused at once on any host
+    argv = [command, "--pq=1/1", "--t=0.1", "--t-list=0.05", "--a=0.05", f"--res={2**58}",
+            "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("precondition error: the input is too large to allocate: Unable to allocate")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("line", [
     "connectivity-scan --pq 1/2 --t 0.1 --a 0.2 --res 9",  # the README line
     "hyp-scan --pq 1/1 --t-list 0.0,0.05,0.1 --a 0.05",    # the README line without --res

@@ -7,7 +7,7 @@ import henonlab.henon as hn
 from henonlab import normalform2d as nf2
 from henonlab import poly1d as p1
 from henonlab.errors import PreconditionError
-from henonlab.series import invert2
+from henonlab.series import compose2, invert2
 
 
 @pytest.fixture(scope="module")
@@ -63,14 +63,33 @@ def test_normal_form_shape(nf_q1):
     assert abs(N2.coeff(1, 0)) < 2 * abs(P.a)
 
 
-def test_normal_form_kill_list_q2(nf_q2):
-    P, nf = nf_q2
-    N1 = nf.normal[0]
-    # q=2: x^2 and x^4 die, x^3 carries lam, x^5 carries lam C
-    assert abs(N1.coeff(2, 0)) < 1e-9
-    assert abs(N1.coeff(4, 0)) < 1e-9
-    assert abs(N1.coeff(3, 0) - P.lam) < 1e-9
-    assert abs(N1.coeff(5, 0) - P.lam * nf.C_at) < 1e-12
+@pytest.mark.parametrize("pq,t,D", [((1, 2), -0.02, 10), ((1, 3), 0.01, 14), ((2, 5), 0.01, 14)])
+def test_normal_form_kill_list_q2(pq, t, D):
+    # at y = 0 the non-resonant x^k, 2 <= k <= 2q+1, die; x^{q+1} carries lam
+    # and x^{2q+1} carries lam C
+    P = hn.make_params(pq, t, 0.05)
+    nf = nf2.reduce(P, D=D)
+    N1, q = nf.normal[0], P.q
+    for k in range(2, 2 * q + 1):
+        if k != q + 1:
+            assert abs(N1.coeff(k, 0)) < 1e-9
+    assert abs(N1.coeff(q + 1, 0) - P.lam) < 1e-9
+    assert abs(N1.coeff(2 * q + 1, 0) - P.lam * nf.C_at) < 1e-12
+
+
+@pytest.mark.parametrize("pq,most", [((1, 3), 36), ((2, 5), 52)])
+def test_reduce_conjugates_once_per_move_group(monkeypatch, pq, most):
+    # four compositions per group: straightening with Koenigs, step 1, one
+    # shear per k of step 2, and all of step 3
+    calls = []
+
+    def counted(outer, inner):
+        calls.append(1)
+        return compose2(outer, inner)
+
+    monkeypatch.setattr(nf2, "compose2", counted)
+    nf2.reduce(hn.make_params(pq, 0.01, 0.05), D=14)
+    assert len(calls) <= most
 
 
 def test_conjugacy_residual(nf_q1, nf_q2):
