@@ -70,16 +70,18 @@ def build_parser():
     return ap
 
 
-# Each scan's defaults for the RunConfig sizes: RunConfig's own
-# res/angles/iters defaults belong to continuity and torus-iterate.
-SCAN_DEFAULTS = {
+# Per-command defaults for the RunConfig sizes: RunConfig's own res/angles/iters
+# defaults belong to continuity and torus-iterate.  petal-check runs its orbits
+# 500 steps: 40 leave the README line's samples up to 5.8e-2 from the cycle.
+COMMAND_DEFAULTS = {
+    "petal-check": {"iters": 500},
     "hyp-scan": {"res": 9},
     "connectivity-scan": {"res": 16, "angles": 256, "iters": 12},
 }
 
 
 def config_from_args(args) -> RunConfig:
-    defaults = SCAN_DEFAULTS.get(args.subcommand, {})
+    defaults = COMMAND_DEFAULTS.get(args.subcommand, {})
     cfg = RunConfig.from_file(args.config, **defaults) if args.config else RunConfig(**defaults)
     cfg.subcommand = args.subcommand
     for name in ("pq", "t", "angles", "degree", "iters", "res", "depth",
@@ -111,8 +113,10 @@ def run(cfg: RunConfig) -> int:
     out_dir = os.path.dirname(out)
     if out_dir and not os.path.isdir(out_dir):
         raise PreconditionError(f"output directory {out_dir!r} of --out does not exist")
-    if cfg.subcommand in SCAN_DEFAULTS and cfg.res < 1:
+    if cfg.subcommand in ("hyp-scan", "connectivity-scan") and cfg.res < 1:
         raise PreconditionError(f"--res must be at least 1, got {cfg.res}")
+    if cfg.seed < 0:
+        raise PreconditionError(f"--seed must be >= 0, got {cfg.seed}")
     if cfg.subcommand == "caratheodory":
         res = caratheodory(poly_params(cfg.p_over_q, cfg.t), cfg.angles, cfg.iters)
         n = res.loop.N

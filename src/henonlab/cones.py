@@ -16,15 +16,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .henon import FILTRATION_RADIUS, HenonParams, henon
+from .henon import FILTRATION_RADIUS, HenonParams, henon, make_params, uniform_disk
 from .normalform2d import NormalForm2D, reduce
 from .poly1d import (
     BASE_RADIUS,
-    EPS0,
     EPS1,
     caratheodory,
     equipotential_loop,
     green,
+    in_repelling_sector,
     repelling_inner_radius,
 )
 
@@ -54,16 +54,6 @@ def expansion_estimate_margin(q: int, t: float, xq_abs):
     return lhs - rhs
 
 
-def in_repelling_sector(params, x, rho: float = 0.15):
-    """Sector membership in normalized coordinates (annular for t < 0)."""
-    x = np.asarray(x, dtype=complex)
-    w = x**params.q
-    ok = (w.real > EPS0 * np.abs(w.imag)) & (np.abs(w) < rho**params.q)
-    if params.t < 0:
-        ok &= np.abs(w) > repelling_inner_radius(params)
-    return ok
-
-
 def sector_samples(params: HenonParams, n: int, rho: float = 0.15,
                    r_loc: float = 0.1, seed: int = 0) -> np.ndarray:
     """n normalized-coordinate points of W^- = sector x D_{r_loc}."""
@@ -80,9 +70,9 @@ def sector_samples(params: HenonParams, n: int, rho: float = 0.15,
     got = 0
     while got < n:
         m = 4 * (n - got) + 32
-        x = rho * np.sqrt(rng.uniform(0, 1, m)) * np.exp(2j * math.pi * rng.uniform(0, 1, m))
+        x = uniform_disk(rng, rho, m)
         x = x[in_repelling_sector(params, x, rho)][: n - got]
-        z = r_loc * np.sqrt(rng.uniform(0, 1, len(x))) * np.exp(2j * math.pi * rng.uniform(0, 1, len(x)))
+        z = uniform_disk(rng, r_loc, len(x))
         out[got : got + len(x), 0] = x
         out[got : got + len(x), 1] = z
         got += len(x)
@@ -150,7 +140,6 @@ def local_cone_check(params: HenonParams, nf: NormalForm2D, sample_grid,
     # vertical cones, backward from the image point
     x1 = N1(x, y)
     det = J11 * J22 - J12 * J21
-    failures = []
     if float(np.min(np.abs(det))) < 1e-13:
         v_invariant = np.ones_like(h_invariant)
         worst_v = VERTICAL_SENTINEL
@@ -301,8 +290,8 @@ def global_cone_check(params: HenonParams, v_spec: VSpec | None = None,
     alpha = params.poly.alpha
     while len(xs) < sample_count:
         m = 4 * (sample_count - len(xs)) + 64
-        x = 2.5 * np.sqrt(rng.uniform(0, 1, m)) * np.exp(2j * math.pi * rng.uniform(0, 1, m))
-        y = vs.r * np.sqrt(rng.uniform(0, 1, m)) * np.exp(2j * math.pi * rng.uniform(0, 1, m))
+        x = uniform_disk(rng, 2.5, m)
+        y = uniform_disk(rng, vs.r, m)
         keep = in_V(params, nf, vs, x, y, j_tree) & (np.abs(x - alpha) > vs.rho_prime)
         if not len(xs) and not keep.any():
             raise PreconditionError(f"no sample of V - B among {m} draws: {vs} leaves it empty")
@@ -361,14 +350,11 @@ def global_cone_check(params: HenonParams, v_spec: VSpec | None = None,
         cy = np.zeros_like(cx) - params.a * params.x_q
         d1x, d1y = c1.partial_x()(cx, cy), c1.partial_y()(cx, cy)
         d2x, d2y = c2.partial_x()(cx, cy), c2.partial_y()(cx, cy)
-        xin = tau_nest
         xn = nf.to_normalized(nest_x, np.zeros_like(nest_x))[0]
-        ratios = []
-        for ph in _direction_frame():
-            xi_t = d1x * xin * ph + d1y
-            eta_t = d2x * xin * ph + d2y
-            ratios.append(np.abs(xi_t) / (np.abs(xn) ** (2 * params.q) * np.abs(eta_t)))
-        nest_ratio = float(np.max(ratios))
+        ph = _direction_frame()[:, None]  # one row per direction
+        xi_t = d1x * tau_nest * ph + d1y
+        eta_t = d2x * tau_nest * ph + d2y
+        nest_ratio = float(np.max(np.abs(xi_t) / (np.abs(xn) ** (2 * params.q) * np.abs(eta_t))))
 
     vertical_floor = 0.95 / abs(a)
     return ConeReport(
@@ -408,26 +394,21 @@ def hyperbolicity_scan(p_over_q, t_values, a_values, local_samples: int = 400,
                        seed: int = 0) -> list:
     """PASS/MARGINAL/FAIL verdict per (t, a) cell from the local cone check
     plus the global vertical floor; a = 0 and out-of-range cells are EXCLUDED."""
-    from .henon import make_params
-
     cells = []
     for t in t_values:
         for a in a_values:
-            if a == 0:
-                cells.append(ScanCell(t=float(t), a=float(a), verdict="EXCLUDED",
-                                      worst_h=float("nan"), worst_v=float("nan")))
-                continue
+            verdict, worst_h, worst_v = "EXCLUDED", float("nan"), float("nan")
             try:
-                params = make_params(p_over_q, float(t), complex(a))
-                nf = reduce(params)
-                rep = local_cone_check(params, nf, sector_samples(params, local_samples, seed=seed))
+                if a != 0:
+                    params = make_params(p_over_q, float(t), complex(a))
+                    rep = local_cone_check(params, reduce(params),
+                                           sector_samples(params, local_samples, seed=seed))
+                    # at t = 0 the expansion margin decays to zero toward W^ss, so
+                    # a sampled PASS is never uniform: report MARGINAL instead
+                    verdict = "MARGINAL" if t == 0 and rep.verdict == "PASS" else rep.verdict
+                    worst_h, worst_v = rep.worst_h_expansion, rep.worst_v_expansion
             except (PreconditionError, NumericalError):
-                cells.append(ScanCell(t=float(t), a=float(a), verdict="EXCLUDED",
-                                      worst_h=float("nan"), worst_v=float("nan")))
-                continue
-            # at t = 0 the expansion margin decays to zero toward W^ss, so a
-            # sampled PASS is never uniform: report MARGINAL instead
-            verdict = "MARGINAL" if t == 0 and rep.verdict == "PASS" else rep.verdict
+                pass
             cells.append(ScanCell(t=float(t), a=float(a), verdict=verdict,
-                                  worst_h=rep.worst_h_expansion, worst_v=rep.worst_v_expansion))
+                                  worst_h=worst_h, worst_v=worst_v))
     return cells

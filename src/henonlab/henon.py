@@ -87,6 +87,11 @@ def fixed_point_eigenvalues(params: HenonParams):
     return (mu1, mu2) if abs(mu1) >= abs(mu2) else (mu2, mu1)
 
 
+def uniform_disk(rng, radius: float, m: int) -> np.ndarray:
+    """m points uniform on the disk |z| < radius; the radii are drawn first."""
+    return radius * np.sqrt(rng.uniform(0, 1, m)) * np.exp(2j * math.pi * rng.uniform(0, 1, m))
+
+
 def in_vplus(x, y, r=FILTRATION_RADIUS):
     return np.abs(x) >= np.maximum(np.abs(y), r)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .henon import HenonParams, attracting_cycle, henon
+from .henon import HenonParams, attracting_cycle, henon, uniform_disk
 from .poly1d import eliminate_constants, repelling_inner_radius, shear_pair
 from .series import (
     TruncSeries1,
@@ -245,9 +245,7 @@ def sample_petal(rng, n: int, q: int, R: float):
         centers = (-1.0 + 1j * sign) / (2.0 * R)
         radii = np.sqrt(rng.uniform(0, 1, size=m)) / (math.sqrt(2.0) * R)
         w = centers + radii * np.exp(2j * math.pi * rng.uniform(0, 1, size=m))
-        ok = ((w.real + 0.5 / R) ** 2 + (np.abs(w.imag) - 0.5 / R) ** 2 < 0.5 / R**2)
-        ok &= np.abs(w) > 1e-3 / R  # keep clear of the fixed point itself
-        w = w[ok][: n - got]
+        w = w[in_petal(w, 1, R) & (np.abs(w) > 1e-3 / R)][: n - got]  # clear of the fixed point
         ang = np.mod(np.angle(w), 2.0 * math.pi)
         xs[got : got + len(w)] = np.abs(w) ** (1.0 / q) * np.exp(
             1j * (ang + 2.0 * math.pi * js[got : got + len(w)]) / q
@@ -286,11 +284,15 @@ def petal_check(params: HenonParams, nf: NormalForm2D, samples: int = 1000,
     """
     if samples < 10:
         raise PreconditionError("sample count too small to mean anything")
+    if steps < 0:
+        raise PreconditionError(f"trapping steps (--iters) must be >= 0, got {steps}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise PreconditionError(f"trapping tolerance (--tol) must be positive and finite, got {tol}")
     rng = np.random.default_rng(seed)
     q, t = params.q, params.t
     R = petal_scale(q, t, rho)
     xs, js = sample_petal(rng, samples, q, R)
-    zs = r_loc * np.sqrt(rng.uniform(0, 1, samples)) * np.exp(2j * math.pi * rng.uniform(0, 1, samples))
+    zs = uniform_disk(rng, r_loc, samples)
 
     Px, Py = nf.from_normalized(xs, zs)
     Qx, Qy = henon(params, (Px, Py))
@@ -310,9 +312,8 @@ def petal_check(params: HenonParams, nf: NormalForm2D, samples: int = 1000,
             target = f"attracting {q}-cycle"
             Ax, Ay = Px.copy(), Py.copy()
         else:
-            rt = repelling_inner_radius(params)
             target = "fixed point"
-            ax = rt ** (1.0 / q) * np.sqrt(rng.uniform(0, 1, samples)) * np.exp(2j * math.pi * rng.uniform(0, 1, samples))
+            ax = uniform_disk(rng, repelling_inner_radius(params) ** (1.0 / q), samples)
             Ax, Ay = nf.from_normalized(ax, zs)
             cycle = np.array([[params.q_fixed[0], params.q_fixed[1]]], dtype=complex)
         start = np.column_stack([Ax, Ay])

@@ -305,13 +305,18 @@ def repelling_inner_radius(params: PolyParams) -> float:
     return abs(params.t) / ((params.q + 1.0 / 3.0) * EPS1)
 
 
+def in_repelling_sector(params, x, rho: float = 0.15):
+    """Sector membership in normalized coordinates (annular for t < 0)."""
+    x = np.asarray(x, dtype=complex)
+    w = x**params.q
+    ok = (w.real > EPS0 * np.abs(w.imag)) & (np.abs(w) < rho**params.q)
+    if params.t < 0:
+        ok &= np.abs(w) > repelling_inner_radius(params)
+    return ok
+
+
 def sector_1d(params: PolyParams, x: complex, rho: float = 0.15) -> str:
     """Classify a point of normalized coordinates: attracting/repelling/outside."""
     if abs(x) > rho:
         return "outside"
-    w = x**params.q
-    if w.real > EPS0 * abs(w.imag):
-        if params.t < 0 and abs(w) <= repelling_inner_radius(params):
-            return "attracting"
-        return "repelling"
-    return "attracting"
+    return "repelling" if in_repelling_sector(params, x, rho) else "attracting"

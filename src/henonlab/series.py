@@ -3,7 +3,10 @@
 All operations return new objects truncated to the shared order D; there is
 no silent degree growth.  One-variable series are plain coefficient vectors
 ``c[0..D]``; two-variable series are total-degree truncated, i.e. only
-coefficients with ``i + j <= D`` are carried.
+coefficients with ``i + j <= D`` are carried.  Both kinds share one base,
+``_Jet``, for their linear algebra: sums, differences, negation, scalar
+multiples and the coercion of a scalar to a constant jet.  Each kind keeps
+its own product ``__mul__`` and evaluation ``__call__``.
 
 Products are linear operators.  A gather table cached per D turns a jet u
 into the SxS matrix ``append(u[slots], 0)[table]`` of multiplication by u
@@ -30,10 +33,40 @@ from .errors import NumericalError, PreconditionError
 _JET_TOL = 1e-14
 
 
-class TruncSeries1:
-    """Polynomial jet sum c[k] x^k, k = 0..D, coefficients complex."""
+class _Jet:
+    """Coefficients ``coeffs`` truncated at order ``D``, with their linear algebra."""
 
     __slots__ = ("coeffs", "D")
+
+    def _coerce(self, v):
+        if isinstance(v, type(self)):
+            if v.D != self.D:
+                raise PreconditionError("mixed truncation orders")
+            return v
+        return self.constant(v, self.D)
+
+    def __add__(self, other):
+        return type(self)(self.coeffs + self._coerce(other).coeffs, D=self.D)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return type(self)(self.coeffs - self._coerce(other).coeffs, D=self.D)
+
+    def __neg__(self):
+        return type(self)(-self.coeffs, D=self.D)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def max_abs(self):
+        return float(np.max(np.abs(self.coeffs)))
+
+
+class TruncSeries1(_Jet):
+    """Polynomial jet sum c[k] x^k, k = 0..D, coefficients complex."""
+
+    __slots__ = ()
 
     def __init__(self, coeffs, D=None):
         c = np.asarray(coeffs, dtype=complex).ravel()
@@ -61,19 +94,6 @@ class TruncSeries1:
             raise PreconditionError("cannot truncate upward")
         return TruncSeries1(self.coeffs[: Dp + 1], D=Dp)
 
-    def __add__(self, other):
-        other = _coerce1(other, self.D)
-        return TruncSeries1(self.coeffs + other.coeffs, D=self.D)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce1(other, self.D)
-        return TruncSeries1(self.coeffs - other.coeffs, D=self.D)
-
-    def __neg__(self):
-        return TruncSeries1(-self.coeffs, D=self.D)
-
     def __mul__(self, other):
         if np.isscalar(other):
             return TruncSeries1(self.coeffs * other, D=self.D)
@@ -81,9 +101,6 @@ class TruncSeries1:
             raise PreconditionError("mixed truncation orders")
         prod = np.convolve(self.coeffs, other.coeffs)[: self.D + 1]
         return TruncSeries1(prod, D=self.D)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def deriv(self):
         c = self.coeffs
@@ -93,9 +110,6 @@ class TruncSeries1:
     def __call__(self, x):
         """Evaluate by Horner; x may be a scalar or ndarray."""
         return horner(self.coeffs, x)
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.coeffs)))
 
     def __repr__(self):
         return f"TruncSeries1(D={self.D}, coeffs={np.array2string(self.coeffs, precision=4)})"
@@ -113,14 +127,6 @@ def horner(coeffs, x, out=None):
         out *= x
         out += coeffs[..., m]
     return out[()]
-
-
-def _coerce1(v, D):
-    if isinstance(v, TruncSeries1):
-        if v.D != D:
-            raise PreconditionError("mixed truncation orders")
-        return v
-    return TruncSeries1.constant(v, D)
 
 
 def compose1(outer: TruncSeries1, inner: TruncSeries1) -> TruncSeries1:
@@ -194,10 +200,10 @@ def _simplex(D: int):
     return i, j, table
 
 
-class TruncSeries2:
+class TruncSeries2(_Jet):
     """Jet sum c[i,j] x^i y^j over the simplex i + j <= D."""
 
-    __slots__ = ("coeffs", "D")
+    __slots__ = ()
 
     def __init__(self, coeffs, D=None):
         c = np.asarray(coeffs, dtype=complex)
@@ -215,8 +221,8 @@ class TruncSeries2:
         self.D = D
 
     @classmethod
-    def zero(cls, D):
-        return cls(np.zeros((D + 1, D + 1), dtype=complex), D=D)
+    def constant(cls, value, D):
+        return cls.from_terms({(0, 0): value}, D)
 
     @classmethod
     def from_terms(cls, terms, D):
@@ -248,19 +254,6 @@ class TruncSeries2:
         c[_outside_simplex(Dp)] = 0.0
         return TruncSeries2(c, D=Dp)
 
-    def __add__(self, other):
-        other = _coerce2(other, self.D)
-        return TruncSeries2(self.coeffs + other.coeffs, D=self.D)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce2(other, self.D)
-        return TruncSeries2(self.coeffs - other.coeffs, D=self.D)
-
-    def __neg__(self):
-        return TruncSeries2(-self.coeffs, D=self.D)
-
     def __mul__(self, other):
         if np.isscalar(other):
             return TruncSeries2(self.coeffs * other, D=self.D)
@@ -271,9 +264,6 @@ class TruncSeries2:
         op = np.append(self.coeffs[i, j], 0.0)[table]
         c[i, j] = np.vecdot(other.coeffs[i, j].conj(), op)
         return TruncSeries2(c, D=self.D)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def partial_x(self):
         c = np.zeros_like(self.coeffs)
@@ -298,34 +288,22 @@ class TruncSeries2:
 
     def homogeneous_part(self, d):
         c = np.zeros_like(self.coeffs)
-        for i in range(d + 1):
-            if d - i <= self.D:
-                c[i, d - i] = self.coeffs[i, d - i]
+        i = np.arange(max(0, d - self.D), min(d, self.D) + 1)
+        c[i, d - i] = self.coeffs[i, d - i]
         return TruncSeries2(c, D=self.D)
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.coeffs)))
 
     def __repr__(self):
         return f"TruncSeries2(D={self.D})"
 
 
-def _coerce2(v, D):
-    if isinstance(v, TruncSeries2):
-        if v.D != D:
-            raise PreconditionError("mixed truncation orders")
-        return v
-    return TruncSeries2.from_terms({(0, 0): v}, D)
-
-
 def series1_to_2(f: TruncSeries1, variable="x") -> TruncSeries2:
-    """Lift a one-variable jet to two variables, in x or in y."""
-    D = f.D
-    terms = {}
-    for k, c in enumerate(f.coeffs):
-        if c != 0:
-            terms[(k, 0) if variable == "x" else (0, k)] = c
-    return TruncSeries2.from_terms(terms, D)
+    """Lift a one-variable jet to two variables, as column 0 (in x) or row 0 (in y)."""
+    c = np.zeros((f.D + 1, f.D + 1), dtype=complex)
+    if variable == "x":
+        c[:, 0] = f.coeffs
+    else:
+        c[0, :] = f.coeffs
+    return TruncSeries2(c, D=f.D)
 
 
 def compose2(outer, inner):

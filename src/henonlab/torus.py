@@ -16,7 +16,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .henon import FILTRATION_RADIUS, HenonParams, PointCloud, henon
+from .henon import FILTRATION_RADIUS, HenonParams, PointCloud, henon, uniform_disk
 from .poly1d import LoopSample, continue_branch, equipotential_loop
 from .series import horner
 
@@ -40,7 +40,6 @@ MIRROR_ULPS = 4
 class SolidTorus:
     coeffs: np.ndarray      # (n_angles, disk_degree+1) Taylor coefficients
     level: int              # iteration index
-    r: float = FILTRATION_RADIUS
     # (n_angles, 2 disk_degree) values at the nodes that the coefficients were
     # fitted to; set by graph_transform, whose next step starts Newton there
     samples: np.ndarray | None = field(default=None, repr=False)
@@ -72,7 +71,7 @@ class SolidTorus:
 
     def nodes(self):
         m = 2 * self.disk_degree
-        return NODE_FRACTION * self.r * np.exp(2j * math.pi * np.arange(m) / m)
+        return NODE_FRACTION * FILTRATION_RADIUS * np.exp(2j * math.pi * np.arange(m) / m)
 
     def eval(self, k, z):
         """phi at angle index k (array ok) and points z (broadcast)."""
@@ -84,7 +83,7 @@ class SolidTorus:
 
     @cached_property
     def _node_values(self):  # the coefficients are a truncated DFT on the nodes
-        scaled = self.coeffs * (NODE_FRACTION * self.r) ** np.arange(self.disk_degree + 1)
+        scaled = self.coeffs * (NODE_FRACTION * FILTRATION_RADIUS) ** np.arange(self.disk_degree + 1)
         vals = np.fft.ifft(scaled, n=2 * self.disk_degree, axis=1, norm="forward")
         vals.setflags(write=False)
         return vals
@@ -92,7 +91,7 @@ class SolidTorus:
     def max_slope(self):
         """Upper bound for sup |phi_s'| on the collocation circle."""
         m = np.arange(1, self.disk_degree + 1)
-        radii = (NODE_FRACTION * self.r) ** (m - 1)
+        radii = (NODE_FRACTION * FILTRATION_RADIUS) ** (m - 1)
         return float(np.max(np.sum(np.abs(self.coeffs[:, 1:]) * m * radii, axis=1)))
 
     def separation(self):
@@ -148,7 +147,7 @@ def graph_transform(params: HenonParams, torus: SolidTorus, max_newton: int = 50
     if not np.array_equal(seeds[n // 2:], -seeds[: n // 2]):
         raise NumericalError("resolution too coarse: fibers at s and s+1/2 took the same preimage")
     tcoeffs, seeds_h = torus.coeffs[doubled[:h]], seeds[:h]
-    solve = partial(_newton, params, torus.nodes(), r=torus.r, max_newton=max_newton,
+    solve = partial(_newton, params, torus.nodes(), max_newton=max_newton,
                     scratch=[] if _scratch is None else _scratch)
 
     X, stalled = solve(tcoeffs, seeds_h if torus.samples is None else torus.samples[:h].T)
@@ -166,7 +165,7 @@ def graph_transform(params: HenonParams, torus: SolidTorus, max_newton: int = 50
         raise NumericalError("resolution too coarse: node left its branch")
 
     dft = np.fft.fft(X, axis=0)[: d + 1]
-    dft /= 2 * d * ((NODE_FRACTION * torus.r) ** np.arange(d + 1))[:, None]
+    dft /= 2 * d * ((NODE_FRACTION * FILTRATION_RADIUS) ** np.arange(d + 1))[:, None]
     for arr in (dft, X):  # read-only, so that SolidTorus does not copy them
         arr.setflags(write=False)
     return SolidTorus(coeffs=dft.T, level=torus.level + 1, samples=X.T)
@@ -191,7 +190,7 @@ def _mirror_nodes(params, torus):
     return ((1 - e) // 2 * d - np.arange(2 * d)) % (2 * d)
 
 
-def _newton(params, nodes, tcoeffs, start, r, max_newton, scratch):
+def _newton(params, nodes, tcoeffs, start, max_newton, scratch):
     """Newton for F(x) = x^2 + c + a z_j - phi_s(a x) = 0 at the nodes z_j, for the (n, d+1)
     coefficients ``tcoeffs`` of phi_s on D_r, from ``start`` (broadcast to (2d, n)).  An angle
     retires when at every node the step s just taken predicts a next step M |s|^2 / (2 |F'(x)|)
@@ -216,7 +215,7 @@ def _newton(params, nodes, tcoeffs, start, r, max_newton, scratch):
     active(phi)[...] = tcoeffs.T
     np.multiply(tcoeffs[:, 1:].T, np.arange(1, d1)[:, None], out=active(dphi))
     m = np.arange(2, d1)[:, None]
-    R = max(r, abs(a) * np.max(np.abs(start)))
+    R = max(FILTRATION_RADIUS, abs(a) * np.max(np.abs(start)))
     M = 2.0 + abs(a) ** 2 * np.sum(np.abs(active(phi)[2:]) * (m * (m - 1) * R ** (m - 2.0)), axis=0)
     M_eps, converged = M / np.finfo(float).eps, np.empty(m2 * n, dtype=bool)
     solved = np.empty((n, m2), dtype=complex)  # angle-major: retiring angles fill rows
@@ -304,13 +303,13 @@ def phi_oa2_residual(params: HenonParams, torus: SolidTorus,
 def sigma(params: HenonParams, fstar: SolidTorus, point):
     """The semiconjugate model map (s, z) -> (2s mod 1, a phi_s(z)).
 
-    Angles are snapped to the torus grid (dyadic angles are exact under
-    doubling).  Requires a converged torus to mean anything.
+    s and z may be arrays (broadcast).  Angles are snapped to the torus grid
+    (dyadic angles are exact under doubling).  Requires a converged torus to
+    mean anything.
     """
     s, z = point
-    k = int(round(s * fstar.n_angles)) % fstar.n_angles
-    zp = params.a * complex(fstar.eval(k, z))
-    if abs(zp) >= fstar.r:
+    zp = params.a * fstar.eval(np.rint(s * fstar.n_angles).astype(int) % fstar.n_angles, z)
+    if np.max(np.abs(zp)) >= FILTRATION_RADIUS:
         raise NumericalError("image left D_r: sigma is not into")
     return ((2.0 * s) % 1.0, zp)
 
@@ -330,16 +329,10 @@ def julia_from_sigma(params: HenonParams, fstar: SolidTorus, depth: int = 12) ->
     n = fstar.n_angles
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
-    s = np.arange(n) / (n * 2.0**depth)
-    z = np.zeros(n, dtype=complex)
+    s, z = np.arange(n) / (n * 2.0**depth), np.zeros(n, dtype=complex)
     for _ in range(depth):
-        k = np.rint(s * n).astype(int) % n
-        z = params.a * fstar.eval(k, z)
-        if np.max(np.abs(z)) >= fstar.r:
-            raise NumericalError("image left D_r: sigma is not into")
-        s = (2.0 * s) % 1.0
-    k = np.rint(s * n).astype(int) % n
-    x = fstar.eval(k, z)
+        s, z = sigma(params, fstar, (s, z))
+    x = fstar.eval(np.rint(s * n).astype(int) % n, z)
     pts = np.column_stack([x, z])
     return PointCloud(points=np.unique(pts, axis=0),
                       meta=f"julia-from-sigma depth={depth} n_angles={n}")
@@ -351,8 +344,7 @@ def semiconjugacy_residual(params: HenonParams, fstar: SolidTorus,
     rng = np.random.default_rng(seed)
     n = fstar.n_angles
     k = rng.integers(0, n, sample_count)
-    z = NODE_FRACTION * fstar.r * np.sqrt(rng.uniform(0, 1, sample_count)) \
-        * np.exp(2j * math.pi * rng.uniform(0, 1, sample_count))
+    z = uniform_disk(rng, NODE_FRACTION * FILTRATION_RADIUS, sample_count)
     x = fstar.eval(k, z)
     hx, hy = henon(params, (x, z))
     z1 = params.a * x

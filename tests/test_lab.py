@@ -248,10 +248,30 @@ def test_cli_torus_iterate_refuses_a_torus_whose_half_turn_fibers_coincide(
     (["continuity", "--pq=1/1", "--a=0.05", "--t-list=0.2,0.1,0.05,0.025", "--res=200"],
      "the J+ slices at t=0.025 and t=0 have the same boundary cells at resolution 200: "
      "raise --res"),
+    # numpy's default_rng raised ValueError on a negative seed: a traceback, exit 1
+    (["cone-check", "--pq", "1/1", "--t", "0.05", "--a", "0.05", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["torus-iterate", "--pq=1/1", "--t=0.1", "--a=0.05", "--angles=64", "--seed=-1"],
+     "--seed must be >= 0, got -1"),
+    (["hyp-scan", "--pq=1/1", "--t-list=0.05", "--a=0.05", "--res=3", "--seed=-1"],
+     "--seed must be >= 0, got -1"),
+    (["cone-check", "--pq=1/1", "--t=0.05", "--a=0.05", "--config=neg.cfg"],
+     "--seed must be >= 0, got -2"),
+    # a nan or inf tol passes every distance and negative steps skip the
+    # trapping run: each printed passed=True
+    (["petal-check", "--pq=1/1", "--t=0.05", "--a=0.05", "--samples=50", "--tol=nan"],
+     "trapping tolerance (--tol) must be positive and finite, got nan"),
+    (["petal-check", "--pq=1/1", "--t=0.05", "--a=0.05", "--samples=50", "--tol=inf"],
+     "trapping tolerance (--tol) must be positive and finite, got inf"),
+    (["petal-check", "--pq=1/1", "--t=0.05", "--a=0.05", "--samples=50", "--tol=0"],
+     "trapping tolerance (--tol) must be positive and finite, got 0.0"),
+    (["petal-check", "--pq=1/1", "--t=0.05", "--a=0.05", "--samples=50", "--iters=-5"],
+     "trapping steps (--iters) must be >= 0, got -5"),
 ])
 def test_cli_bad_input_is_a_precondition_error(tmp_path, monkeypatch, capsys, argv, cause):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_text("pq=1/1\nangles=abc\n")
+    (tmp_path / "neg.cfg").write_text("seed=-2\n")
     assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition error:") and cause in err
@@ -299,6 +319,15 @@ def test_cli_scans_refuse_a_resolution_below_one(tmp_path, capsys, command, res)
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("precondition error: --res")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_petal_check_runs_500_steps_by_default(tmp_path, capsys):
+    # 40 steps, RunConfig's torus default, leave these samples up to 2.9e-2 from the cycle
+    argv = ["petal-check", "--pq=1/1", "--t=0.05", "--a=0.05", "--samples=50",
+            "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("petal-check: passed=True ")
+    assert len((tmp_path / "x.csv").read_text().splitlines()) == 2 + 50
 
 
 @pytest.mark.parametrize("command", ["hyp-scan", "connectivity-scan"])

@@ -58,7 +58,7 @@ def _full_array_graph_transform(params, torus, max_newton=50):
     phi = tcoeffs[:, None, :]
     dphi = (tcoeffs[:, 1:] * np.arange(1, d + 1))[:, None, :]
     m = np.arange(2, d + 1)
-    R = max(torus.r, abs(a) * np.max(np.abs(seeds)))
+    R = max(tor.FILTRATION_RADIUS, abs(a) * np.max(np.abs(seeds)))
     M = 2 + abs(a) ** 2 * np.sum(np.abs(tcoeffs[:, 2:]) * (m * (m - 1)) * R ** (m - 2.0), axis=1)
     converged = np.zeros(X.shape, dtype=bool)
     for _ in range(max_newton):
@@ -77,7 +77,7 @@ def _full_array_graph_transform(params, torus, max_newton=50):
     if np.any(np.abs(X - seeds[:, None]) > np.abs(X + seeds[:, None])):
         raise NumericalError("resolution too coarse: node left its branch")
     dft = np.fft.fft(X, axis=1)[:, : d + 1] / (2 * d)
-    scale = (tor.NODE_FRACTION * torus.r) ** np.arange(d + 1)
+    scale = (tor.NODE_FRACTION * tor.FILTRATION_RADIUS) ** np.arange(d + 1)
     return tor.SolidTorus(coeffs=dft / scale, level=torus.level + 1)
 
 
@@ -220,7 +220,7 @@ def test_torus_samples_warm_start_the_next_level():
     # the coefficients are the truncated DFT of the samples
     d = T1.disk_degree
     fit = np.fft.fft(T1.samples, axis=1)[:, : d + 1] / (2 * d)
-    assert np.array_equal(T1.coeffs, fit / (tor.NODE_FRACTION * T1.r) ** np.arange(d + 1))
+    assert np.array_equal(T1.coeffs, fit / (tor.NODE_FRACTION * tor.FILTRATION_RADIUS) ** np.arange(d + 1))
     with pytest.raises(PreconditionError, match="samples"):
         tor.SolidTorus(coeffs=T1.coeffs, level=1, samples=T1.samples[:, :8])
     # from the samples of a late level Newton needs fewer steps than from the seeds
@@ -411,6 +411,32 @@ def test_sigma_leaving_disk_is_error(fixed_q1):
     big = tor.SolidTorus(coeffs=res.torus.coeffs * 1e3, level=0)
     with pytest.raises(NumericalError, match="left"):
         tor.sigma(P, big, (0.0, 0.0))
+
+
+def test_sigma_on_arrays_is_the_scalar_map_and_drives_julia_from_sigma(fixed_q1):
+    P, res = fixed_q1
+    T, n = res.torus, res.torus.n_angles
+    rng = np.random.default_rng(5)
+    # random angles, grid angles and ties halfway between fibers (rounded half to even)
+    s = np.concatenate([rng.uniform(0, 1, 40), np.arange(8) / n, (np.arange(8) + 0.5) / n])
+    z = 0.5 * (rng.uniform(-1, 1, len(s)) + 1j * rng.uniform(-1, 1, len(s)))
+    s1, z1 = tor.sigma(P, T, (s, z))
+    # the same fiber and the same sums: numpy's scalar arithmetic and its fused
+    # multiply-add array loops may round the last bit differently
+    for i in range(len(s)):
+        si, zi = tor.sigma(P, T, (float(s[i]), complex(z[i])))
+        assert si == s1[i] and abs(zi - z1[i]) <= 2 * np.spacing(abs(z1[i]))
+    big = tor.SolidTorus(coeffs=T.coeffs * 1e3, level=0)
+    with pytest.raises(NumericalError, match="left"):
+        tor.sigma(P, big, (s, z))
+    # julia_from_sigma is depth sigma steps from (k / (N 2^depth), 0), then f*
+    depth = 6
+    s, z = np.arange(n) / (n * 2.0**depth), np.zeros(n, dtype=complex)
+    for _ in range(depth):
+        s, z = tor.sigma(P, T, (s, z))
+    x = T.eval(np.rint(s * n).astype(int) % n, z)
+    cloud = tor.julia_from_sigma(P, T, depth=depth)
+    assert np.array_equal(cloud.points, np.unique(np.column_stack([x, z]), axis=0))
 
 
 def test_julia_cloud_membership(fixed_q1):
