@@ -393,7 +393,10 @@ class ScanCell:
 def hyperbolicity_scan(p_over_q, t_values, a_values, local_samples: int = 400,
                        seed: int = 0) -> list:
     """PASS/MARGINAL/FAIL verdict per (t, a) cell from the local cone check
-    plus the global vertical floor; a = 0 and out-of-range cells are EXCLUDED."""
+    plus the global vertical floor; a = 0 and out-of-range a cells are EXCLUDED.
+    An out-of-family t is a precondition error, as it is for every other command."""
+    for t in t_values:
+        make_params(p_over_q, float(t), 0)
     cells = []
     for t in t_values:
         for a in a_values:

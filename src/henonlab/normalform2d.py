@@ -11,12 +11,13 @@ downstream actually consumes.
 ``reduce`` conjugates H once per group of moves whose coefficients it can
 find before conjugating.  It accumulates ``change`` and ``change_inv`` side
 by side from each group and its inverse, known in closed form up to the
-one-variable ``invert1`` of psi, so the generic ``invert2`` is never needed.
+one-variable ``invert1`` of K2, so the generic ``invert2`` is never needed.
 The groups:
 
-- straightening and Koenigs move together, (x - w(y), psi(y)), undone by
-  (x + w(psi^{-1}(y)), psi^{-1}(y)): psi linearizes a w(y), the second
-  component on {x = 0} once W^ss is straightened;
+- straightening and linearization move together, (x - w(y), psi(y)),
+  undone by (x + K1(y), K2(y)).  Both come from the parametrization
+  K = (K1, K2) of W^ss with H(K(s)) = K(nu s): psi = K2^{-1} and
+  w = K1 o psi, so the second component on {x = 0} becomes nu y at every a;
 - step 1, (u(y) x, y), undone by (x / u(y), y) through a reciprocal series;
 - each shear of step 2, (x + v(y) x^k, y) with its inverse from
   ``poly1d.shear_pair``.  These stay one per k: v_k reads a_k(y) after the
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, PreconditionError
+from .errors import PreconditionError
 from .henon import HenonParams, attracting_cycle, henon, uniform_disk
 from .poly1d import eliminate_constants, repelling_inner_radius, shear_pair
 from .series import (
@@ -47,9 +48,6 @@ from .series import (
     series1_to_2,
 )
 
-_NEGLIGIBLE = 1e-14
-_RESONANCE = 1e-10
-
 
 def henon_jet(params: HenonParams, D: int):
     """The map written at the fixed point: (2 x_q x + a y + x^2, a x)."""
@@ -60,44 +58,33 @@ def henon_jet(params: HenonParams, D: int):
     return H1, H2
 
 
-def wss_graph(params: HenonParams, D: int) -> TruncSeries1:
-    """Jet of the strong stable manifold as a graph x = w(y), centered coords.
+def wss_parametrization(params: HenonParams, D: int):
+    """Jets (K1, K2) of W^ss parametrized by K(s) = (K1(s), K2(s)), centered
+    coords, with H(K(s)) = K(nu s) and K2'(0) = 1.
 
-    Solves 2 x_q w(y) + a y + w(y)^2 = w(a w(y)) order by order; the tangent
-    is the nu-eigenvector slope nu/a = -a/lambda_t.  Returns the zero jet in
-    the degenerate case a = 0, where W^ss is the vertical line itself.
+    H2 = a x gives K1(s) = K2(nu s)/a; H1 then fixes, at each order k >= 2,
+    k2_k = nu^k sum_{0<i<k} k2_i k2_{k-i} / (a (nu^k - lambda)(nu^k - nu)),
+    written with the slope r = nu/a, which a = 0 makes 0: then K1 = 0 and
+    K2 = s.  No divisor vanishes, as |nu^k| < 1/4 < |lambda| and |nu| < 1/2.
     """
-    if abs(params.nu) >= 1:
+    lam, nu = params.lam, params.nu
+    if abs(nu) >= 1:
         raise PreconditionError("strong stable graph requires |nu| < 1")
-    w = np.zeros(D + 1, dtype=complex)
-    if params.a == 0:
-        return TruncSeries1(w, D=D)
-    w[1] = params.nu / params.a
-    y_lin = TruncSeries1.identity(D)
+    r = nu / params.a if params.a != 0 else 0.0
+    k2 = np.zeros(D + 1, dtype=complex)
+    k2[1] = 1.0
     for k in range(2, D + 1):
-        W = TruncSeries1(w, D=D)
-        lhs = 2.0 * params.x_q * W + params.a * y_lin + W * W
-        rhs = compose1(W, params.a * W)
-        denom = params.lam - params.nu**k
-        if abs(denom) < _RESONANCE:
-            raise NumericalError(f"resonance in stable-graph recursion at order {k}")
-        w[k] = -(lhs - rhs).coeffs[k] / denom
-    return TruncSeries1(w, D=D)
+        square = np.dot(k2[1:k], k2[k - 1 : 0 : -1])
+        k2[k] = r * nu ** (k - 2) * square / ((nu**k - lam) * (nu ** (k - 1) - 1.0))
+    k1 = np.append(0.0, r * nu ** np.arange(D) * k2[1:])
+    return TruncSeries1(k1, D=D), TruncSeries1(k2, D=D)
 
 
-def _koenigs(rho: TruncSeries1, nu: complex) -> TruncSeries1:
-    """Linearizing coordinate psi with psi(rho(y)) = nu psi(y), psi'(0) = 1."""
-    D = rho.D
-    psi = np.zeros(D + 1, dtype=complex)
-    psi[1] = 1.0
-    for k in range(2, D + 1):
-        P = TruncSeries1(psi, D=D)
-        resid = (compose1(P, rho) - nu * P).coeffs[k]
-        denom = nu**k - nu
-        if abs(denom) < _RESONANCE:
-            raise NumericalError(f"resonance in linearization at order {k}")
-        psi[k] = -resid / denom
-    return TruncSeries1(psi, D=D)
+def wss_graph(params: HenonParams, D: int) -> TruncSeries1:
+    """Jet of W^ss as a graph x = w(y) = K1(K2^{-1}(y)), centered coords; the
+    tangent is the nu-eigenvector slope -a/lambda, and a = 0 gives w = 0."""
+    K1, K2 = wss_parametrization(params, D)
+    return compose1(K1, invert1(K2))
 
 
 @dataclass(frozen=True)
@@ -148,15 +135,12 @@ def reduce(params: HenonParams, D: int | None = None) -> NormalForm2D:
         change = compose2(T, change)
         change_inv = compose2(change_inv, T_inv)
 
-    # straighten W^ss to {x = 0} and linearize along it, as one move; below
-    # the threshold the nonlinear part of a w is O(|a|^3), far under any tolerance
-    w = wss_graph(params, D)
-    psi = psi_inv = TruncSeries1.identity(D)
-    if abs(nu) >= 1e-8:
-        psi = _koenigs(params.a * w, nu)
-        psi_inv = invert1(psi)
+    # straighten W^ss to {x = 0} and linearize along it: one move, read off K
+    K1, K2 = wss_parametrization(params, D)
+    psi = invert1(K2)
+    w = compose1(K1, psi)
     apply((var_x - series1_to_2(w, "y"), series1_to_2(psi, "y")),
-          (var_x + series1_to_2(compose1(w, psi_inv), "y"), series1_to_2(psi_inv, "y")))
+          (var_x + series1_to_2(K1, "y"), series1_to_2(K2, "y")))
 
     # step 1: x-linear coefficient a1(y) -> constant lambda by (u(y) x, y),
     # u(y) = b1(y) u(nu y) with b1 = a1/lambda; no divisor here or in step 2
@@ -166,17 +150,14 @@ def reduce(params: HenonParams, D: int | None = None) -> NormalForm2D:
     for m in range(1, D + 1):
         terms = b1[1 : m + 1] * nu ** np.arange(m - 1, -1, -1) * u[m - 1 :: -1]
         u[m] = terms.sum() / (1.0 - nu**m)
-    if np.max(np.abs(u[1:])) > _NEGLIGIBLE:
-        u = TruncSeries1(u, D=D)
-        apply((series1_to_2(u, "y") * var_x, var_y),
-              (series1_to_2(reciprocal1(u), "y") * var_x, var_y))
+    u = TruncSeries1(u, D=D)
+    apply((series1_to_2(u, "y") * var_x, var_y),
+          (series1_to_2(reciprocal1(u), "y") * var_x, var_y))
 
     # step 2: a_k(y) -> constants for 2 <= k <= 2q+1 by (x + v(y) x^k, y),
     # v(y) - lambda^{k-1} v(nu y) = (a_k(y) - a_k(0)) / lambda
     for k in range(2, 2 * q + 2):
         a_k = H[0].coeffs[k, :]
-        if np.max(np.abs(a_k[1:])) < _NEGLIGIBLE:
-            continue
         m = np.arange(1, D + 1)
         v = np.append(0.0, a_k[1:] / (lam * (1.0 - nu**m * lam ** (k - 1))))
         T, T_inv = (TruncSeries2(c) for c in shear_pair(TruncSeries1(v, D=D), k))

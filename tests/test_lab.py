@@ -267,6 +267,9 @@ def test_cli_torus_iterate_refuses_a_torus_whose_half_turn_fibers_coincide(
      "trapping tolerance (--tol) must be positive and finite, got 0.0"),
     (["petal-check", "--pq=1/1", "--t=0.05", "--a=0.05", "--samples=50", "--iters=-5"],
      "trapping steps (--iters) must be >= 0, got -5"),
+    # the scan wrote EXCLUDED rows for the t outside the family and exited 0
+    (["hyp-scan", "--pq=1/2", "--t-list=0.05,0.3", "--a=0.05", "--res=3"],
+     "|t| must be below 1/(2q) = 0.25"),
 ])
 def test_cli_bad_input_is_a_precondition_error(tmp_path, monkeypatch, capsys, argv, cause):
     monkeypatch.chdir(tmp_path)

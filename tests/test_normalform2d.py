@@ -2,12 +2,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import henonlab.henon as hn
+import henonlab.series as ser
 from henonlab import normalform2d as nf2
 from henonlab import poly1d as p1
 from henonlab.errors import PreconditionError
-from henonlab.series import compose2, invert2
+from henonlab.series import TruncSeries1, compose1, compose2, invert2
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +36,23 @@ def test_wss_slope_is_eigenvector():
 def test_wss_degenerate_a_is_vertical_line():
     P = hn.make_params((1, 2), 0.05, 0.0)
     assert nf2.wss_graph(P, 8).max_abs() == 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(q=st.integers(1, 3), t_frac=st.floats(-0.9, 0.9), log_a=st.floats(-6, np.log10(0.45)),
+       kind=st.sampled_from(["real", "imaginary", "complex"]), arg=st.floats(0, 2 * np.pi),
+       D=st.integers(2, 18))
+def test_wss_parametrization_is_invariant(q, t_frac, log_a, kind, arg, D):
+    # H(K(s)) = K(nu s) through degree D, up to rounding on the scale of the terms
+    a = 10**log_a * {"real": 1, "imaginary": 1j, "complex": np.exp(1j * arg)}[kind]
+    P = hn.make_params((1, q), t_frac / (2 * q), a)
+    K1, K2 = nf2.wss_parametrization(P, D)
+    assert K2.coeffs[0] == 0 and K2.coeffs[1] == 1
+    scaled = P.nu ** np.arange(D + 1)
+    H1 = 2.0 * P.x_q * K1 + P.a * K2 + K1 * K1
+    scale = max(1.0, K1.max_abs(), K2.max_abs())
+    assert (H1 - TruncSeries1(K1.coeffs * scaled, D=D)).max_abs() < 1e-14 * scale
+    assert (P.a * K1 - TruncSeries1(K2.coeffs * scaled, D=D)).max_abs() < 1e-14 * scale
 
 
 def test_wss_invariance_rate():
@@ -79,7 +99,7 @@ def test_normal_form_kill_list_q2(pq, t, D):
 
 @pytest.mark.parametrize("pq,most", [((1, 3), 36), ((2, 5), 52)])
 def test_reduce_conjugates_once_per_move_group(monkeypatch, pq, most):
-    # four compositions per group: straightening with Koenigs, step 1, one
+    # four compositions per group: straightening with linearization, step 1, one
     # shear per k of step 2, and all of step 3
     calls = []
 
@@ -90,6 +110,31 @@ def test_reduce_conjugates_once_per_move_group(monkeypatch, pq, most):
     monkeypatch.setattr(nf2, "compose2", counted)
     nf2.reduce(hn.make_params(pq, 0.01, 0.05), D=14)
     assert len(calls) <= most
+
+
+@pytest.mark.parametrize("pq,D,most", [((1, 1), 6, 10), ((1, 3), 10, 30), ((2, 5), 14, 50)])
+def test_reduce_composes_one_variable_jets_sparingly(monkeypatch, pq, D, most):
+    # W^ss and its linearizing coordinate come from one parametrization, so the
+    # first move costs one invert1 and one compose1; step 3 the rest
+    calls = []
+
+    def counted(outer, inner):
+        calls.append(1)
+        return compose1(outer, inner)
+
+    for module in (ser, nf2, p1):
+        monkeypatch.setattr(module, "compose1", counted)
+    nf2.reduce(hn.make_params(pq, 0.01, 0.05), D=D)
+    assert len(calls) <= most
+
+
+@pytest.mark.parametrize("a", [1e-5, 5e-5, 1e-4, 2e-4, 1e-3])
+def test_first_move_linearizes_along_wss_at_small_a(a):
+    # the second component on {x = 0} is exactly nu y, however small nu = -a^2/lambda
+    P = hn.make_params((1, 1), 0.05, a)
+    column = nf2.reduce(P).normal[1].coeffs[0, :].copy()
+    column[1] -= P.nu
+    assert np.max(np.abs(column)) <= 1e-12 * abs(P.nu)
 
 
 def test_conjugacy_residual(nf_q1, nf_q2):
