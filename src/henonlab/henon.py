@@ -3,6 +3,10 @@
 Parameters live on the curve where one fixed-point eigenvalue is
 lambda_t = (1+t) e^{2 pi i p/q}; the other eigenvalue is nu = -a^2/lambda_t.
 Includes the filtration-based escape classification of K+/J+ slices.
+
+When c is real and a is real or imaginary, the mirror of ``mirror_sign``
+commutes with H.  ``jplus_slice`` steps half the rows of a slice that the
+mirror maps to itself, and the graph transform half the fibers of such a torus.
 """
 
 from __future__ import annotations
@@ -62,6 +66,15 @@ def make_params(p_over_q, t: float, a: complex) -> HenonParams:
 def henon(params: HenonParams, point):
     x, y = point
     return (x * x + params.c + params.a * y, params.a * x)
+
+
+def mirror_sign(params: HenonParams):
+    """e = 1 for real a, -1 for imaginary a, None when a is neither or c is not
+    real.  Then conj(a) = e a, so C(x, y) = (conj x, e conj y) commutes with H."""
+    a = params.a
+    if params.c.imag != 0 or (a.imag != 0 and a.real != 0):
+        return None
+    return 1 if a.imag == 0 else -1
 
 
 def henon_inv(params: HenonParams, point):
@@ -205,21 +218,45 @@ class EscapeGrid:
     boundary: PointCloud = field(repr=False)
 
 
+def symmetric_axis(lo, hi, res):
+    """np.linspace(lo, hi, res) up to rounding, built so that a window
+    symmetric about 0 gives points symmetric about 0 bit for bit."""
+    u = np.linspace(-1.0, 1.0, res)
+    if res > 1:
+        u = (u - u[::-1]) / 2
+    return (lo + hi) / 2 + (hi - lo) / 2 * u
+
+
 def jplus_slice(params: HenonParams, window, resolution: int, max_iter: int,
                 y_slice: complex = 0.0, r: float = FILTRATION_RADIUS) -> EscapeGrid:
     """Escape-time grid on {y = const}; bounded cells touching escaped cells
     are emitted as the J+ slice sample cloud.  The grid is built and stepped
-    one block of ESCAPE_BLOCK // resolution rows at a time."""
+    one block of ESCAPE_BLOCK // resolution rows at a time.
+
+    The axes come from ``symmetric_axis``.  When the mirror C(x, y) = (conj x,
+    e conj y) of ``mirror_sign`` maps the slice to itself (e conj(y_slice) =
+    y_slice) and the window is symmetric in Im x, only the rows res//2 .. are
+    stepped and the others are their mirror images.  The mirror is exact:
+    negation commutes with round-to-nearest, so complex products (with or
+    without FMA), sums and moduli of mirrored operands are mirrored bit for
+    bit, up to the sign of a zero, and so is the sum with a real c.  Orbits
+    from mirrored starts then meet the same V+ tests and overflows, and the
+    block and overflow replays of ``escape_times`` give the same times."""
     if resolution < 2 or resolution > 8192:
         raise PreconditionError("resolution out of range")
     re_min, re_max, im_min, im_max = window
-    xs = np.linspace(re_min, re_max, resolution)
-    ys = np.linspace(im_min, im_max, resolution)
+    xs = symmetric_axis(re_min, re_max, resolution)
+    ys = symmetric_axis(im_min, im_max, resolution)
+    y = complex(y_slice)
+    e = mirror_sign(params)
+    mirrored = e is not None and e * y.conjugate() == y and im_min == -im_max
+    half = resolution // 2 if mirrored else 0  # the rows copied from their mirror images
     rows = max(1, ESCAPE_BLOCK // resolution)
     times = np.empty((resolution, resolution), dtype=int)
-    for i in range(0, resolution, rows):
+    for i in range(half, resolution, rows):
         X = xs[None, :] + 1j * ys[i:i + rows, None]
-        times[i:i + rows] = escape_times(params, X, complex(y_slice), max_iter, r)
+        times[i:i + rows] = escape_times(params, X, y, max_iter, r)
+    times[:half] = times[resolution - 1:resolution - 1 - half:-1]
     esc = times >= 0
     neighbor_esc = np.zeros_like(esc)
     neighbor_esc[1:, :] |= esc[:-1, :]
@@ -229,10 +266,10 @@ def jplus_slice(params: HenonParams, window, resolution: int, max_iter: int,
     iy, ix = np.nonzero(neighbor_esc & ~esc)
     pts = xs[ix] + 1j * ys[iy]
     cloud = PointCloud(
-        points=np.column_stack([pts, np.full(len(pts), complex(y_slice))]),
+        points=np.column_stack([pts, np.full(len(pts), y)]),
         meta=f"jplus-slice y={y_slice} res={resolution} max_iter={max_iter}",
     )
-    return EscapeGrid(xs=xs, ys=ys, times=times, y_slice=complex(y_slice), boundary=cloud)
+    return EscapeGrid(xs=xs, ys=ys, times=times, y_slice=y, boundary=cloud)
 
 
 def attracting_cycle(params: HenonParams, tol: float = 1e-12, max_newton: int = 50):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .henon import HenonParams, PointCloud, jplus_slice, make_params
+from .henon import HenonParams, PointCloud, jplus_slice, make_params, symmetric_axis
 from .poly1d import _normalize_pq, caratheodory
 from .torus import julia_from_sigma, torus_fixed_point
 
@@ -136,15 +136,6 @@ class ConnectivityCell:
 GAP_FLOOR_ULPS = 8
 
 
-def _symmetric_axis(lo, hi, res):
-    """np.linspace(lo, hi, res) up to rounding, built so that a window
-    symmetric about 0 gives points symmetric about 0 bit for bit."""
-    u = np.linspace(-1.0, 1.0, res)
-    if res > 1:
-        u = (u - u[::-1]) / 2
-    return (lo + hi) / 2 + (hi - lo) / 2 * u
-
-
 def connectivity_scan(p_over_q, t, a_window, resolution: int = 9,
                       n_angles: int = 256, n_iters: int = 10,
                       gap_tol: float = 5e-2, sep_floor: float = 1e-2):
@@ -181,9 +172,9 @@ def connectivity_scan(p_over_q, t, a_window, resolution: int = 9,
     res = resolution
     done = {}
     cells = []
-    for im in _symmetric_axis(im_min, im_max, res):
+    for im in symmetric_axis(im_min, im_max, res):
         row = []
-        for re in _symmetric_axis(re_min, re_max, res):
+        for re in symmetric_axis(re_min, re_max, res):
             a = complex(re, im)
             twins = (-a, a.conjugate(), -a.conjugate()) if real_lam else (-a,)
             twin = next((b for b in twins if b in done), None)

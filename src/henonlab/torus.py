@@ -16,7 +16,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .henon import FILTRATION_RADIUS, HenonParams, PointCloud, henon, uniform_disk
+from .henon import (FILTRATION_RADIUS, HenonParams, PointCloud, henon, mirror_sign,
+                    uniform_disk)
 from .poly1d import LoopSample, continue_branch, equipotential_loop
 from .series import horner
 
@@ -151,17 +152,20 @@ def graph_transform(params: HenonParams, torus: SolidTorus, max_newton: int = 50
                     scratch=[] if _scratch is None else _scratch)
 
     X, stalled = solve(tcoeffs, seeds_h if torus.samples is None else torus.samples[:h].T)
+    # negative exactly where |X - s| > |X + s|: the node left its branch
+    margin = _branch_margin(X, seeds_h)
     if torus.samples is not None:
-        near_other = np.abs(X + seeds_h) - np.abs(X - seeds_h) < BRANCH_MARGIN * np.abs(seeds_h)
-        redo = np.any(stalled | near_other, axis=0)
+        redo = np.any(stalled | (margin < BRANCH_MARGIN * np.abs(seeds_h)), axis=0)
         if redo.any():
             X[:, redo], stalled[:, redo] = solve(tcoeffs[redo], seeds_h[redo])
+            margin[:, redo] = _branch_margin(X[:, redo], seeds_h[redo])
     if stalled.any():
         k, j = np.argwhere(stalled.T)[0]
         raise NumericalError(f"Newton stalled at angle {k}/{n}, node {j}")
     if h < n:  # angle-major, so that the samples X.T are contiguous
         X = np.concatenate([X.T, np.conj(X.T[n - np.arange(h, n)][:, mirror])]).T
-    if np.any(np.abs(X - seeds) > np.abs(X + seeds)):
+        margin = np.concatenate([margin, _branch_margin(X[:, h:], seeds[h:])], axis=1)
+    if np.any(margin < 0):
         raise NumericalError("resolution too coarse: node left its branch")
 
     dft = np.fft.fft(X, axis=0)[: d + 1]
@@ -171,17 +175,23 @@ def graph_transform(params: HenonParams, torus: SolidTorus, max_newton: int = 50
     return SolidTorus(coeffs=dft.T, level=torus.level + 1, samples=X.T)
 
 
+def _branch_margin(X, seeds):
+    """|X + seeds| - |X - seeds|: how much closer the solutions X are to their
+    branch than to the other one."""
+    return np.abs(X + seeds) - np.abs(X - seeds)
+
+
 def _mirror_nodes(params, torus):
     """The node map P of the mirror of ``torus``, or None when it has none.
 
-    With c real and e = 1 for real a, -1 for imaginary a, conj(a) = e a, so
-    C(x, y) = (conj x, e conj y) commutes with H.  C maps the torus to itself
-    when phi_{-s}(w) = conj(phi_s(e conj w)), i.e. coeffs[-k, m] = e^m
-    conj(coeffs[k, m]), here within MIRROR_ULPS.  e conj(z_j) is the node
-    z_{P(j)}: P(j) = -j for e = 1 and d - j for e = -1, mod 2d."""
-    if params.c.imag != 0 or (params.a.imag != 0 and params.a.real != 0):
+    The mirror C(x, y) = (conj x, e conj y) of ``mirror_sign`` commutes with
+    H.  C maps the torus to itself when phi_{-s}(w) = conj(phi_s(e conj w)),
+    i.e. coeffs[-k, m] = e^m conj(coeffs[k, m]), here within MIRROR_ULPS.
+    e conj(z_j) is the node z_{P(j)}: P(j) = -j for e = 1 and d - j for
+    e = -1, mod 2d."""
+    e = mirror_sign(params)
+    if e is None:
         return None
-    e = 1 if params.a.imag == 0 else -1
     n, d = torus.n_angles, torus.disk_degree
     coeffs = torus.coeffs
     mirrored = np.conj(coeffs[(-np.arange(n)) % n]) * e ** np.arange(d + 1)

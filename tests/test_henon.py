@@ -253,7 +253,10 @@ ROW_BLOCKS = {"1row": lambda res: 1, "3rows": lambda res: 3 * res,
               "7rows": lambda res: 7 * res + 5}
 
 
-def assert_slice_matches_full_grid(monkeypatch, block, P, window, res, max_iter, y=0.0):
+def assert_slice_matches_full_grid(monkeypatch, block, P, window, res, max_iter, y=0.0,
+                                   needs_edge=True):
+    """Checks jplus_slice against the full-grid reference and returns the
+    number of rows it stepped: res, or res - res//2 when it mirrored the rest."""
     if block is not None:
         monkeypatch.setattr(hn, "ESCAPE_BLOCK", ROW_BLOCKS[block](res))
     blocks = []
@@ -266,16 +269,22 @@ def assert_slice_matches_full_grid(monkeypatch, block, P, window, res, max_iter,
     monkeypatch.setattr(hn, "escape_times", spy)
     grid = hn.jplus_slice(P, window, res, max_iter, y_slice=y)
     X = grid.xs[None, :] + 1j * grid.ys[:, None]
-    # the blocks tile the grid in order; a row left out would leave its times
-    # as whatever np.empty found, which can equal them by chance
+    # the blocks tile the stepped rows, the last ones, in order; a row left out
+    # would leave its times as whatever np.empty found, which can equal them
+    # by chance.  The times of the mirrored rows are checked against the reference.
+    stepped = sum(len(b) for b in blocks)
+    first = res - stepped
+    assert first in (0, res // 2)
     rows = max(1, hn.ESCAPE_BLOCK // res)
-    assert [len(b) for b in blocks] == [min(rows, res - i) for i in range(0, res, rows)]
-    assert np.concatenate(blocks).tobytes() == X.tobytes()
+    assert [len(b) for b in blocks] == [min(rows, res - i) for i in range(first, res, rows)]
+    assert np.concatenate(blocks).tobytes() == X[first:].tobytes()
     times = full_grid_escape_times(P, X, y, max_iter)
     assert np.array_equal(grid.times, times)
     edge = full_grid_boundary(X, times)
     want = np.column_stack([edge, np.full(len(edge), complex(y))])
-    assert len(edge) > 0 and grid.boundary.points.tobytes() == want.tobytes()
+    assert grid.boundary.points.tobytes() == want.tobytes()
+    assert len(edge) > 0 or not needs_edge
+    return stepped
 
 
 @pytest.mark.parametrize("t,block", [pytest.param(t, None, id=str(t))
@@ -283,8 +292,9 @@ def assert_slice_matches_full_grid(monkeypatch, block, P, window, res, max_iter,
                          + [pytest.param(0.05, b, id=f"0.05-{b}") for b in ROW_BLOCKS])
 def test_jplus_slice_of_the_continuity_experiment_matches_full_grid_reference(
         monkeypatch, t, block):
-    assert_slice_matches_full_grid(monkeypatch, block, hn.make_params((1, 1), t, 0.05),
-                                   lab.DEFAULT_WINDOW, 200, 200)
+    # c and a are real and the window is symmetric: half the rows are mirrored
+    assert assert_slice_matches_full_grid(monkeypatch, block, hn.make_params((1, 1), t, 0.05),
+                                          lab.DEFAULT_WINDOW, 200, 200) == 100
 
 
 def _off_family():
@@ -308,7 +318,61 @@ OFF_ZERO_SLICES = {
 @pytest.mark.parametrize("block", [None, *ROW_BLOCKS], ids=["default", *ROW_BLOCKS])
 @pytest.mark.parametrize("case", OFF_ZERO_SLICES)
 def test_jplus_slice_off_the_zero_slice_matches_full_grid_reference(monkeypatch, case, block):
-    assert_slice_matches_full_grid(monkeypatch, block, *OFF_ZERO_SLICES[case])
+    # the off-family slice (c and a real, y real, a window symmetric in Im)
+    # is mirrored and steps with block cap 1; the complex-c slices are not
+    res = OFF_ZERO_SLICES[case][2]
+    stepped = assert_slice_matches_full_grid(monkeypatch, block, *OFF_ZERO_SLICES[case])
+    assert stepped == (res - res // 2 if case == "off-family" else res)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(q=st.sampled_from([1, 2]), t=st.floats(-0.9, 0.9), a_abs=st.floats(0.01, 0.45),
+       imaginary_a=st.booleans(), a_sign=st.sampled_from([1, -1]),
+       y_abs=st.floats(0.0, 2.0), center=st.floats(-1.0, 1.0),
+       half_re=st.floats(0.05, 2.5), half_im=st.floats(0.05, 2.5),
+       res=st.integers(min_value=2, max_value=41),
+       max_iter=st.sampled_from([0, 1, 7, 64, 65, 150]),
+       broken=st.sampled_from([None, "q3", "a off the axes", "y off the line",
+                               "window off the axis"]))
+def test_jplus_slice_mirrors_half_the_rows_exactly_when_the_mirror_applies(
+        q, t, a_abs, imaginary_a, a_sign, y_abs, center, half_re, half_im, res, max_iter,
+        broken):
+    # C(x, y) = (conj x, e conj y) commutes with H when c is real and a is real
+    # (e = 1) or imaginary (e = -1); it maps the slice to itself when
+    # e conj(y) = y, and the grid when the window is symmetric in Im x.  Each
+    # `broken` case breaks one of the four conditions, so every row is stepped.
+    e, unit = (-1, 1j) if imaginary_a else (1, 1)
+    q = 3 if broken == "q3" else q
+    P = hn.make_params((1, q), t / (2 * q), a_sign * a_abs * unit)
+    if broken == "a off the axes":  # off the family: c stays real, so only a breaks the mirror
+        P = dataclasses.replace(P, a=P.a * np.exp(0.3j), c=complex(P.c.real, 0.0))
+    y = y_abs * unit
+    if broken == "y off the line":
+        y += 0.25 * 1j * unit
+    im_lo = -half_im + (0.1 if broken == "window off the axis" else 0.0)
+    window = (center - half_re, center + half_re, im_lo, half_im)
+    assert (hn.mirror_sign(P) is not None) == (broken not in ("q3", "a off the axes"))
+    assert hn.mirror_sign(P) in (None, e)
+    with pytest.MonkeyPatch.context() as mp:
+        stepped = assert_slice_matches_full_grid(mp, None, P, window, res, max_iter, y,
+                                                 needs_edge=False)
+    assert stepped == (res if broken else res - res // 2)
+
+
+@pytest.mark.parametrize("w", [0.2, 2.2, 1e-3])
+def test_symmetric_axis_is_antisymmetric_and_linspace_up_to_rounding(w):
+    # np.linspace(-w, w, res) is not antisymmetric for most res (574 of the 800
+    # points at res 800, w = 2.2); the mirror of jplus_slice and the twin
+    # cells of connectivity_scan need a grid that is
+    for res in range(2, 2050):
+        axis = hn.symmetric_axis(-w, w, res)
+        assert np.array_equal(axis, -axis[::-1])  # bit for bit, up to the sign of a zero
+        assert np.max(np.abs(axis - np.linspace(-w, w, res))) <= 4 * np.spacing(w)
+    for lo, hi in [(-0.1, 0.2), (0.0, 3.0), (-2.791, -2.789)]:
+        for res in (2, 3, 799, 800):
+            axis = hn.symmetric_axis(lo, hi, res)
+            ulp = np.spacing(max(abs(lo), abs(hi)))
+            assert np.max(np.abs(axis - np.linspace(lo, hi, res))) <= 4 * ulp
 
 
 def test_jplus_slice_allocates_no_full_grid_array():
