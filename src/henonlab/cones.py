@@ -33,6 +33,10 @@ if TYPE_CHECKING:
 
 VERTICAL_SENTINEL = 1e15  # reported when DH is singular (a = 0)
 N_DIRECTIONS = 16
+# Samples per row block of the cone checks' direction frames: no
+# (samples x N_DIRECTIONS) array spans the sample set, and a block's complex
+# frame array is 128 KiB.  The 400-sample scan checks fit in one block.
+CONE_BLOCK = 512
 
 
 def eps2(q: int) -> float:
@@ -129,34 +133,39 @@ def local_cone_check(params: HenonParams, nf: NormalForm2D, sample_grid,
     n_at = max(float(np.max(np.abs(xh.partial_x()(x, y)))),
                float(np.max(np.abs(xh.partial_y()(x, y)))))
 
-    # horizontal cones, forward
-    xi_p = J11[:, None] + J12[:, None] * e
-    eta_p = J21[:, None] + J22[:, None] * e
-    h_invariant = np.abs(xi_p) > np.abs(eta_p)
-    h_norm = np.maximum(np.abs(xi_p), np.abs(eta_p))
     h_bound = np.abs(params.lam) * (1.0 + (q + 0.5) * EPS1 * np.abs(x) ** q)
-    h_margin = h_norm / h_bound[:, None]
-
-    # vertical cones, backward from the image point
     x1 = N1(x, y)
     det = J11 * J22 - J12 * J21
-    if float(np.min(np.abs(det))) < 1e-13:
-        v_invariant = np.ones_like(h_invariant)
-        worst_v = VERTICAL_SENTINEL
-    else:
-        open_img = np.abs(x1) ** (2 * q)
-        xi_b = (J22[:, None] * open_img[:, None] * e - J12[:, None]) / det[:, None]
-        eta_b = (-J21[:, None] * open_img[:, None] * e + J11[:, None]) / det[:, None]
-        v_invariant = np.abs(xi_b) < np.abs(x[:, None]) ** (2 * q) * np.abs(eta_b)
+    singular = float(np.min(np.abs(det))) < 1e-13
+    # per sample: cones kept over the frame, least expansion, least margin
+    h_ok, v_ok = np.empty(len(x), dtype=bool), np.ones(len(x), dtype=bool)
+    h_min, h_margin, v_min = np.empty(len(x)), np.empty(len(x)), np.empty(len(x))
+    for s in range(0, len(x), CONE_BLOCK):
+        b = slice(s, s + CONE_BLOCK)
+        # horizontal cones, forward
+        xi_p = J11[b, None] + J12[b, None] * e
+        eta_p = J21[b, None] + J22[b, None] * e
+        h_ok[b] = (np.abs(xi_p) > np.abs(eta_p)).all(axis=1)
+        h_norm = np.maximum(np.abs(xi_p), np.abs(eta_p))
+        h_min[b] = h_norm.min(axis=1)
+        h_margin[b] = (h_norm / h_bound[b, None]).min(axis=1)
+        if singular:
+            continue
+        # vertical cones, backward from the image point
+        open_img = np.abs(x1[b]) ** (2 * q)
+        xi_b = (J22[b, None] * open_img[:, None] * e - J12[b, None]) / det[b, None]
+        eta_b = (-J21[b, None] * open_img[:, None] * e + J11[b, None]) / det[b, None]
+        v_ok[b] = (np.abs(xi_b) < np.abs(x[b, None]) ** (2 * q) * np.abs(eta_b)).all(axis=1)
         v_norm = np.maximum(np.abs(xi_b), np.abs(eta_b)) / np.maximum(open_img[:, None], 1.0)
-        worst_v = float(np.min(v_norm))
+        v_min[b] = v_norm.min(axis=1)
+    worst_v = VERTICAL_SENTINEL if singular else float(np.min(v_min))
 
-    bad = ~(h_invariant.all(axis=1) & v_invariant.all(axis=1))
+    bad = ~(h_ok & v_ok)
     failures = [(complex(a), complex(b)) for a, b in zip(x[bad], y[bad])]
     return ConeReport(
         region=f"W- normalized, q={q}, t={params.t}, a={params.a}, rho={rho}",
         samples=len(x),
-        worst_h_expansion=float(np.min(h_norm)),
+        worst_h_expansion=float(np.min(h_min)),
         worst_v_expansion=worst_v,
         invariance_failures=failures,
         worst_h_margin=float(np.min(h_margin)),
@@ -230,7 +239,9 @@ def in_V(params: HenonParams, nf: NormalForm2D, vs: VSpec, x, y,
     if near.any():
         if j_tree is None:
             j_tree = julia_slice_tree(params)
-        d, _ = j_tree.query(np.column_stack([x[near].real, x[near].imag]))
+        # beyond the bound d comes back inf, which the collar test rejects too
+        d, _ = j_tree.query(np.column_stack([x[near].real, x[near].imag]),
+                            distance_upper_bound=2 * vs.collar)
         ok[near] = d <= vs.collar
     # tube B: keep repelling sectors only
     in_B = np.abs(x - alpha) <= vs.rho_prime
@@ -241,6 +252,34 @@ def in_V(params: HenonParams, nf: NormalForm2D, vs: VSpec, x, y,
     sel = ok & (np.abs(hx - alpha) <= vs.rho_prime) & ~in_B & (np.abs(x) <= vs.r)
     ok[sel] = in_repelling_sector(params, nf.to_normalized(hx[sel], hy[sel])[0], vs.rho)
     return ok.reshape(shape)[()]
+
+
+def _sample_V_minus_B(params, nf, vs: VSpec, sample_count: int, rng, j_tree):
+    """The first sample_count draws from the sampling box that lie in V - B.
+
+    A round draws m = 4 need + 64 points, enough at an acceptance of 1/4, and
+    tests them a quarter at a time until it holds need more samples.  Every
+    test is elementwise, so the samples are those of testing the whole draw,
+    and a round that keeps nothing has tested all m draws.
+    """
+    xs = np.empty(0, dtype=complex)
+    ys = np.empty(0, dtype=complex)
+    alpha = params.poly.alpha
+    while len(xs) < sample_count:
+        need = sample_count - len(xs)
+        m = 4 * need + 64
+        x = uniform_disk(rng, 2.5, m)
+        y = uniform_disk(rng, vs.r, m)
+        for lo in range(0, m, need + 16):
+            xq, yq = x[lo : lo + need + 16], y[lo : lo + need + 16]
+            keep = in_V(params, nf, vs, xq, yq, j_tree) & (np.abs(xq - alpha) > vs.rho_prime)
+            xs = np.append(xs, xq[keep])
+            ys = np.append(ys, yq[keep])
+            if len(xs) >= sample_count:
+                break
+        if not len(xs):
+            raise PreconditionError(f"no sample of V - B among {m} draws: {vs} leaves it empty")
+    return xs[:sample_count], ys[:sample_count]
 
 
 def _boundary_tree(params, nf, vs: VSpec, n_loop: int = 512):
@@ -283,21 +322,8 @@ def global_cone_check(params: HenonParams, v_spec: VSpec | None = None,
     vs.validate(params)
     if nf is None:
         nf = reduce(params)
-    rng = np.random.default_rng(seed)
-    j_tree = julia_slice_tree(params)
-    xs = np.empty(0, dtype=complex)
-    ys = np.empty(0, dtype=complex)
-    alpha = params.poly.alpha
-    while len(xs) < sample_count:
-        m = 4 * (sample_count - len(xs)) + 64
-        x = uniform_disk(rng, 2.5, m)
-        y = uniform_disk(rng, vs.r, m)
-        keep = in_V(params, nf, vs, x, y, j_tree) & (np.abs(x - alpha) > vs.rho_prime)
-        if not len(xs) and not keep.any():
-            raise PreconditionError(f"no sample of V - B among {m} draws: {vs} leaves it empty")
-        xs = np.append(xs, x[keep])
-        ys = np.append(ys, y[keep])
-    xs, ys = xs[:sample_count], ys[:sample_count]
+    xs, ys = _sample_V_minus_B(params, nf, vs, sample_count, np.random.default_rng(seed),
+                               julia_slice_tree(params))
 
     tree = _boundary_tree(params, nf, vs)
 
@@ -309,33 +335,33 @@ def global_cone_check(params: HenonParams, v_spec: VSpec | None = None,
     e = _direction_frame()[None, :]
     x1, _ = henon(params, (xs, ys))
     sig0, sig1 = density(xs), density(x1)
-
-    # horizontal cones under DH, Euclidean frame (xi, eta) = (1, e)
-    xi_p = 2.0 * xs[:, None] + a * e
-    eta_p = a * np.ones_like(xi_p)
-    h_inv = np.abs(xi_p) > np.abs(eta_p)
-    h_exp_e = np.maximum(np.abs(xi_p), np.abs(eta_p))
-    euclid_ok = np.min(h_exp_e, axis=1) > 1.0
-    # weighted retry on the same frame reweighted to the surrogate density
-    xi_w = 2.0 * xs[:, None] + a * (sig0[:, None] * e)
-    h_exp_w = np.maximum(sig1[:, None] * np.abs(xi_w), np.abs(eta_p)) / sig0[:, None]
-    weighted_ok = np.min(h_exp_w, axis=1) > 1.0
-
-    # vertical cones under DH^{-1}: boundary |xi| = tau |eta|, eta = 1,
-    # restricted to samples whose preimage stays clear of the critical tube
+    # the frame's other coordinate is constant: |eta| = |a| forward, |xi| = |1/a| backward
+    abs_eta_p, abs_xi_b = np.abs(a), np.abs(1.0 / a)
     xpre = ys / a  # first coordinate of H^{-1}(x, y)
     valid = np.abs(2.0 * xpre) >= vs.crit_strip
-    xi_b = np.full((len(xs), N_DIRECTIONS), 1.0 / a, dtype=complex)
-    eta_b = (vs.tau * e - 2.0 * xpre[:, None] / a) / a
-    v_inv = np.abs(xi_b) < vs.tau * np.abs(eta_b)
-    v_exp = np.maximum(np.abs(xi_b), np.abs(eta_b))  # ||v|| = max(tau, 1) = 1
-    v_inv_ok = v_inv.all(axis=1) | ~valid
+    # per sample: cones kept over the frame, least expansion in each metric
+    h_inv, v_inv = np.empty(len(xs), dtype=bool), np.empty(len(xs), dtype=bool)
+    h_exp_e, h_exp_w, v_exp = np.empty(len(xs)), np.empty(len(xs)), np.empty(len(xs))
+    for s in range(0, len(xs), CONE_BLOCK):
+        b = slice(s, s + CONE_BLOCK)
+        # horizontal cones under DH, Euclidean frame (xi, eta) = (1, e)
+        abs_xi_p = np.abs(2.0 * xs[b, None] + a * e)
+        h_inv[b] = (abs_xi_p > abs_eta_p).all(axis=1)
+        h_exp_e[b] = np.maximum(abs_xi_p, abs_eta_p).min(axis=1)
+        # weighted retry on the same frame reweighted to the surrogate density
+        xi_w = 2.0 * xs[b, None] + a * (sig0[b, None] * e)
+        h_exp_w[b] = (np.maximum(sig1[b, None] * np.abs(xi_w), abs_eta_p) / sig0[b, None]).min(axis=1)
+        # vertical cones under DH^{-1}: boundary |xi| = tau |eta|, eta = 1,
+        # restricted to samples whose preimage stays clear of the critical tube
+        abs_eta_b = np.abs((vs.tau * e - 2.0 * xpre[b, None] / a) / a)
+        v_inv[b] = (abs_xi_b < vs.tau * abs_eta_b).all(axis=1)
+        v_exp[b] = np.maximum(abs_xi_b, abs_eta_b).min(axis=1)  # ||v|| = max(tau, 1) = 1
+    euclid_ok, weighted_ok = h_exp_e > 1.0, h_exp_w > 1.0
 
-    bad = ~(h_inv.all(axis=1) & v_inv_ok & (euclid_ok | weighted_ok))
+    bad = ~(h_inv & (v_inv | ~valid) & (euclid_ok | weighted_ok))
     failures = [(complex(p), complex(r)) for p, r in zip(xs[bad], ys[bad])]
 
-    worst_h = float(np.min(np.where(euclid_ok, np.min(h_exp_e, axis=1),
-                                    np.min(h_exp_w, axis=1))))
+    worst_h = float(np.min(np.where(euclid_ok, h_exp_e, h_exp_w)))
     worst_v = float(np.min(v_exp[valid])) if valid.any() else float("nan")
 
     # nesting of the narrow vertical cone inside the normalized cone at dB

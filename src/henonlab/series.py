@@ -276,14 +276,22 @@ class TruncSeries2(_Jet):
         return TruncSeries2(c, D=self.D)
 
     def __call__(self, x, y):
-        """Evaluate by Horner in x of Horner-in-y rows; broadcasts over arrays."""
+        """Evaluate by Horner in x of Horner-in-y rows; broadcasts over arrays.
+
+        Row i runs over its simplex entries j <= D - i only.  The entries it
+        skips are zeros, so at finite y the value is the full row's bit for
+        bit, unless the top entry c[i, D - i] has a -0 part, whose sign in
+        the sum the skipped steps decide; such a row runs in full."""
         x = np.asarray(x, dtype=complex)
         y = np.asarray(y, dtype=complex)
         acc = np.zeros(np.broadcast(x, y).shape, dtype=complex)
         rowval = np.empty_like(acc)
-        for row in self.coeffs[::-1]:
+        rows = self.coeffs[::-1]  # row k holds x^(D-k); its top simplex entry is rows[k, k]
+        top = rows.diagonal()
+        full = (top.real == 0) & np.signbit(top.real) | (top.imag == 0) & np.signbit(top.imag)
+        for k, row in enumerate(rows):
             acc *= x
-            acc += horner(row, y, out=rowval)
+            acc += horner(row[: None if full[k] else k + 1], y, out=rowval)
         return acc[()]
 
     def homogeneous_part(self, d):

@@ -273,3 +273,259 @@ def test_global_cone_check_matches_full_array_in_V(monkeypatch, pq, t, a):
     monkeypatch.setattr(cones, "in_V", in_V_full)
     want = cones.global_cone_check(P, sample_count=10000, seed=0, nf=nf)
     _assert_reports_equal(got, want)
+
+
+# ------------------------------ the blocked cone checks against their broadcast forms
+
+def local_cone_check_full(params, nf, sample_grid, rho=0.15):
+    """local_cone_check as it ran before the row blocks: the whole
+    (samples x N_DIRECTIONS) frame at once."""
+    pts = np.asarray(sample_grid, dtype=complex).reshape(-1, 2)
+    x, y = pts[:, 0], pts[:, 1]
+    if not np.all(cones.in_repelling_sector(params, x, rho)):
+        raise PreconditionError("sample outside the repelling sector")
+    q = params.q
+    N1, N2 = nf.normal
+    J11 = N1.partial_x()(x, y)
+    J12 = N1.partial_y()(x, y)
+    J21 = N2.partial_x()(x, y)
+    J22 = N2.partial_y()(x, y)
+    e = cones._direction_frame()[None, :]
+
+    xh = nf.xh_series()
+    n_at = max(float(np.max(np.abs(xh.partial_x()(x, y)))),
+               float(np.max(np.abs(xh.partial_y()(x, y)))))
+
+    xi_p = J11[:, None] + J12[:, None] * e
+    eta_p = J21[:, None] + J22[:, None] * e
+    h_invariant = np.abs(xi_p) > np.abs(eta_p)
+    h_norm = np.maximum(np.abs(xi_p), np.abs(eta_p))
+    h_bound = np.abs(params.lam) * (1.0 + (q + 0.5) * EPS1 * np.abs(x) ** q)
+    h_margin = h_norm / h_bound[:, None]
+
+    x1 = N1(x, y)
+    det = J11 * J22 - J12 * J21
+    if float(np.min(np.abs(det))) < 1e-13:
+        v_invariant = np.ones_like(h_invariant)
+        worst_v = cones.VERTICAL_SENTINEL
+    else:
+        open_img = np.abs(x1) ** (2 * q)
+        xi_b = (J22[:, None] * open_img[:, None] * e - J12[:, None]) / det[:, None]
+        eta_b = (-J21[:, None] * open_img[:, None] * e + J11[:, None]) / det[:, None]
+        v_invariant = np.abs(xi_b) < np.abs(x[:, None]) ** (2 * q) * np.abs(eta_b)
+        v_norm = np.maximum(np.abs(xi_b), np.abs(eta_b)) / np.maximum(open_img[:, None], 1.0)
+        worst_v = float(np.min(v_norm))
+
+    bad = ~(h_invariant.all(axis=1) & v_invariant.all(axis=1))
+    failures = [(complex(a), complex(b)) for a, b in zip(x[bad], y[bad])]
+    return cones.ConeReport(
+        region=f"W- normalized, q={q}, t={params.t}, a={params.a}, rho={rho}",
+        samples=len(x),
+        worst_h_expansion=float(np.min(h_norm)),
+        worst_v_expansion=worst_v,
+        invariance_failures=failures,
+        worst_h_margin=float(np.min(h_margin)),
+        extras={
+            "n_at": n_at,
+            "v_bound": (1.0 / (abs(params.nu) + 1.5 * n_at) if n_at + abs(params.nu) > 0
+                        else cones.VERTICAL_SENTINEL),
+            "min_abs_xq": float(np.min(np.abs(x) ** q)),
+            "marginal": params.t == 0,
+        },
+    )
+
+
+def sample_V_minus_B_full(params, nf, vs, sample_count, rng, j_tree):
+    """The draw loop of global_cone_check before it tested quarters: every
+    draw of a round is tested."""
+    xs = np.empty(0, dtype=complex)
+    ys = np.empty(0, dtype=complex)
+    alpha = params.poly.alpha
+    while len(xs) < sample_count:
+        m = 4 * (sample_count - len(xs)) + 64
+        x = hn.uniform_disk(rng, 2.5, m)
+        y = hn.uniform_disk(rng, vs.r, m)
+        keep = cones.in_V(params, nf, vs, x, y, j_tree) & (np.abs(x - alpha) > vs.rho_prime)
+        if not len(xs) and not keep.any():
+            raise PreconditionError(f"no sample of V - B among {m} draws: {vs} leaves it empty")
+        xs = np.append(xs, x[keep])
+        ys = np.append(ys, y[keep])
+    return xs[:sample_count], ys[:sample_count]
+
+
+def global_cone_check_full(params, v_spec=None, sample_count=2000, seed=0, nf=None):
+    """global_cone_check as it ran before the row blocks and the quarter
+    tests: every draw tested, the whole (samples x N_DIRECTIONS) frame at once."""
+    vs = v_spec or cones.VSpec()
+    vs.validate(params)
+    if nf is None:
+        nf = nf2.reduce(params)
+    xs, ys = sample_V_minus_B_full(params, nf, vs, sample_count, np.random.default_rng(seed),
+                                   cones.julia_slice_tree(params))
+    tree = cones._boundary_tree(params, nf, vs)
+
+    def density(z):
+        d, _ = tree.query(np.column_stack([z.real, z.imag]))
+        return 1.0 / np.clip(d, 0.15, 3.0)
+
+    a = params.a
+    e = cones._direction_frame()[None, :]
+    x1, _ = hn.henon(params, (xs, ys))
+    sig0, sig1 = density(xs), density(x1)
+
+    xi_p = 2.0 * xs[:, None] + a * e
+    eta_p = a * np.ones_like(xi_p)
+    h_inv = np.abs(xi_p) > np.abs(eta_p)
+    h_exp_e = np.maximum(np.abs(xi_p), np.abs(eta_p))
+    euclid_ok = np.min(h_exp_e, axis=1) > 1.0
+    xi_w = 2.0 * xs[:, None] + a * (sig0[:, None] * e)
+    h_exp_w = np.maximum(sig1[:, None] * np.abs(xi_w), np.abs(eta_p)) / sig0[:, None]
+    weighted_ok = np.min(h_exp_w, axis=1) > 1.0
+
+    xpre = ys / a
+    valid = np.abs(2.0 * xpre) >= vs.crit_strip
+    xi_b = np.full((len(xs), cones.N_DIRECTIONS), 1.0 / a, dtype=complex)
+    eta_b = (vs.tau * e - 2.0 * xpre[:, None] / a) / a
+    v_inv = np.abs(xi_b) < vs.tau * np.abs(eta_b)
+    v_exp = np.maximum(np.abs(xi_b), np.abs(eta_b))
+    v_inv_ok = v_inv.all(axis=1) | ~valid
+
+    bad = ~(h_inv.all(axis=1) & v_inv_ok & (euclid_ok | weighted_ok))
+    failures = [(complex(p), complex(r)) for p, r in zip(xs[bad], ys[bad])]
+    worst_h = float(np.min(np.where(euclid_ok, np.min(h_exp_e, axis=1),
+                                    np.min(h_exp_w, axis=1))))
+    worst_v = float(np.min(v_exp[valid])) if valid.any() else float("nan")
+
+    tau_nest = (vs.tau_nest if vs.tau_nest is not None
+                else min(0.005, 0.8 * (vs.rho / 2.0) ** (2 * params.q)))
+    nest_x = params.poly.alpha + vs.rho_prime * np.exp(2j * math.pi * np.arange(64) / 64)
+    nest_keep = cones.in_repelling_sector(params, nf.to_normalized(nest_x, np.zeros(64))[0],
+                                          vs.rho * 1.5)
+    nest_x = nest_x[nest_keep]
+    nest_ratio = float("nan")
+    if len(nest_x):
+        c1, c2 = nf.change
+        cx = nest_x - params.x_q
+        cy = np.zeros_like(cx) - params.a * params.x_q
+        d1x, d1y = c1.partial_x()(cx, cy), c1.partial_y()(cx, cy)
+        d2x, d2y = c2.partial_x()(cx, cy), c2.partial_y()(cx, cy)
+        xn = nf.to_normalized(nest_x, np.zeros_like(nest_x))[0]
+        ph = cones._direction_frame()[:, None]
+        xi_t = d1x * tau_nest * ph + d1y
+        eta_t = d2x * tau_nest * ph + d2y
+        nest_ratio = float(np.max(np.abs(xi_t) / (np.abs(xn) ** (2 * params.q) * np.abs(eta_t))))
+
+    vertical_floor = 0.95 / abs(a)
+    return cones.ConeReport(
+        region=f"V global, t={params.t}, a={params.a}",
+        samples=sample_count,
+        worst_h_expansion=worst_h,
+        worst_v_expansion=worst_v,
+        invariance_failures=failures,
+        worst_h_margin=worst_h,
+        metric="euclidean + distance-weighted (Koebe surrogate)",
+        extras={
+            "euclid_certified": int(np.sum(euclid_ok)),
+            "weighted_certified": int(np.sum(weighted_ok & ~euclid_ok)),
+            "vertical_skipped_preimage": int(np.sum(~valid)),
+            "vertical_floor": vertical_floor,
+            "vertical_ok": worst_v >= vertical_floor,
+            "tau": vs.tau,
+            "tau_nest": tau_nest,
+            "tau_nest_below_paper_bound": tau_nest < (vs.rho / 2.0) ** (2 * params.q),
+            "nesting_ratio_at_dB": nest_ratio,
+            "nesting_holds": bool(nest_ratio < 1.0) if nest_ratio == nest_ratio else False,
+            "marginal": params.t == 0,
+        },
+    )
+
+
+ORACLE_PARAMS = [
+    ((1, 1), 0.05, 0.05),                                        # README cone-check line
+    ((1, 1), 0.0506888437030501, 0.0506888437030501),            # jets, seed 0
+    ((1, 2), -0.020275537481220043, 0.0506888437030501),         # jets, seed 0
+    ((1, 1), 0.0, 0.05),                                         # marginal
+]
+# block edges: one sample, a block short by one, a block and one more, the jets count
+ORACLE_COUNTS = [1, cones.CONE_BLOCK - 1, cones.CONE_BLOCK + 1, 10000]
+
+
+@pytest.mark.parametrize("n", ORACLE_COUNTS)
+@pytest.mark.parametrize("pq,t,a", ORACLE_PARAMS + [((1, 1), 0.05, 0.0)])  # a = 0: singular DH
+def test_local_cone_check_matches_broadcast_form(nf_cache, pq, t, a, n):
+    P, nf = nf_cache(pq, t, a)
+    grid = cones.sector_samples(P, n, seed=1)
+    got = cones.local_cone_check(P, nf, grid)
+    _assert_reports_equal(got, local_cone_check_full(P, nf, grid))
+    assert (got.worst_v_expansion == cones.VERTICAL_SENTINEL) == (a == 0)
+
+
+@pytest.mark.parametrize("n", ORACLE_COUNTS)
+@pytest.mark.parametrize("pq,t,a", ORACLE_PARAMS)
+def test_global_cone_check_matches_broadcast_form(nf_cache, pq, t, a, n):
+    P, nf = nf_cache(pq, t, a)
+    got = cones.global_cone_check(P, sample_count=n, seed=0, nf=nf)
+    _assert_reports_equal(got, global_cone_check_full(P, sample_count=n, seed=0, nf=nf))
+
+
+def test_cone_checks_run_in_bounded_memory(nf_cache):
+    # at 10,000 samples the broadcast forms peak near 17 MiB (local) and 21 MiB (global)
+    import tracemalloc
+
+    P, nf = nf_cache((1, 1), 0.0506888437030501, 0.0506888437030501)
+    grid = cones.sector_samples(P, 10000, seed=0)
+    cones.global_cone_check(P, sample_count=10, seed=0, nf=nf)  # scipy.spatial imported
+    peaks = {}
+    for name, run, bound in [
+        ("local", lambda: cones.local_cone_check(P, nf, grid), 4e6),
+        ("global", lambda: cones.global_cone_check(P, sample_count=10000, seed=0, nf=nf), 6e6),
+    ]:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]  # nonzero if tracing was already on
+            tracemalloc.reset_peak()
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peaks[name] <= bound, (name, peaks[name])
+
+
+@pytest.mark.parametrize("q,t", [(1, -0.01), (2, 0.0), (3, 0.05)])
+def test_in_V_bounded_collar_query_at_the_collar_edge(q, t):
+    # points whose nearest loop point lies at collar (1 +- k 2^-52): the
+    # bounded query must decide the collar test as the unbounded one does
+    P, nf, tree = _v_setup(q, t)
+    vs = cones.VSpec()
+    rng = np.random.default_rng(q)
+    z = hn.uniform_disk(rng, 2.5, 40000)
+    d, i = tree.query(np.column_stack([z.real, z.imag]))
+    sel = (d > vs.collar) & (d <= 2 * vs.collar)
+    loop = tree.data[i[sel], 0] + 1j * tree.data[i[sel], 1]
+    k = rng.integers(-8, 9, len(loop))
+    # moving toward the nearest loop point keeps it nearest
+    x = loop + (z[sel] - loop) * (vs.collar * (1 + k * 2.0**-52) / d[sel])
+    x = np.concatenate([x, z[sel]])
+    y = hn.uniform_disk(rng, vs.r, len(x))
+    assert np.array_equal(cones.in_V(P, nf, vs, x, y, tree), in_V_full(P, nf, vs, x, y, tree))
+    # the collar test decides on both sides within a few ulps of the collar
+    dx, _ = tree.query(np.column_stack([x.real, x.imag]))
+    reach = (green(P.poly, x, iters=80) == 0) & (np.abs(2 * x) >= vs.crit_strip)
+    edge = reach & (np.abs(dx - vs.collar) <= 16 * 2.0**-52 * vs.collar)
+    assert np.any(edge & (dx <= vs.collar)) and np.any(edge & (dx > vs.collar))
+
+
+@pytest.mark.parametrize("R", [2.0, 1.2])  # acceptance about 18 % and 4 %
+@pytest.mark.parametrize("n", [1, 37, 600])
+def test_quarter_tests_keep_the_draws_of_the_full_loop(monkeypatch, R, n):
+    # an acceptance below 1/4 needs more than one round of draws
+    P, nf, tree = _v_setup(1, 0.05)
+    vs = cones.VSpec(R=R)
+    want = sample_V_minus_B_full(P, nf, vs, n, np.random.default_rng(n), tree)
+    draws = []
+    monkeypatch.setattr(cones, "uniform_disk", lambda *args: draws.append(args[2]) or hn.uniform_disk(*args))
+    got = cones._sample_V_minus_B(P, nf, vs, n, np.random.default_rng(n), tree)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert len(got[0]) == n
+    if n == 600:
+        assert len(draws) >= 4  # two coordinates a round

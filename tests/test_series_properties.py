@@ -210,3 +210,70 @@ def test_horner_from_the_leading_coefficient_matches_a_zero_start(D, seed, rows,
     scalar, scalar_want = horner(coeffs[0, 0], x[0]), _horner_from_zero(coeffs[0, 0], x[0])
     assert isinstance(scalar, np.complex128)
     assert scalar == scalar_want
+
+
+def _eval2_full_square(f, x, y):
+    """TruncSeries2.__call__ as it ran over the whole (D+1)x(D+1) square."""
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    acc = np.zeros(np.broadcast(x, y).shape, dtype=complex)
+    rowval = np.empty_like(acc)
+    for row in f.coeffs[::-1]:
+        acc *= x
+        acc += horner(row, y, out=rowval)
+    return acc[()]
+
+
+def _exact_parts(rng, shape, sparse):
+    """Complex values whose real and imaginary parts are each +0, -0, a
+    small dyadic (so sums cancel exactly and leave zeros whose sign the
+    evaluation order sets) or a scaled uniform draw; sparse values are
+    nine parts in ten zeros and otherwise +-1."""
+    zero, dyadic = (0.9, 1.0) if sparse else (0.3, 0.7)
+    out = np.empty(shape, dtype=complex)
+    for part in (out.real, out.imag):  # views; a + 1j b would lose the sign of b = -0
+        kind = rng.uniform(size=shape)
+        part[...] = np.select(
+            [kind < zero / 2, kind < zero, kind < dyadic],
+            [0.0, -0.0, rng.choice([-2.0, -1.0, 1.0, 2.0] if not sparse else [-1.0, 1.0], shape)],
+            rng.uniform(-1, 1, shape) * 2.0 ** rng.integers(-20, 20, shape))
+    return out
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=14), seeds,
+       st.sampled_from(["jet", "partial_x", "partial_y"]),
+       st.sampled_from(["scalar", "1-d", "2-d", "broadcast"]),
+       st.booleans(), st.booleans(), st.booleans())
+def test_eval2_over_the_simplex_matches_the_full_square(D, seed, which, layout, sparse, zero_rows,
+                                                       negate):
+    # bit for bit, signs of zeros included: the skipped entries are zeros,
+    # and the -0 parts drawn here (negation turns every +0 into -0, the
+    # skipped entries too) are where a sign of zero could differ; sparse
+    # jets at low degree give the exact zeros that show it
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        return _exact_parts(rng, shape, sparse)
+
+    i, j = np.indices((D + 1, D + 1))
+    c = draw((D + 1, D + 1))
+    if zero_rows:
+        c[rng.uniform(size=D + 1) < 0.4] = 0.0
+    c[i + j > D] = draw((D + 1, D + 1))[i + j > D] * 0.0  # signed zeros may stand there
+    f = TruncSeries2(c, D=D)
+    f = -f if negate else f
+    f = f if which == "jet" else getattr(f, which)()
+    if layout == "scalar":
+        x, y = complex(draw(())), draw(())[()]
+    elif layout == "1-d":
+        x, y = draw((32,)), draw((32,))
+    elif layout == "2-d":
+        x, y = draw((4, 8)), draw((4, 8))
+    else:
+        x, y = draw((4, 1)), draw((1, 8))
+    got, want = f(x, y), _eval2_full_square(f, x, y)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    bits = lambda v: np.asarray(v).reshape(-1).view(np.uint64)  # noqa: E731
+    assert np.array_equal(bits(got), bits(want))
