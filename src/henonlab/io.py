@@ -15,18 +15,29 @@ def write_csv(path, kind, columns, rows):
     """CSV under the header ``# henonlab-csv v1 <kind>`` and the column line.
 
     A float is one %.17g field, a complex value fills two (real, imaginary),
-    anything else is written with str."""
+    anything else is written with str.  Each row is one %-format, built once
+    per sequence of value types."""
+    formats = {}
 
-    def field(v) -> str:
-        if isinstance(v, complex):
-            return "%.17g,%.17g" % (v.real, v.imag)
-        if isinstance(v, float):
-            return "%.17g" % v
-        return str(v)
+    def line(row):
+        # built at its size: tuple(map(...)) resizes its tuple, and the
+        # interpreter then keeps up to 2000 of them on a free list
+        kinds = (*map(type, row),)
+        if kinds not in formats:
+            fields = ("%.17g,%.17g" if issubclass(k, complex) else "%.17g" if issubclass(k, float)
+                      else "%s" for k in kinds)
+            formats[kinds] = (",".join(fields) + "\n",
+                              [i for i, k in enumerate(kinds) if issubclass(k, complex)][::-1])
+        fmt, complex_at = formats[kinds]
+        if complex_at:
+            row = list(row)
+            for i in complex_at:  # right to left, so that the indices stay valid
+                row[i:i + 1] = row[i].real, row[i].imag
+        return fmt % tuple(row)
 
     with open(path, "w") as fh:
         fh.write(f"{_SCHEMA} {kind}\n{columns}\n")
-        fh.writelines(",".join(map(field, row)) + "\n" for row in rows)
+        fh.writelines(map(line, rows))
 
 
 def write_pgm(path, values, levels: int = 255):

@@ -34,6 +34,11 @@ BRANCH_MARGIN = 0.25
 # to this many ulps of the largest one.  Measured at q = 1, 2: 0.5 ulp on seed
 # tori, 0.2 ulp on later levels (the DFT of exactly symmetric samples).
 MIRROR_ULPS = 4
+# torus_fixed_point runs levels 1 .. FULL_GRID_LEVELS on the caller's grid, the
+# middle ones on BASE_ANGLES angles, then refines.  Refining from level 0 certified
+# scan cells that leave their branch at levels 5 to 9 on 1024 angles.
+FULL_GRID_LEVELS = 12
+BASE_ANGLES = 256
 
 
 # eq=False: the fields are arrays, so a generated == would raise on them
@@ -113,7 +118,8 @@ def torus_seed(loop0: LoopSample, disk_degree: int = 8) -> SolidTorus:
 
 
 def graph_transform(params: HenonParams, torus: SolidTorus, max_newton: int = 50,
-                    _scratch: list | None = None) -> SolidTorus:
+                    _scratch: list | None = None, _refine: bool = False,
+                    _grid: int | None = None) -> SolidTorus:
     """One application of the operator: solve, per angle s and node z_j,
 
         x^2 + c + a z_j = phi_{2s}(a x)
@@ -129,6 +135,12 @@ def graph_transform(params: HenonParams, torus: SolidTorus, max_newton: int = 50
     BRANCH_MARGIN of the other branch, it starts from the pullback branches
     instead, and their outcome stands.
 
+    The fiber at s reads only the fiber at 2s.  So with ``_refine`` the
+    result has twice the angles: its fiber k solves against input fiber
+    k mod n_in, from input sample k // 2.  On the even fibers of a 2 n_in
+    torus that is the step on 2 n_in angles.  A stall names its angle on
+    ``_grid`` angles (default: the result's).
+
     On a torus with a mirror (``_mirror_nodes``) only the angles 0 .. n/2 are
     solved.  As conj(a) = e a and conj(phi_s(w)) = phi_{-s}(e conj w), the
     conjugate of the equation at angle k and node z_j is
@@ -140,18 +152,20 @@ def graph_transform(params: HenonParams, torus: SolidTorus, max_newton: int = 50
     fresh ones are page-faulted in each time, a third of a one-step solve."""
     if params.a == 0:
         raise PreconditionError("graph transform requires a != 0")
-    n, d = torus.n_angles, torus.disk_degree
+    n_in, d = torus.n_angles, torus.disk_degree
+    n = n_in << _refine
     mirror = _mirror_nodes(params, torus)
     h = n if mirror is None else n // 2 + 1  # the angles Newton solves
-    doubled = (2 * np.arange(n)) % n
-    seeds = continue_branch(np.sqrt(torus.centers[doubled] - params.c), unit="angle")
+    target = np.arange(n) * (2 * n_in // n) % n_in  # the input fiber at the doubled angle
+    seeds = continue_branch(np.sqrt(torus.centers[target] - params.c), unit="angle")
     if not np.array_equal(seeds[n // 2:], -seeds[: n // 2]):
         raise NumericalError("resolution too coarse: fibers at s and s+1/2 took the same preimage")
-    tcoeffs, seeds_h = torus.coeffs[doubled[:h]], seeds[:h]
+    tcoeffs, seeds_h = torus.coeffs[target[:h]], seeds[:h]
     solve = partial(_newton, params, torus.nodes(), max_newton=max_newton,
                     scratch=[] if _scratch is None else _scratch)
 
-    X, stalled = solve(tcoeffs, seeds_h if torus.samples is None else torus.samples[:h].T)
+    rows = np.arange(h) // 2 if _refine else slice(h)  # a copy only when refining
+    X, stalled = solve(tcoeffs, seeds_h if torus.samples is None else torus.samples[rows].T)
     # negative exactly where |X - s| > |X + s|: the node left its branch
     margin = _branch_margin(X, seeds_h)
     if torus.samples is not None:
@@ -161,7 +175,8 @@ def graph_transform(params: HenonParams, torus: SolidTorus, max_newton: int = 50
             margin[:, redo] = _branch_margin(X[:, redo], seeds_h[redo])
     if stalled.any():
         k, j = np.argwhere(stalled.T)[0]
-        raise NumericalError(f"Newton stalled at angle {k}/{n}, node {j}")
+        grid = _grid or n
+        raise NumericalError(f"Newton stalled at angle {k * grid // n}/{grid}, node {j}")
     if h < n:  # angle-major, so that the samples X.T are contiguous
         X = np.concatenate([X.T, np.conj(X.T[n - np.arange(h, n)][:, mirror])]).T
         margin = np.concatenate([margin, _branch_margin(X[:, h:], seeds[h:])], axis=1)
@@ -170,9 +185,10 @@ def graph_transform(params: HenonParams, torus: SolidTorus, max_newton: int = 50
 
     dft = np.fft.fft(X, axis=0)[: d + 1]
     dft /= 2 * d * ((NODE_FRACTION * FILTRATION_RADIUS) ** np.arange(d + 1))[:, None]
-    for arr in (dft, X):  # read-only, so that SolidTorus does not copy them
+    coeffs = dft.T.copy()  # a view would keep all 2d rows of the transform
+    for arr in (coeffs, X):  # read-only, so that SolidTorus does not copy them
         arr.setflags(write=False)
-    return SolidTorus(coeffs=dft.T, level=torus.level + 1, samples=X.T)
+    return SolidTorus(coeffs=coeffs, level=torus.level + 1, samples=X.T)
 
 
 def _branch_margin(X, seeds):
@@ -271,8 +287,9 @@ def _newton(params, nodes, tcoeffs, start, max_newton, scratch):
 @dataclass(frozen=True)
 class TorusResult:
     torus: SolidTorus
-    gaps: np.ndarray          # sup-norm Cauchy gaps per iteration
-    separations: np.ndarray   # fiber separation per iteration
+    # per level, on the finest grid that torus_fixed_point solved it on:
+    gaps: np.ndarray          # sup-norm Cauchy gap to the level before
+    separations: np.ndarray   # fiber separation
 
     @property
     def final_gap(self):
@@ -281,17 +298,57 @@ class TorusResult:
 
 def torus_fixed_point(params: HenonParams, n_iters: int, n_angles: int,
                       disk_degree: int = 8) -> TorusResult:
-    """n_iters-fold graph transform of the seed torus, with certificates."""
+    """n_iters-fold graph transform of the seed torus, with certificates.
+
+    On N = BASE_ANGLES 2^k angles with n_iters >= FULL_GRID_LEVELS + k + 2,
+    k >= 1, levels 1 .. FULL_GRID_LEVELS run on the N angles, the levels up
+    to n_iters - k on a copy of every 2^k-th fiber, and k refining steps of
+    graph_transform carry the last three levels to twice the angles each.
+    Levels n_iters - 2 .. n_iters so end on the N angles, within a few ulps
+    of the direct solve.  Otherwise every level runs on the N angles.
+
+    Entry i of ``gaps`` compares levels i + 1 and i, and of ``separations``
+    is that of level i + 1, on the finest grid that holds them: the N angles
+    for the first FULL_GRID_LEVELS entries, the last two gaps and the last
+    three separations.  At q = 1 all gaps are the direct solve's to
+    rounding.  At q >= 2 the base-grid gaps fall up to 85 % below the N-angle
+    ones on 1024 angles and 92 % on 2048, so they may rise where the grid
+    changes."""
     if n_iters < 1:
         raise PreconditionError("n_iters must be >= 1")
-    loop0 = equipotential_loop(params.poly, n_angles)
-    torus = torus_seed(loop0, disk_degree)
-    gaps, seps, scratch = np.empty(n_iters), np.empty(n_iters), []
-    for i in range(n_iters):
-        prev = torus  # frees the level before last, so two tori are alive per call
-        torus = graph_transform(params, prev, _scratch=scratch)
-        gaps[i] = np.max(np.abs(torus.node_values() - prev.node_values()))
-        seps[i] = torus.separation()
+    torus = torus_seed(equipotential_loop(params.poly, n_angles), disk_degree)
+    k = max(n_angles // BASE_ANGLES, 1).bit_length() - 1
+    k = k if n_iters >= FULL_GRID_LEVELS + k + 2 else 0
+    gaps, seps = np.empty(n_iters), np.empty(n_iters)
+    step = partial(graph_transform, params, _scratch=[], _grid=n_angles)
+
+    def record(torus, prev_vals):  # returns the node values of torus
+        vals = torus.node_values()
+        if prev_vals is not None:
+            gaps[torus.level - 1] = np.max(np.abs(vals - prev_vals))
+        seps[torus.level - 1] = torus.separation()
+        return vals
+
+    vals, chain = torus.node_values(), []  # chain: the last three levels on the base grid
+    for level in range(1, n_iters - k + 1):
+        if k and level == FULL_GRID_LEVELS + 1:  # copies: a strided view keeps the N fibers
+            s = n_angles // BASE_ANGLES
+            torus = SolidTorus(torus.coeffs[::s].copy(), torus.level, torus.samples[::s].copy())
+            vals, chain = torus.node_values(), [torus]
+        torus = step(torus)  # frees the level before last: two tori are alive per call
+        vals = record(torus, vals)
+        if chain:
+            chain = chain[-2:] + [torus]
+    for j in range(k):
+        vals = None
+        for i in range(3):
+            torus = step(chain[i], _refine=True)
+            vals = record(torus, vals)
+            # the next step reads the torus without its node values, the next
+            # level here only the node values: no finished torus waits on the N angles
+            chain[i] = SolidTorus(torus.coeffs, torus.level, torus.samples) if j < k - 1 else None
+            if j < k - 1 or i < 2:
+                del torus
     return TorusResult(torus=torus, gaps=gaps, separations=seps)
 
 

@@ -2,10 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import henonlab
 import henonlab.henon as hn
@@ -513,3 +516,61 @@ def test_csv_format(tmp_path, monkeypatch, kind):
             else:
                 assert next(fields) == v
         assert next(fields, None) is None
+
+
+def _per_field_csv(path, kind, columns, rows):
+    """The CSV writer that formats one field at a time, as the oracle for
+    the one-format-per-row writer."""
+
+    def field(v) -> str:
+        if isinstance(v, complex):
+            return "%.17g,%.17g" % (v.real, v.imag)
+        if isinstance(v, float):
+            return "%.17g" % v
+        return str(v)
+
+    with open(path, "w") as fh:
+        fh.write(f"# henonlab-csv v1 {kind}\n{columns}\n")
+        fh.writelines(",".join(map(field, row)) + "\n" for row in rows)
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]))
+_FLOATS32 = st.floats(width=32)
+_CSV_VALUES = st.one_of(
+    st.integers(-10**20, 10**20), st.booleans(), st.text(max_size=6), _FLOATS,
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.builds(complex, _FLOATS, _FLOATS),
+    _FLOATS.map(np.float64), _FLOATS32.map(np.float32), st.integers(-2**40, 2**40).map(np.int64),
+    st.booleans().map(np.bool_), st.builds(complex, _FLOATS, _FLOATS).map(np.complex128),
+    st.builds(complex, _FLOATS32, _FLOATS32).map(np.complex64), st.none())
+# rows of one type sequence, as the CLI writes them, and rows whose types vary
+_CSV_ROWS = st.one_of(
+    st.lists(st.lists(_CSV_VALUES, max_size=7).map(tuple), max_size=6),
+    st.integers(0, 6).flatmap(lambda width: st.lists(
+        st.tuples(*[st.sampled_from([1, 2.5, -0.0, 1j, "x"])] * width), max_size=6)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rows=_CSV_ROWS, as_lists=st.booleans())
+def test_csv_rows_match_the_per_field_writer(tmp_path_factory, rows, as_lists):
+    # int, bool, str, None, numpy scalars, complex, nan, +-inf and -0.0, in
+    # rows given as tuples or lists: the bytes of the per-field writer
+    path = tmp_path_factory.mktemp("csv")
+    source = [list(r) for r in rows] if as_lists else rows
+    io.write_csv(path / "new.csv", "kind x", "a,b", iter(source))
+    _per_field_csv(path / "old.csv", "kind x", "a,b", rows)
+    assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
+
+
+def test_csv_writer_keeps_no_memory_per_row(tmp_path):
+    # rows of floats, complex values and strings, as petal-check writes them:
+    # after the call nothing allocated per row is still held
+    rows = [(0.5 + 1j, -2j, 0.25, "pass")] * 5000
+    tracemalloc.start()
+    try:
+        io.write_csv(tmp_path / "rows.csv", "kind", "a,b", rows)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 32 * 1024

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,7 +145,7 @@ def test_mirror_symmetric_fixed_point_matches_full_array_newton(pq, t, a):
     assert np.max(np.abs(X - mirrored)) < 1e-15
 
 
-def _solved_angles(monkeypatch, params, torus):
+def _solved_angles(monkeypatch, params, torus, **kwargs):
     """The number of angles graph_transform hands to its first Newton solve
     on ``torus``, and the transformed torus."""
     widths = []
@@ -155,7 +157,7 @@ def _solved_angles(monkeypatch, params, torus):
 
     with monkeypatch.context() as m:
         m.setattr(tor, "_newton", spy)
-        out = tor.graph_transform(params, torus)
+        out = tor.graph_transform(params, torus, **kwargs)
     return widths[0], out
 
 
@@ -523,3 +525,101 @@ def test_equivalence_class_stability_fat_basilica():
     fiber_gap = np.max(np.abs(T.eval(np.full(z.shape, k1), z) - T.eval(np.full(z.shape, k2), z)))
     scale = max(gamma_gap, res.final_gap, 1.0 / n)
     assert fiber_gap < 30 * scale
+
+
+# torus_fixed_point solves the middle levels on BASE_ANGLES angles and refines
+# the last ones; the result is the full-grid iteration to a few ulps
+@pytest.mark.parametrize("pq,t,a,n_iters,n_angles", [
+    ((1, 1), 0.1, 0.05, 40, 2048), ((1, 1), 0.0, 0.05, 40, 1024),
+    ((1, 2), 0.1, 0.05 + 0.02j, 30, 1024), ((1, 3), 0.01, 0.05, 30, 1024),
+])
+def test_fixed_point_matches_the_full_grid_iteration(pq, t, a, n_iters, n_angles):
+    P = hn.make_params(pq, t, a)
+    res = tor.torus_fixed_point(P, n_iters, n_angles)
+    torus, gaps, seps = _iterate(tor.graph_transform, P, n_iters, n_angles)
+    assert res.torus.n_angles == n_angles and res.torus.level == n_iters
+    coeff_ulp = np.spacing(np.max(np.abs(torus.coeffs)))
+    assert np.max(np.abs(res.torus.coeffs - torus.coeffs)) <= 8 * coeff_ulp
+    node_ulp = np.spacing(np.max(np.abs(torus.node_values())))
+    for got, want in ((res.gaps[-1], gaps[-1]), (res.gaps[-2], gaps[-2]),
+                      (res.separations[-1], seps[-1])):
+        assert abs(got - want) <= 8 * node_ulp
+    # the first FULL_GRID_LEVELS levels run on the full grid as before
+    first = slice(tor.FULL_GRID_LEVELS)
+    assert np.array_equal(res.gaps[first], gaps[first])
+    assert np.array_equal(res.separations[first], seps[first])
+
+
+def test_refining_step_is_the_step_on_the_doubled_grid(monkeypatch):
+    # from the even fibers of a 512-angle torus the refining step solves the
+    # equations of the 512-angle step; on the mirror axis it solves the
+    # fibers 0 .. 256 only
+    P = hn.make_params((1, 2), 0.1, 0.05)
+    T = tor.torus_fixed_point(P, 6, 512).torus
+    even = tor.SolidTorus(coeffs=T.coeffs[::2], level=T.level, samples=T.samples[::2])
+    width, refined = _solved_angles(monkeypatch, P, even, _refine=True)
+    direct = tor.graph_transform(P, T)
+    assert width == 257
+    assert refined.n_angles == 512 and refined.level == T.level + 1
+    assert np.max(np.abs(refined.coeffs - direct.coeffs)) <= 8 * np.spacing(np.max(np.abs(direct.coeffs)))
+
+
+def _raising_level(monkeypatch, params, n_iters, n_angles):
+    """The level whose step raised in torus_fixed_point, and the message."""
+    levels = []
+    step = tor.graph_transform
+
+    def spy(params, torus, *args, **kwargs):
+        levels.append(torus.level + 1)
+        return step(params, torus, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(tor, "graph_transform", spy)
+        with pytest.raises(NumericalError) as exc:
+            tor.torus_fixed_point(params, n_iters, n_angles)
+    return levels[-1], str(exc.value)
+
+
+def test_early_levels_run_on_the_full_grid(monkeypatch):
+    # this cell leaves its branch at level 5 on 512 angles and passes on 256;
+    # refining from level 0 certifies it in the 1024x30 scan
+    P = hn.make_params((1, 3), 0.05, 0.1)
+    assert _raising_level(monkeypatch, P, 30, 512) == (
+        5, "resolution too coarse: node left its branch")
+    tor.torus_fixed_point(P, 30, 256)
+
+
+@pytest.mark.parametrize("n_angles", [256, 512, 1024, 2048])
+def test_a_stall_on_the_base_grid_names_the_angle_on_the_callers_grid(monkeypatch, n_angles):
+    # level 23 runs on the base grid of 256 angles whenever n_angles > 256
+    P = hn.make_params((1, 1), 0.1, 0.1)
+    assert _raising_level(monkeypatch, P, 30, n_angles) == (
+        23, f"Newton stalled at angle 0/{n_angles}, node 0")
+
+
+def test_fixed_point_holds_two_full_grid_tori_at_most(monkeypatch):
+    P = hn.make_params((1, 1), 0.1, 0.05)
+    made, alive = weakref.WeakSet(), []
+    step = tor.graph_transform
+
+    def spy(params, torus, *args, **kwargs):
+        out = step(params, torus, *args, **kwargs)
+        made.add(out)
+        alive.append(sum(t.n_angles == 1024 for t in made))
+        return out
+
+    monkeypatch.setattr(tor, "graph_transform", spy)
+    res = tor.torus_fixed_point(P, 20, 1024)
+    assert res.torus.n_angles == 1024 and max(alive) == 2
+    # 12 levels on 1024 angles, 6 on 256, then two refining steps of three levels
+    assert len(alive) == 12 + 6 + 2 * 3
+
+
+def test_connectivity_scan_keeps_the_verdicts_of_the_full_grid():
+    # refining from level 0 certifies 14 cells of this grid; the full-grid
+    # levels keep the 8 of the direct solve
+    from henonlab import lab
+
+    cells = lab.connectivity_scan((1, 3), 0.05, (-0.2, 0.2, -0.2, 0.2), resolution=9,
+                                  n_angles=1024, n_iters=30)
+    assert sum(c.verdict.startswith("CONNECTED") for row in cells for c in row) == 8
