@@ -113,8 +113,11 @@ def run(cfg: RunConfig) -> int:
     out_dir = os.path.dirname(out)
     if out_dir and not os.path.isdir(out_dir):
         raise PreconditionError(f"output directory {out_dir!r} of --out does not exist")
-    if cfg.subcommand in ("hyp-scan", "connectivity-scan") and cfg.res < 1:
-        raise PreconditionError(f"--res must be at least 1, got {cfg.res}")
+    if cfg.subcommand in ("hyp-scan", "connectivity-scan"):
+        if cfg.res < 1:
+            raise PreconditionError(f"--res must be at least 1, got {cfg.res}")
+        if not np.isfinite(cfg.a):
+            raise PreconditionError(f"--a must be finite, got {cfg.a}")
     if cfg.seed < 0:
         raise PreconditionError(f"--seed must be >= 0, got {cfg.seed}")
     if cfg.subcommand == "caratheodory":

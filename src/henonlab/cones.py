@@ -195,7 +195,7 @@ class VSpec:
     collar: float = 0.05       # basin-side thickness of the J neighborhood
     crit_strip: float = 0.5    # exclude |2x| below this (tube through the critical point)
     tau: float = 0.25          # vertical cone aperture
-    tau_nest: float | None = None  # nesting-report aperture; default 0.8 (rho/2)^{2q}
+    tau_nest: float | None = None  # nesting-report aperture; default min(0.005, 0.8 (rho/2)^{2q})
 
     def validate(self, params: HenonParams):
         if self.tau >= 1 or self.tau <= 0:
@@ -420,9 +420,12 @@ def hyperbolicity_scan(p_over_q, t_values, a_values, local_samples: int = 400,
                        seed: int = 0) -> list:
     """PASS/MARGINAL/FAIL verdict per (t, a) cell from the local cone check
     plus the global vertical floor; a = 0 and out-of-range a cells are EXCLUDED.
-    An out-of-family t is a precondition error, as it is for every other command."""
+    An out-of-family t or a non-finite a is a precondition error, as it is for
+    every other command."""
     for t in t_values:
         make_params(p_over_q, float(t), 0)
+    if not np.all(np.isfinite(a_values)):
+        raise PreconditionError("a values must all be finite")
     cells = []
     for t in t_values:
         for a in a_values:

@@ -160,7 +160,7 @@ def connectivity_scan(p_over_q, t, a_window, resolution: int = 9,
     solves only its fibers 0 .. n/2.
     """
     re_min, re_max, im_min, im_max = a_window
-    if max(abs(re_min), abs(re_max), abs(im_min), abs(im_max)) >= 0.5:
+    if not all(abs(v) < 0.5 for v in a_window):  # refuses NaN bounds too
         raise PreconditionError("a window must stay inside |a| < 1/2")
     if n_iters < 2:
         raise PreconditionError(

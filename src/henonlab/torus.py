@@ -287,7 +287,7 @@ def _newton(params, nodes, tcoeffs, start, max_newton, scratch):
 @dataclass(frozen=True)
 class TorusResult:
     torus: SolidTorus
-    # per level, on the finest grid that torus_fixed_point solved it on:
+    # per level; see torus_fixed_point for the grid of each entry:
     gaps: np.ndarray          # sup-norm Cauchy gap to the level before
     separations: np.ndarray   # fiber separation
 
@@ -301,19 +301,19 @@ def torus_fixed_point(params: HenonParams, n_iters: int, n_angles: int,
     """n_iters-fold graph transform of the seed torus, with certificates.
 
     On N = BASE_ANGLES 2^k angles with n_iters >= FULL_GRID_LEVELS + k + 2,
-    k >= 1, levels 1 .. FULL_GRID_LEVELS run on the N angles, the levels up
-    to n_iters - k on a copy of every 2^k-th fiber, and k refining steps of
-    graph_transform carry the last three levels to twice the angles each.
-    Levels n_iters - 2 .. n_iters so end on the N angles, within a few ulps
-    of the direct solve.  Otherwise every level runs on the N angles.
+    k >= 1, levels 1 .. FULL_GRID_LEVELS run on the N angles, then on a copy
+    of every 2^k-th fiber up to level n_iters - k - 2.  The k levels up to
+    n_iters - 2 are refining steps of graph_transform, each doubling the grid,
+    and the last two levels run on the N angles, within a few ulps of the
+    direct solve.  Otherwise every level runs on the N angles.
 
-    Entry i of ``gaps`` compares levels i + 1 and i, and of ``separations``
-    is that of level i + 1, on the finest grid that holds them: the N angles
-    for the first FULL_GRID_LEVELS entries, the last two gaps and the last
-    three separations.  At q = 1 all gaps are the direct solve's to
-    rounding.  At q >= 2 the base-grid gaps fall up to 85 % below the N-angle
-    ones on 1024 angles and 92 % on 2048, so they may rise where the grid
-    changes."""
+    Entry i of ``separations`` is that of level i + 1 on its own grid; entry i
+    of ``gaps`` compares levels i + 1 and i on the grid of level i, so a
+    refining step is compared on its even fibers.  The first FULL_GRID_LEVELS
+    entries, the last two gaps and the last three separations are on the N
+    angles.  At q = 1 all gaps are the direct solve's to rounding.  At q >= 2
+    the base-grid gaps fall up to 85 % below the N-angle ones on 1024 angles
+    and 92 % on 2048, so they may rise where the grid changes."""
     if n_iters < 1:
         raise PreconditionError("n_iters must be >= 1")
     torus = torus_seed(equipotential_loop(params.poly, n_angles), disk_degree)
@@ -321,34 +321,15 @@ def torus_fixed_point(params: HenonParams, n_iters: int, n_angles: int,
     k = k if n_iters >= FULL_GRID_LEVELS + k + 2 else 0
     gaps, seps = np.empty(n_iters), np.empty(n_iters)
     step = partial(graph_transform, params, _scratch=[], _grid=n_angles)
-
-    def record(torus, prev_vals):  # returns the node values of torus
-        vals = torus.node_values()
-        if prev_vals is not None:
-            gaps[torus.level - 1] = np.max(np.abs(vals - prev_vals))
-        seps[torus.level - 1] = torus.separation()
-        return vals
-
-    vals, chain = torus.node_values(), []  # chain: the last three levels on the base grid
-    for level in range(1, n_iters - k + 1):
+    for level in range(1, n_iters + 1):
         if k and level == FULL_GRID_LEVELS + 1:  # copies: a strided view keeps the N fibers
             s = n_angles // BASE_ANGLES
             torus = SolidTorus(torus.coeffs[::s].copy(), torus.level, torus.samples[::s].copy())
-            vals, chain = torus.node_values(), [torus]
-        torus = step(torus)  # frees the level before last: two tori are alive per call
-        vals = record(torus, vals)
-        if chain:
-            chain = chain[-2:] + [torus]
-    for j in range(k):
-        vals = None
-        for i in range(3):
-            torus = step(chain[i], _refine=True)
-            vals = record(torus, vals)
-            # the next step reads the torus without its node values, the next
-            # level here only the node values: no finished torus waits on the N angles
-            chain[i] = SolidTorus(torus.coeffs, torus.level, torus.samples) if j < k - 1 else None
-            if j < k - 1 or i < 2:
-                del torus
+        vals = torus.node_values()
+        refine = n_iters - 2 - k < level <= n_iters - 2
+        torus = step(torus, _refine=refine)  # frees its input: two tori are alive per call
+        gaps[level - 1] = np.max(np.abs(torus.node_values()[::1 + refine] - vals))
+        seps[level - 1] = torus.separation()
     return TorusResult(torus=torus, gaps=gaps, separations=seps)
 
 

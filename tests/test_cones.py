@@ -153,6 +153,12 @@ def test_hyperbolicity_scan_verdicts():
         assert by[(t, 0.05)].verdict == by[(t, -0.05)].verdict
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.1, math.nan)])
+def test_hyperbolicity_scan_refuses_non_finite_a(bad):
+    with pytest.raises(PreconditionError, match="a values must all be finite"):
+        cones.hyperbolicity_scan((1, 1), [0.05], [0.05, bad], local_samples=10)
+
+
 def test_global_refuses_sample_count_below_one():
     P = hn.make_params((1, 1), 0.1, 0.05)
     for n in (0, -3):

@@ -186,6 +186,15 @@ def test_connectivity_scan_window_guard():
         lab.connectivity_scan((1, 1), 0.1, (-0.6, 0.6, -0.1, 0.1))
 
 
+@pytest.mark.parametrize("where", range(4))
+def test_connectivity_scan_refuses_a_nan_window_bound(where):
+    # a NaN fails every comparison, and Python's max keeps it or drops it by position
+    window = [-0.1, 0.1, -0.1, 0.1]
+    window[where] = math.nan
+    with pytest.raises(PreconditionError, match="a window must stay inside"):
+        lab.connectivity_scan((1, 1), 0.1, tuple(window), resolution=3)
+
+
 def test_runconfig_roundtrip(tmp_path):
     cfg = lab.RunConfig(subcommand="continuity", pq="1/2", t=-0.017,
                         a_re=0.0375, a_im=1e-3, angles=512, iters=17,
@@ -325,6 +334,17 @@ def test_cli_scans_refuse_a_resolution_below_one(tmp_path, capsys, command, res)
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("precondition error: --res")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["hyp-scan", "connectivity-scan"])
+@pytest.mark.parametrize("a", ["nan", "inf", "-inf", "nanj", "0.1+infj"])
+def test_cli_scans_refuse_a_non_finite_a(tmp_path, capsys, recwarn, command, a):
+    argv = [command, "--pq=1/1", "--t=0.1", "--t-list=0.05", f"--a={a}", "--res=3",
+            "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("precondition error: --a must be finite")
+    assert list(tmp_path.iterdir()) == [] and not recwarn.list
 
 
 def test_cli_petal_check_runs_500_steps_by_default(tmp_path, capsys):

@@ -527,11 +527,13 @@ def test_equivalence_class_stability_fat_basilica():
     assert fiber_gap < 30 * scale
 
 
-# torus_fixed_point solves the middle levels on BASE_ANGLES angles and refines
-# the last ones; the result is the full-grid iteration to a few ulps
+# torus_fixed_point solves the middle levels on BASE_ANGLES angles, refines one
+# torus back to the full grid and ends with two full-grid levels; the result is
+# the full-grid iteration to a few ulps
 @pytest.mark.parametrize("pq,t,a,n_iters,n_angles", [
     ((1, 1), 0.1, 0.05, 40, 2048), ((1, 1), 0.0, 0.05, 40, 1024),
     ((1, 2), 0.1, 0.05 + 0.02j, 30, 1024), ((1, 3), 0.01, 0.05, 30, 1024),
+    ((1, 2), 0.1, 0.05, 40, 2048),
 ])
 def test_fixed_point_matches_the_full_grid_iteration(pq, t, a, n_iters, n_angles):
     P = hn.make_params(pq, t, a)
@@ -611,8 +613,8 @@ def test_fixed_point_holds_two_full_grid_tori_at_most(monkeypatch):
     monkeypatch.setattr(tor, "graph_transform", spy)
     res = tor.torus_fixed_point(P, 20, 1024)
     assert res.torus.n_angles == 1024 and max(alive) == 2
-    # 12 levels on 1024 angles, 6 on 256, then two refining steps of three levels
-    assert len(alive) == 12 + 6 + 2 * 3
+    # one step per level: 12 on 1024 angles, 4 on 256, 2 refining, 2 on 1024
+    assert len(alive) == 20
 
 
 def test_connectivity_scan_keeps_the_verdicts_of_the_full_grid():
