@@ -21,6 +21,8 @@ from .normalform2d import NormalForm2D, reduce
 from .poly1d import (
     BASE_RADIUS,
     EPS1,
+    LOCAL_DISK_RADIUS,
+    SECTOR_RADIUS,
     caratheodory,
     equipotential_loop,
     green,
@@ -37,6 +39,10 @@ N_DIRECTIONS = 16
 # (samples x N_DIRECTIONS) array spans the sample set, and a block's complex
 # frame array is 128 KiB.  The 400-sample scan checks fit in one block.
 CONE_BLOCK = 512
+# Caratheodory loop behind the V collar: angles and pullbacks
+JULIA_TREE_ANGLES = 2048
+JULIA_TREE_ITERS = 48
+BOUNDARY_LOOP_ANGLES = 512  # outer-equipotential samples of the boundary of U_t
 
 
 def eps2(q: int) -> float:
@@ -58,25 +64,24 @@ def expansion_estimate_margin(q: int, t: float, xq_abs):
     return lhs - rhs
 
 
-def sector_samples(params: HenonParams, n: int, rho: float = 0.15,
-                   r_loc: float = 0.1, seed: int = 0) -> np.ndarray:
+def sector_samples(params: HenonParams, n: int, seed: int = 0) -> np.ndarray:
     """n normalized-coordinate points of W^- = sector x D_{r_loc}."""
     if n < 1:
         raise PreconditionError(f"sample count must be >= 1, got {n}")
-    inner = repelling_inner_radius(params)
-    if inner >= rho**params.q:
+    inner, outer = repelling_inner_radius(params), SECTOR_RADIUS**params.q
+    if inner >= outer:
         raise PreconditionError(
             f"repelling sector is empty: t<0 inner radius |x^q| > {inner:.4g} "
-            f"reaches the outer radius rho^q = {rho**params.q:.4g}"
+            f"reaches the outer radius rho^q = {outer:.4g}"
         )
     rng = np.random.default_rng(seed)
     out = np.empty((n, 2), dtype=complex)
     got = 0
     while got < n:
         m = 4 * (n - got) + 32
-        x = uniform_disk(rng, rho, m)
-        x = x[in_repelling_sector(params, x, rho)][: n - got]
-        z = uniform_disk(rng, r_loc, len(x))
+        x = uniform_disk(rng, SECTOR_RADIUS, m)
+        x = x[in_repelling_sector(params, x)][: n - got]
+        z = uniform_disk(rng, LOCAL_DISK_RADIUS, len(x))
         out[got : got + len(x), 0] = x
         out[got : got + len(x), 1] = z
         got += len(x)
@@ -107,8 +112,7 @@ def _direction_frame():
     return np.exp(1j * beta)
 
 
-def local_cone_check(params: HenonParams, nf: NormalForm2D, sample_grid,
-                     rho: float = 0.15) -> ConeReport:
+def local_cone_check(params: HenonParams, nf: NormalForm2D, sample_grid) -> ConeReport:
     """Cone invariance and expansion for the normal-form map at the samples.
 
     Horizontal cones |xi| >= |eta| push forward with measured expansion
@@ -119,7 +123,7 @@ def local_cone_check(params: HenonParams, nf: NormalForm2D, sample_grid,
     """
     pts = np.asarray(sample_grid, dtype=complex).reshape(-1, 2)
     x, y = pts[:, 0], pts[:, 1]
-    if not np.all(in_repelling_sector(params, x, rho)):
+    if not np.all(in_repelling_sector(params, x)):
         raise PreconditionError("sample outside the repelling sector")
     q = params.q
     N1, N2 = nf.normal
@@ -163,7 +167,7 @@ def local_cone_check(params: HenonParams, nf: NormalForm2D, sample_grid,
     bad = ~(h_ok & v_ok)
     failures = [(complex(a), complex(b)) for a, b in zip(x[bad], y[bad])]
     return ConeReport(
-        region=f"W- normalized, q={q}, t={params.t}, a={params.a}, rho={rho}",
+        region=f"W- normalized, q={q}, t={params.t}, a={params.a}, rho={SECTOR_RADIUS}",
         samples=len(x),
         worst_h_expansion=float(np.min(h_min)),
         worst_v_expansion=worst_v,
@@ -191,7 +195,7 @@ class VSpec:
     r: float = FILTRATION_RADIUS
     R: float = BASE_RADIUS
     rho_prime: float = 0.2
-    rho: float = 0.15
+    rho: float = SECTOR_RADIUS
     collar: float = 0.05       # basin-side thickness of the J neighborhood
     crit_strip: float = 0.5    # exclude |2x| below this (tube through the critical point)
     tau: float = 0.25          # vertical cone aperture
@@ -204,23 +208,23 @@ class VSpec:
             raise PreconditionError("V_spec inconsistent: B' overlapping B")
 
 
-def julia_slice_tree(params: HenonParams, n: int = 2048, iters: int = 48) -> cKDTree:
+def julia_slice_tree(params: HenonParams) -> cKDTree:
     """Spatial index over a sampled J_{p_t}, the backbone of the V collar."""
     from scipy.spatial import cKDTree  # deferred: scipy.spatial is slow to import
 
-    vals = caratheodory(params.poly, n, iters).loop.values
+    vals = caratheodory(params.poly, JULIA_TREE_ANGLES, JULIA_TREE_ITERS).loop.values
     return cKDTree(np.column_stack([vals.real, vals.imag]))
 
 
-def in_V(params: HenonParams, nf: NormalForm2D, vs: VSpec, x, y,
-         j_tree: cKDTree | None = None):
+def in_V(params: HenonParams, nf: NormalForm2D, vs: VSpec, x, y, j_tree: cKDTree):
     """Membership in the disk realization of the neighborhood V.
 
-    x and y are broadcast against each other.  Each test runs only on the
-    points every earlier test accepted, and only where it can reject: the
-    |y| bound and the critical strip on every point, the Green bound on
-    those kept, the Julia-collar query on kept points with G = 0, the tube-B
-    chart on kept points in B, then the tube-B' chart on kept points in B'.
+    x and y are broadcast against each other; j_tree is julia_slice_tree(params),
+    built once per check.  Each test runs only on the points every earlier
+    test accepted, and only where it can reject: the |y| bound and the
+    critical strip on every point, the Green bound on those kept, the
+    Julia-collar query on kept points with G = 0, the tube-B chart on kept
+    points in B, then the tube-B' chart on kept points in B'.
     Every test is elementwise, so the mask equals the one from running every
     test on every point.
     """
@@ -237,8 +241,6 @@ def in_V(params: HenonParams, nf: NormalForm2D, vs: VSpec, x, y,
     # Julia collar: only the non-escaping points must lie near J
     near = ok & ~(G > 0)
     if near.any():
-        if j_tree is None:
-            j_tree = julia_slice_tree(params)
         # beyond the bound d comes back inf, which the collar test rejects too
         d, _ = j_tree.query(np.column_stack([x[near].real, x[near].imag]),
                             distance_upper_bound=2 * vs.collar)
@@ -282,12 +284,12 @@ def _sample_V_minus_B(params, nf, vs: VSpec, sample_count: int, rng, j_tree):
     return xs[:sample_count], ys[:sample_count]
 
 
-def _boundary_tree(params, nf, vs: VSpec, n_loop: int = 512):
+def _boundary_tree(params, nf, vs: VSpec):
     """Sample stand-ins for the boundary of U_t: the outer equipotential and
     the thin attracting tube (critical orbit plus the axis spine inside B)."""
     from scipy.spatial import cKDTree  # deferred: scipy.spatial is slow to import
 
-    outer = equipotential_loop(params.poly, n_loop, level=math.log(vs.R)).values
+    outer = equipotential_loop(params.poly, BOUNDARY_LOOP_ANGLES, level=math.log(vs.R)).values
     u = np.geomspace(1e-4, vs.rho_prime**params.q, 64)  # spine: arg(x^q) = pi
     spines = []
     for j in range(params.q):

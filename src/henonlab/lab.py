@@ -134,17 +134,19 @@ class ConnectivityCell:
 # rounding noise: at 40 iterations the gaps of converged cells sit at 5e-16 to
 # 1.6e-15 (1 to 4 ulps of |phi| ~ 3) and rise or fall by rounding alone.
 GAP_FLOOR_ULPS = 8
+# The final Cauchy gap and fiber separation a connected cell must beat.
+GAP_TOL = 5e-2
+SEPARATION_FLOOR = 1e-2
 
 
 def connectivity_scan(p_over_q, t, a_window, resolution: int = 9,
-                      n_angles: int = 256, n_iters: int = 10,
-                      gap_tol: float = 5e-2, sep_floor: float = 1e-2):
+                      n_angles: int = 256, n_iters: int = 10):
     """Constructive connectivity verdicts on a grid of complex a.
 
     A cell is CONNECTED-BY-CONSTRUCTION when the graph transform converges
-    (Cauchy gaps below tolerance and not growing above the rounding floor
-    GAP_FLOOR_ULPS) with the fiber-separation invariant intact; anything else
-    is UNKNOWN, never DISCONNECTED.
+    (final gap below GAP_TOL and not growing above the rounding floor
+    GAP_FLOOR_ULPS) with the fiber separation above SEPARATION_FLOOR; anything
+    else is UNKNOWN, never DISCONNECTED.
 
     The cell -a takes the verdict, gap and separation of the cell a when a
     was computed first: c depends on a only through a^2, so S(x, y) = (x, -y)
@@ -184,14 +186,14 @@ def connectivity_scan(p_over_q, t, a_window, resolution: int = 9,
                 cell = ConnectivityCell(a=a, verdict="EXCLUDED",
                                         final_gap=float("nan"), separation=float("nan"))
             else:
-                cell = _connectivity_cell(p_over_q, t, a, n_angles, n_iters, gap_tol, sep_floor)
+                cell = _connectivity_cell(p_over_q, t, a, n_angles, n_iters)
             done[a] = cell
             row.append(cell)
         cells.append(row)
     return cells
 
 
-def _connectivity_cell(p_over_q, t, a, n_angles, n_iters, gap_tol, sep_floor):
+def _connectivity_cell(p_over_q, t, a, n_angles, n_iters):
     try:
         result = torus_fixed_point(make_params(p_over_q, t, a), n_iters, n_angles)
     except (PreconditionError, NumericalError):
@@ -199,9 +201,9 @@ def _connectivity_cell(p_over_q, t, a, n_angles, n_iters, gap_tol, sep_floor):
                                 final_gap=float("nan"), separation=float("nan"))
     gaps = result.gaps
     floor = GAP_FLOOR_ULPS * np.spacing(np.max(np.abs(result.torus.node_values())))
-    ok = (result.final_gap < gap_tol
+    ok = (result.final_gap < GAP_TOL
           and gaps[-1] <= max(gaps[-2], floor)
-          and result.separations[-1] > sep_floor)
+          and result.separations[-1] > SEPARATION_FLOOR)
     return ConnectivityCell(a=a, verdict="CONNECTED-BY-CONSTRUCTION" if ok else "UNKNOWN",
                             final_gap=result.final_gap,
                             separation=float(result.separations[-1]))

@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .henon import HenonParams, attracting_cycle, henon, uniform_disk
-from .poly1d import eliminate_constants, repelling_inner_radius, shear_pair
+from .poly1d import (LOCAL_DISK_RADIUS, PETAL_CHART_RADIUS, SECTOR_RADIUS,
+                     eliminate_constants, repelling_inner_radius, shear_pair)
 from .series import (
     TruncSeries1,
     TruncSeries2,
@@ -95,7 +96,6 @@ class NormalForm2D:
     change_inv: tuple
     normal: tuple          # the conjugated map pair
     C_at: complex
-    wss_jet: TruncSeries1  # graph x = w(y) of W^ss_loc, centered coords
     rescale: complex       # the constant A with A^q = (q+1)-coefficient
 
     def to_normalized(self, X, Y):
@@ -171,7 +171,7 @@ def reduce(params: HenonParams, D: int | None = None) -> NormalForm2D:
     C_at = H[0].coeff(2 * q + 1, 0) / lam
     return NormalForm2D(
         params=params, D=D, change=change, change_inv=change_inv,
-        normal=H, C_at=complex(C_at), wss_jet=w, rescale=complex(A),
+        normal=H, C_at=complex(C_at), rescale=complex(A),
     )
 
 
@@ -185,19 +185,20 @@ def conjugacy_residual(params: HenonParams, nf: NormalForm2D) -> float:
 
 # --- petal geometry -------------------------------------------------------
 
-def petal_scale(q: int, t: float, rho: float = 0.15, chart: float = 0.18) -> float:
+def petal_scale(q: int, t: float) -> float:
     """The region parameter R.
 
-    Petals must stay inside the normal-form chart, |x| <= chart, which wants
-    R large; the t > 0 rotation bound (1+t)^q < (R+q)/(R+q/2) wants R small.
+    Petals must stay inside the normal-form chart, |x| <= PETAL_CHART_RADIUS,
+    which wants R large; the t > 0 rotation bound (1+t)^q < (R+q)/(R+q/2)
+    wants R small.
     For q >= 2 these collide unless t is tiny, and we refuse rather than
     evaluate jets out of range.
     """
-    R = 2.0 / rho**q
+    R = 2.0 / SECTOR_RADIUS**q
     if t > 0:
         g = (1.0 + t) ** q
         R = min(R, 0.85 * q * (1.0 - g / 2.0) / (g - 1.0))
-    if R < math.sqrt(2.0) / chart**q:
+    if R < math.sqrt(2.0) / PETAL_CHART_RADIUS**q:
         raise PreconditionError(
             f"t={t} too large for a chart-sized petal region at q={q}"
         )
@@ -253,8 +254,7 @@ class TrappingReport:
 
 
 def petal_check(params: HenonParams, nf: NormalForm2D, samples: int = 1000,
-                steps: int = 500, tol: float = 1e-6, r_loc: float = 0.1,
-                rho: float = 0.15, seed: int = 0) -> TrappingReport:
+                steps: int = 500, tol: float = 1e-6, seed: int = 0) -> TrappingReport:
     """Sampled verification of petal rotation and trapping.
 
     Each sampled point of the petals (normalized coordinates) is mapped back to
@@ -271,16 +271,16 @@ def petal_check(params: HenonParams, nf: NormalForm2D, samples: int = 1000,
         raise PreconditionError(f"trapping tolerance (--tol) must be positive and finite, got {tol}")
     rng = np.random.default_rng(seed)
     q, t = params.q, params.t
-    R = petal_scale(q, t, rho)
+    R = petal_scale(q, t)
     xs, js = sample_petal(rng, samples, q, R)
-    zs = uniform_disk(rng, r_loc, samples)
+    zs = uniform_disk(rng, LOCAL_DISK_RADIUS, samples)
 
     Px, Py = nf.from_normalized(xs, zs)
     Qx, Qy = henon(params, (Px, Py))
     nx, nz = nf.to_normalized(Qx, Qy)
     good = in_petal(nx, q, R, slack=1e-9) | (np.abs(nx) ** q < 1e-9)
     good &= petal_label(nx, q) == (js + params.p) % q
-    good &= np.abs(nz) < r_loc * 1.5
+    good &= np.abs(nz) < LOCAL_DISK_RADIUS * 1.5
     rotation_failures = [(complex(a), complex(b)) for a, b in zip(Px[~good], Py[~good])]
 
     attraction_failures: list = []
@@ -315,7 +315,7 @@ def petal_check(params: HenonParams, nf: NormalForm2D, samples: int = 1000,
             for sx, sy, ex, ey, d in zip(start[:, 0], start[:, 1], Ax, Ay, dists)
         ]
     return TrappingReport(
-        region=f"petals R={R:.3f} r_loc={r_loc} (q={q}, t={t}, a={params.a})",
+        region=f"petals R={R:.3f} r_loc={LOCAL_DISK_RADIUS} (q={q}, t={t}, a={params.a})",
         n_samples=samples, steps=steps, tolerance=tol,
         rotation_failures=rotation_failures,
         attraction_failures=attraction_failures,

@@ -18,9 +18,14 @@ from .errors import NumericalError, PreconditionError
 from .series import TruncSeries1, compose1, invert1
 
 # Sector geometry constants: the repelling sector maps to an opening of
-# 5*pi/9 under x -> x^q.
+# 5*pi/9 under x -> x^q.  The local picture is W^- = the repelling sectors of
+# radius SECTOR_RADIUS in the normal-form chart times the vertical disk
+# D_{LOCAL_DISK_RADIUS}; petals must stay inside |x| <= PETAL_CHART_RADIUS.
 EPS0 = math.tan(2 * math.pi / 9)
 EPS1 = EPS0 / math.sqrt(1 + EPS0**2)
+SECTOR_RADIUS = 0.15
+LOCAL_DISK_RADIUS = 0.1
+PETAL_CHART_RADIUS = 0.18
 
 BASE_RADIUS = 4.0      # equipotential level exp(G) = R used for seeding loops
 ESCAPE_RADIUS = 10.0   # |z| beyond this certifies escape for every family member
@@ -305,7 +310,7 @@ def repelling_inner_radius(params: PolyParams) -> float:
     return abs(params.t) / ((params.q + 1.0 / 3.0) * EPS1)
 
 
-def in_repelling_sector(params, x, rho: float = 0.15):
+def in_repelling_sector(params, x, rho: float = SECTOR_RADIUS):
     """Sector membership in normalized coordinates (annular for t < 0)."""
     x = np.asarray(x, dtype=complex)
     w = x**params.q
@@ -315,8 +320,8 @@ def in_repelling_sector(params, x, rho: float = 0.15):
     return ok
 
 
-def sector_1d(params: PolyParams, x: complex, rho: float = 0.15) -> str:
+def sector_1d(params: PolyParams, x: complex) -> str:
     """Classify a point of normalized coordinates: attracting/repelling/outside."""
-    if abs(x) > rho:
+    if abs(x) > SECTOR_RADIUS:
         return "outside"
-    return "repelling" if in_repelling_sector(params, x, rho) else "attracting"
+    return "repelling" if in_repelling_sector(params, x) else "attracting"

@@ -118,8 +118,7 @@ def torus_seed(loop0: LoopSample, disk_degree: int = 8) -> SolidTorus:
 
 
 def graph_transform(params: HenonParams, torus: SolidTorus, max_newton: int = 50,
-                    _scratch: list | None = None, _refine: bool = False,
-                    _grid: int | None = None) -> SolidTorus:
+                    _refine: bool = False, _grid: int | None = None) -> SolidTorus:
     """One application of the operator: solve, per angle s and node z_j,
 
         x^2 + c + a z_j = phi_{2s}(a x)
@@ -146,10 +145,7 @@ def graph_transform(params: HenonParams, torus: SolidTorus, max_newton: int = 50
     conjugate of the equation at angle k and node z_j is
     conj(x)^2 + c + a e conj(z_j) = phi_{-2k}(a conj x), the one at angle -k and
     node e conj(z_j) = z_{P(j)}.  So X[j, (-k) % n] = conj(X[P(j), k]) fills
-    the other angles, and each of them is branch-checked against its own seed.
-
-    In the list ``_scratch`` Newton keeps its work arrays from call to call;
-    fresh ones are page-faulted in each time, a third of a one-step solve."""
+    the other angles, and each of them is branch-checked against its own seed."""
     if params.a == 0:
         raise PreconditionError("graph transform requires a != 0")
     n_in, d = torus.n_angles, torus.disk_degree
@@ -161,8 +157,7 @@ def graph_transform(params: HenonParams, torus: SolidTorus, max_newton: int = 50
     if not np.array_equal(seeds[n // 2:], -seeds[: n // 2]):
         raise NumericalError("resolution too coarse: fibers at s and s+1/2 took the same preimage")
     tcoeffs, seeds_h = torus.coeffs[target[:h]], seeds[:h]
-    solve = partial(_newton, params, torus.nodes(), max_newton=max_newton,
-                    scratch=[] if _scratch is None else _scratch)
+    solve = partial(_newton, params, torus.nodes(), max_newton=max_newton)
 
     rows = np.arange(h) // 2 if _refine else slice(h)  # a copy only when refining
     X, stalled = solve(tcoeffs, seeds_h if torus.samples is None else torus.samples[rows].T)
@@ -216,7 +211,7 @@ def _mirror_nodes(params, torus):
     return ((1 - e) // 2 * d - np.arange(2 * d)) % (2 * d)
 
 
-def _newton(params, nodes, tcoeffs, start, max_newton, scratch):
+def _newton(params, nodes, tcoeffs, start, max_newton):
     """Newton for F(x) = x^2 + c + a z_j - phi_s(a x) = 0 at the nodes z_j, for the (n, d+1)
     coefficients ``tcoeffs`` of phi_s on D_r, from ``start`` (broadcast to (2d, n)).  An angle
     retires when at every node the step s just taken predicts a next step M |s|^2 / (2 |F'(x)|)
@@ -233,10 +228,8 @@ def _newton(params, nodes, tcoeffs, start, max_newton, scratch):
     def active(buf):
         return buf[: buf.size // n * k].reshape(buf.size // n, k)
 
-    sizes = np.array([m2, m2, m2, m2, d1, d1 - 1]) * n
-    if len(scratch) < len(sizes) or any(b.size < size for b, size in zip(scratch, sizes)):
-        scratch[:] = [np.empty(size, dtype=complex) for size in sizes]
-    X, xa, g, gp, phi, dphi = (b[:size] for b, size in zip(scratch, sizes))
+    X, xa, g, gp, phi, dphi = (np.empty(rows * n, dtype=complex)
+                               for rows in (m2, m2, m2, m2, d1, d1 - 1))
     active(X)[...] = start
     active(phi)[...] = tcoeffs.T
     np.multiply(tcoeffs[:, 1:].T, np.arange(1, d1)[:, None], out=active(dphi))
@@ -320,14 +313,14 @@ def torus_fixed_point(params: HenonParams, n_iters: int, n_angles: int,
     k = max(n_angles // BASE_ANGLES, 1).bit_length() - 1
     k = k if n_iters >= FULL_GRID_LEVELS + k + 2 else 0
     gaps, seps = np.empty(n_iters), np.empty(n_iters)
-    step = partial(graph_transform, params, _scratch=[], _grid=n_angles)
     for level in range(1, n_iters + 1):
         if k and level == FULL_GRID_LEVELS + 1:  # copies: a strided view keeps the N fibers
             s = n_angles // BASE_ANGLES
             torus = SolidTorus(torus.coeffs[::s].copy(), torus.level, torus.samples[::s].copy())
         vals = torus.node_values()
         refine = n_iters - 2 - k < level <= n_iters - 2
-        torus = step(torus, _refine=refine)  # frees its input: two tori are alive per call
+        # frees its input: two tori are alive per call
+        torus = graph_transform(params, torus, _refine=refine, _grid=n_angles)
         gaps[level - 1] = np.max(np.abs(torus.node_values()[::1 + refine] - vals))
         seps[level - 1] = torus.separation()
     return TorusResult(torus=torus, gaps=gaps, separations=seps)
@@ -373,10 +366,12 @@ def julia_from_sigma(params: HenonParams, fstar: SolidTorus, depth: int = 12) ->
     the doubled angles sweep the whole fiber grid instead of collapsing onto
     angle zero (doubling is nilpotent on the dyadic grid itself); off-grid
     ancestors snap to the nearest fiber, an error the z-contraction wipes out.
+    N 2^depth must stay below the float range, 2^1024, or every seed is 0.
     """
     n = fstar.n_angles
-    if depth < 1:
-        raise PreconditionError("depth must be >= 1")
+    deepest = 1023 - (n.bit_length() - 1)  # n is a power of two
+    if not 1 <= depth <= deepest:
+        raise PreconditionError(f"depth must be in 1 .. {deepest} on {n} angles, got {depth}")
     s, z = np.arange(n) / (n * 2.0**depth), np.zeros(n, dtype=complex)
     for _ in range(depth):
         s, z = sigma(params, fstar, (s, z))

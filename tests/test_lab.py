@@ -292,6 +292,15 @@ def test_cli_bad_input_is_a_precondition_error(tmp_path, monkeypatch, capsys, ar
     assert err.startswith("precondition error:") and cause in err
 
 
+def test_cli_continuity_refuses_a_depth_past_the_float_range(tmp_path, capsys):
+    # 2.0**1100 raised OverflowError: a traceback and exit 1
+    argv = ["continuity", "--pq=1/1", "--a=0.05", "--t-list=0.2,0.1", "--res=300",
+            "--angles=256", "--iters=12", "--depth=1100", "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition error: depth") and "got 1100" in err
+
+
 def test_continuity_refuses_a_coarse_res_before_solving_any_torus(monkeypatch):
     def no_torus(*args, **kwargs):
         raise AssertionError("torus_fixed_point called before the J+ slice checks")

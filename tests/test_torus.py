@@ -441,6 +441,18 @@ def test_sigma_on_arrays_is_the_scalar_map_and_drives_julia_from_sigma(fixed_q1)
     assert np.array_equal(cloud.points, np.unique(np.column_stack([x, z]), axis=0))
 
 
+def test_julia_from_sigma_refuses_a_depth_past_the_float_range():
+    # seeds k / (N 2^depth): at N = 256 the denominator is 2^1023 at depth
+    # 1015 and overflows to inf at 1016, where every seed became angle 0 and
+    # the cloud one point; from depth 1024 on 2.0**depth itself overflowed
+    P = hn.make_params((1, 1), 0.1, 0.05)
+    T = tor.torus_fixed_point(P, 12, 256).torus
+    assert len(tor.julia_from_sigma(P, T, depth=1015)) == 256
+    for depth in (1016, 1100):
+        with pytest.raises(PreconditionError, match=f"got {depth}"):
+            tor.julia_from_sigma(P, T, depth=depth)
+
+
 def test_julia_cloud_membership(fixed_q1):
     # accuracy horizon: the fixed point is known to ~gap, which forward
     # expansion eats in ~log(1/gap)/log|lam| steps and the inverse map's
