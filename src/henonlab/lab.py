@@ -11,7 +11,7 @@ import numpy as np
 from .errors import NumericalError, PreconditionError
 from .henon import HenonParams, PointCloud, jplus_slice, make_params, symmetric_axis
 from .poly1d import _normalize_pq, caratheodory
-from .torus import julia_from_sigma, torus_fixed_point
+from .torus import check_depth, julia_from_sigma, torus_fixed_point
 
 DEFAULT_WINDOW = (-2.2, 2.2, -2.2, 2.2)
 
@@ -76,9 +76,11 @@ def continuity_experiment(p_over_q, a, t_list, resolution: int = 400,
 
     All clouds on both sides are built at identical resolution; the reference
     is the semi-parabolic member t = 0.  The J+ slices come first, so that a
-    resolution they cannot resolve is refused before any torus is solved.
+    resolution they cannot resolve is refused before any torus is solved,
+    and a depth out of range before any slice is built.
     """
     t_vals = _check_t_list(t_list)
+    check_depth(depth, n_angles)
 
     def slice_boundary(t):
         boundary = jplus_slice(make_params(p_over_q, t, a), window, resolution, max_iter).boundary

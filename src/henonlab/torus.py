@@ -355,6 +355,14 @@ def sigma(params: HenonParams, fstar: SolidTorus, point):
     return ((2.0 * s) % 1.0, zp)
 
 
+def check_depth(depth: int, n_angles: int):
+    """Refuses a sigma-orbit depth outside 1 .. 1023 - log2(n_angles): the seeds
+    k / (N 2^depth) of ``julia_from_sigma`` need N 2^depth below 2^1024."""
+    deepest = 1023 - (n_angles.bit_length() - 1)
+    if not 1 <= depth <= deepest:
+        raise PreconditionError(f"depth must be in 1 .. {deepest} on {n_angles} angles, got {depth}")
+
+
 def julia_from_sigma(params: HenonParams, fstar: SolidTorus, depth: int = 12) -> PointCloud:
     """J sampled as f* of deep sigma-orbits of the seeds (k / (N 2^depth), 0).
 
@@ -366,12 +374,11 @@ def julia_from_sigma(params: HenonParams, fstar: SolidTorus, depth: int = 12) ->
     the doubled angles sweep the whole fiber grid instead of collapsing onto
     angle zero (doubling is nilpotent on the dyadic grid itself); off-grid
     ancestors snap to the nearest fiber, an error the z-contraction wipes out.
-    N 2^depth must stay below the float range, 2^1024, or every seed is 0.
+    N 2^depth must stay below the float range, 2^1024, or every seed is 0
+    (``check_depth``).
     """
     n = fstar.n_angles
-    deepest = 1023 - (n.bit_length() - 1)  # n is a power of two
-    if not 1 <= depth <= deepest:
-        raise PreconditionError(f"depth must be in 1 .. {deepest} on {n} angles, got {depth}")
+    check_depth(depth, n)
     s, z = np.arange(n) / (n * 2.0**depth), np.zeros(n, dtype=complex)
     for _ in range(depth):
         s, z = sigma(params, fstar, (s, z))

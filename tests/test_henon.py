@@ -387,6 +387,90 @@ def test_jplus_slice_allocates_no_full_grid_array():
     assert peak <= 24 * 800**2
 
 
+# slices whose bounded orbits fall into an attracting fixed point: the other
+# fixed point at q = 1, t > 0, and the fixed point (x_q, a x_q) where t < 0
+TRAP_CASES = {
+    "1/1 t=0.2": ((1, 1), 0.2, 0.05),
+    "1/1 t=0.025": ((1, 1), 0.025, 0.05),
+    "1/1 t=-0.05": ((1, 1), -0.05, 0.05),
+    "1/2 t=-0.02 a=0.1": ((1, 2), -0.02, 0.1),
+    "1/3 t=-0.05": ((1, 3), -0.05, 0.05),
+    "1/1 t=0.2 a=0.2+0.1j": ((1, 1), 0.2, 0.2 + 0.1j),
+}
+
+
+@pytest.mark.parametrize("case", TRAP_CASES)
+def test_jplus_slice_with_a_trap_matches_full_grid_reference(monkeypatch, case):
+    P = hn.make_params(*TRAP_CASES[case])
+    assert hn._trap(P.a, P.c) is not None
+    assert_slice_matches_full_grid(monkeypatch, None, P, lab.DEFAULT_WINDOW, 120, 200)
+    X = np.linspace(-1.5, 1.5, 61)[None, :] + 1j * np.linspace(-1.5, 1.5, 61)[:, None]
+    got = escape_times_without_warnings(P, X, 0.1 - 0.05j, 150)
+    assert np.array_equal(got, full_grid_escape_times(P, X, 0.1 - 0.05j, 150))
+    assert (got < 0).sum() > 100
+
+
+@pytest.mark.parametrize("case", TRAP_CASES)
+def test_a_float_step_maps_the_trap_boundary_into_the_trap(case):
+    # |v_x'| <= rho - rho (s - rho) on P; |v_y'| = |a| |v_x| meets the rim of
+    # the y-disk where |v_x| = rho, so there a float step may leave P by
+    # rounding, but not P grown by 1e-14, and the next step is inside P
+    P = hn.make_params(*TRAP_CASES[case])
+    xs, ys, rx, ry = hn._trap(P.a, P.c)
+    slack = rx / hn.TRAP_FRACTION
+    margin = rx * (slack - rx)
+    rng = np.random.default_rng(7)
+    u, w = np.exp(2j * np.pi * rng.uniform(size=(2, 3000)))
+    inner = rng.uniform(size=3000)
+    vx = np.concatenate([rx * u, rx * inner * u, rx * u])  # the two faces of dP and their rim
+    vy = np.concatenate([ry * inner * w, ry * w, ry * w])
+    x1, y1 = hn.henon(P, (xs + vx, ys + vy))
+    assert np.all(np.abs(x1 - xs) <= rx - margin / 2)
+    assert np.all(np.abs(y1 - ys) <= ry + 1e-14)
+    x2, y2 = hn.henon(P, (x1, y1))
+    assert np.all(np.abs(x2 - xs) < rx) and np.all(np.abs(y2 - ys) < ry)
+    # P misses V+ by far
+    assert abs(xs) + rx < 1
+
+
+def test_no_trap_where_no_fixed_point_attracts():
+    for pq in [(1, 1), (1, 2), (1, 3)]:  # t = 0: the multiplier has modulus 1
+        P = hn.make_params(pq, 0.0, 0.05)
+        assert hn._trap(P.a, P.c) is None
+    P = dataclasses.replace(hn.make_params((1, 1), 0.0, 0.45), c=-10.0 + 0.0j)
+    assert hn._trap(P.a, P.c) is None  # a saddle, as in the off-family slice
+
+
+def test_the_trap_of_an_off_family_c_is_the_fixed_point_of_a_and_c(monkeypatch):
+    P = dataclasses.replace(hn.make_params((1, 1), 0.1, 0.05), c=0.2 + 0.05j)
+    xs, ys, rx, ry = hn._trap(P.a, P.c)
+    assert abs(xs * xs + (P.a * P.a - 1) * xs + P.c) < 1e-15
+    assert abs(xs - P.x_q) > 0.1 and ys == P.a * xs
+    assert rx == pytest.approx(hn.TRAP_FRACTION * (1 - 2 * abs(xs) - abs(P.a) ** 2))
+    assert ry == abs(P.a) * rx
+    assert_slice_matches_full_grid(monkeypatch, None, P, lab.DEFAULT_WINDOW, 80, 200)
+
+
+def test_trapped_orbits_leave_the_active_set(monkeypatch):
+    # orbits near the attracting fixed point never enter V+; once they lie in
+    # the trap they are dropped, and the loop ends long before max_iter.
+    # Without the trap every block would test V+ until step 10^4.
+    P = hn.make_params((1, 1), 0.2, 0.05)
+    xs, ys, rx, ry = hn._trap(P.a, P.c)
+    X = xs + 0.15 * np.exp(2j * np.pi * np.arange(50) / 50)  # y = a x* + 0.2: outside the trap
+    sizes = []
+    in_vplus = hn.in_vplus
+
+    def spy(x, y, r):
+        sizes.append(np.size(x))
+        return in_vplus(x, y, r)
+
+    monkeypatch.setattr(hn, "in_vplus", spy)
+    times = hn.escape_times(P, X, ys + 0.2, 10_000)
+    assert np.all(times == -1)
+    assert len(sizes) < 20 and sizes[0] == 50
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(q=st.integers(min_value=1, max_value=3), t=st.floats(-0.999, 0.999),
        a_abs=st.floats(0.0, 0.499), a_arg=st.floats(0.0, 1.0),

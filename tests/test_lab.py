@@ -301,6 +301,25 @@ def test_cli_continuity_refuses_a_depth_past_the_float_range(tmp_path, capsys):
     assert err.startswith("precondition error: depth") and "got 1100" in err
 
 
+@pytest.mark.parametrize("angles,depth,deepest", [(256, 1016, 1015), (1024, 1014, 1013),
+                                                   (1024, 0, 1013)])
+def test_cli_continuity_refuses_a_bad_depth_before_building_any_slice(
+        tmp_path, monkeypatch, capsys, angles, depth, deepest):
+    # the range depends only on --angles; it was checked in julia_from_sigma,
+    # after every J+ slice and the t = 0 torus had been built
+    def no_slice(*args, **kwargs):
+        raise AssertionError("a J+ slice was built before the depth was checked")
+
+    monkeypatch.setattr(lab, "jplus_slice", no_slice)
+    argv = ["continuity", "--pq=1/1", "--a=0.05", "--t-list=0.2,0.1", "--res=300",
+            f"--angles={angles}", "--iters=12", f"--depth={depth}", "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == (f"precondition error: depth must be in 1 .. {deepest} on {angles} "
+                           f"angles, got {depth}")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_continuity_refuses_a_coarse_res_before_solving_any_torus(monkeypatch):
     def no_torus(*args, **kwargs):
         raise AssertionError("torus_fixed_point called before the J+ slice checks")

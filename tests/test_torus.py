@@ -201,10 +201,10 @@ def test_fixed_point_raises_like_full_array_newton(a):
     assert str(exc.value) == expected[1]
 
 
-def test_fixed_point_keeps_newton_buffers_without_changing_a_bit():
-    # torus_fixed_point keeps Newton's work arrays from level to level, here
-    # also across the narrower second solves of levels 5 to 8; a chain of
-    # graph_transform calls, each with fresh arrays, gives the same bits
+def test_fixed_point_equals_a_chain_of_graph_transforms_bit_for_bit():
+    # on 256 angles torus_fixed_point runs one graph_transform call per level
+    # on the caller's grid, so a chain of 8 calls from the same seed torus
+    # gives the same bits
     P = hn.make_params((1, 2), 0.1, 0.15)
     res = tor.torus_fixed_point(P, 8, 256)
     T = tor.torus_seed(p1.equipotential_loop(P.poly, 256))
