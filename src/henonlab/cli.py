@@ -150,10 +150,10 @@ def run(cfg: RunConfig) -> int:
         params = make_params(cfg.p_over_q, cfg.t, cfg.a)
         nf = reduce(params, D=2 * params.q + 8)
         loc = local_cone_check(params, nf, sector_samples(params, cfg.samples, seed=cfg.seed))
+        glob = global_cone_check(params, sample_count=cfg.samples, seed=cfg.seed, nf=nf) if cfg.a != 0 else None
         print(f"local: {loc.verdict} worst_h={loc.worst_h_expansion:.6f} "
               f"worst_v={loc.worst_v_expansion:.3g} failures={len(loc.invariance_failures)}")
-        if cfg.a != 0:
-            glob = global_cone_check(params, sample_count=cfg.samples, seed=cfg.seed, nf=nf)
+        if glob is not None:
             print(f"global: {glob.verdict} worst_h={glob.worst_h_expansion:.6f} "
                   f"worst_v={glob.worst_v_expansion:.3g} vertical_ok={glob.extras['vertical_ok']}")
     elif cfg.subcommand == "hyp-scan":

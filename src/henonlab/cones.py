@@ -5,6 +5,10 @@ the sector bounds.  Global checks run on the neighborhood V of the Julia set
 with a distance-to-boundary weighted surrogate for the hyperbolic density;
 every verdict records which metric certified it and the language is always
 "verified at samples", never "proven".
+
+V is one geometry, fixed by module constants (see ``in_V``).  Its tube
+B = {|x - alpha| <= TUBE_RADIUS} misses the critical point, as the family
+has |alpha| = |1 + t|/2 > 1/4 > TUBE_RADIUS.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ N_DIRECTIONS = 16
 # (samples x N_DIRECTIONS) array spans the sample set, and a block's complex
 # frame array is 128 KiB.  The 400-sample scan checks fit in one block.
 CONE_BLOCK = 512
+TUBE_RADIUS = 0.2  # tube B around alpha
+COLLAR = 0.05      # basin-side thickness of the J neighborhood
+CRIT_STRIP = 0.5   # exclude |2x| below this (tube through the critical point)
+TAU = 0.25         # vertical cone aperture
 # Caratheodory loop behind the V collar: angles and pullbacks
 JULIA_TREE_ANGLES = 2048
 JULIA_TREE_ITERS = 48
@@ -182,30 +190,9 @@ def local_cone_check(params: HenonParams, nf: NormalForm2D, sample_grid) -> Cone
     )
 
 
-@dataclass(frozen=True)
-class VSpec:
-    """Membership data for the neighborhood V of J+ inside the bidisk.
-
-    V is the equipotential-bounded collar of the Julia set minus the two
-    straightened tubes, with only the repelling sectors of the tubes kept.
-    For the product-metric statistics the whole tube B is left to the local
-    (normalized-chart) cone check.
-    """
-
-    r: float = FILTRATION_RADIUS
-    R: float = BASE_RADIUS
-    rho_prime: float = 0.2
-    rho: float = SECTOR_RADIUS
-    collar: float = 0.05       # basin-side thickness of the J neighborhood
-    crit_strip: float = 0.5    # exclude |2x| below this (tube through the critical point)
-    tau: float = 0.25          # vertical cone aperture
-    tau_nest: float | None = None  # nesting-report aperture; default min(0.005, 0.8 (rho/2)^{2q})
-
-    def validate(self, params: HenonParams):
-        if self.tau >= 1 or self.tau <= 0:
-            raise PreconditionError("tau must lie in (0,1)")
-        if 2 * abs(params.poly.alpha) <= 2 * self.rho_prime:
-            raise PreconditionError("V_spec inconsistent: B' overlapping B")
+def nest_aperture(q: int) -> float:
+    """Narrow vertical cone nested at dB, below the paper's (SECTOR_RADIUS/2)^{2q}."""
+    return min(0.005, 0.8 * (SECTOR_RADIUS / 2.0) ** (2 * q))
 
 
 def julia_slice_tree(params: HenonParams) -> cKDTree:
@@ -216,7 +203,7 @@ def julia_slice_tree(params: HenonParams) -> cKDTree:
     return cKDTree(np.column_stack([vals.real, vals.imag]))
 
 
-def in_V(params: HenonParams, nf: NormalForm2D, vs: VSpec, x, y, j_tree: cKDTree):
+def in_V(params: HenonParams, nf: NormalForm2D, x, y, j_tree: cKDTree):
     """Membership in the disk realization of the neighborhood V.
 
     x and y are broadcast against each other; j_tree is julia_slice_tree(params),
@@ -234,29 +221,29 @@ def in_V(params: HenonParams, nf: NormalForm2D, vs: VSpec, x, y, j_tree: cKDTree
     x = np.broadcast_to(x, shape).ravel()
     y = np.broadcast_to(y, shape).ravel()
     alpha = params.poly.alpha
-    ok = (np.abs(y) <= vs.r) & (np.abs(2 * x) >= vs.crit_strip)
+    ok = (np.abs(y) <= FILTRATION_RADIUS) & (np.abs(2 * x) >= CRIT_STRIP)
     G = np.zeros(x.shape)
     G[ok] = green(params.poly, x[ok], iters=80)
-    ok &= G <= math.log(vs.R) / 2.0 + 1e-12
+    ok &= G <= math.log(BASE_RADIUS) / 2.0 + 1e-12
     # Julia collar: only the non-escaping points must lie near J
     near = ok & ~(G > 0)
     if near.any():
         # beyond the bound d comes back inf, which the collar test rejects too
         d, _ = j_tree.query(np.column_stack([x[near].real, x[near].imag]),
-                            distance_upper_bound=2 * vs.collar)
-        ok[near] = d <= vs.collar
+                            distance_upper_bound=2 * COLLAR)
+        ok[near] = d <= COLLAR
     # tube B: keep repelling sectors only
-    in_B = np.abs(x - alpha) <= vs.rho_prime
+    in_B = np.abs(x - alpha) <= TUBE_RADIUS
     sel = ok & in_B
-    ok[sel] = in_repelling_sector(params, nf.to_normalized(x[sel], y[sel])[0], vs.rho)
+    ok[sel] = in_repelling_sector(params, nf.to_normalized(x[sel], y[sel])[0])
     # tube B' = H^{-1}(B) - B: keep preimages of the repelling sectors
     hx, hy = henon(params, (x, y))
-    sel = ok & (np.abs(hx - alpha) <= vs.rho_prime) & ~in_B & (np.abs(x) <= vs.r)
-    ok[sel] = in_repelling_sector(params, nf.to_normalized(hx[sel], hy[sel])[0], vs.rho)
+    sel = ok & (np.abs(hx - alpha) <= TUBE_RADIUS) & ~in_B & (np.abs(x) <= FILTRATION_RADIUS)
+    ok[sel] = in_repelling_sector(params, nf.to_normalized(hx[sel], hy[sel])[0])
     return ok.reshape(shape)[()]
 
 
-def _sample_V_minus_B(params, nf, vs: VSpec, sample_count: int, rng, j_tree):
+def _sample_V_minus_B(params, nf, sample_count: int, rng, j_tree):
     """The first sample_count draws from the sampling box that lie in V - B.
 
     A round draws m = 4 need + 64 points, enough at an acceptance of 1/4, and
@@ -271,26 +258,26 @@ def _sample_V_minus_B(params, nf, vs: VSpec, sample_count: int, rng, j_tree):
         need = sample_count - len(xs)
         m = 4 * need + 64
         x = uniform_disk(rng, 2.5, m)
-        y = uniform_disk(rng, vs.r, m)
+        y = uniform_disk(rng, FILTRATION_RADIUS, m)
         for lo in range(0, m, need + 16):
             xq, yq = x[lo : lo + need + 16], y[lo : lo + need + 16]
-            keep = in_V(params, nf, vs, xq, yq, j_tree) & (np.abs(xq - alpha) > vs.rho_prime)
+            keep = in_V(params, nf, xq, yq, j_tree) & (np.abs(xq - alpha) > TUBE_RADIUS)
             xs = np.append(xs, xq[keep])
             ys = np.append(ys, yq[keep])
             if len(xs) >= sample_count:
                 break
         if not len(xs):
-            raise PreconditionError(f"no sample of V - B among {m} draws: {vs} leaves it empty")
+            raise PreconditionError(f"no sample of V - B among {m} draws at t={params.t}, a={params.a}")
     return xs[:sample_count], ys[:sample_count]
 
 
-def _boundary_tree(params, nf, vs: VSpec):
+def _boundary_tree(params, nf):
     """Sample stand-ins for the boundary of U_t: the outer equipotential and
     the thin attracting tube (critical orbit plus the axis spine inside B)."""
     from scipy.spatial import cKDTree  # deferred: scipy.spatial is slow to import
 
-    outer = equipotential_loop(params.poly, BOUNDARY_LOOP_ANGLES, level=math.log(vs.R)).values
-    u = np.geomspace(1e-4, vs.rho_prime**params.q, 64)  # spine: arg(x^q) = pi
+    outer = equipotential_loop(params.poly, BOUNDARY_LOOP_ANGLES, level=math.log(BASE_RADIUS)).values
+    u = np.geomspace(1e-4, TUBE_RADIUS**params.q, 64)  # spine: arg(x^q) = pi
     spines = []
     for j in range(params.q):
         xn = u ** (1.0 / params.q) * np.exp(1j * (math.pi + 2 * math.pi * j) / params.q)
@@ -304,8 +291,7 @@ def _boundary_tree(params, nf, vs: VSpec):
     return cKDTree(np.column_stack([pts.real, pts.imag]))
 
 
-def global_cone_check(params: HenonParams, v_spec: VSpec | None = None,
-                      sample_count: int = 2000, seed: int = 0,
+def global_cone_check(params: HenonParams, sample_count: int = 2000, seed: int = 0,
                       nf: NormalForm2D | None = None) -> ConeReport:
     """Sampled cone verification on the collar V minus the tube B.
 
@@ -320,14 +306,15 @@ def global_cone_check(params: HenonParams, v_spec: VSpec | None = None,
         raise PreconditionError("global cone check requires a != 0")
     if sample_count < 1:
         raise PreconditionError(f"sample count must be >= 1, got {sample_count}")
-    vs = v_spec or VSpec()
-    vs.validate(params)
+    if abs(params.a) ** 3 * np.finfo(float).max <= 2 * FILTRATION_RADIUS:  # |eta_b| < 2r/|a|^3
+        raise PreconditionError(f"|a| = {abs(params.a):.3g} is too small for the global cone check: "
+                                "the backward-cone term 2r/|a|^3 leaves the float range")
     if nf is None:
         nf = reduce(params)
-    xs, ys = _sample_V_minus_B(params, nf, vs, sample_count, np.random.default_rng(seed),
+    xs, ys = _sample_V_minus_B(params, nf, sample_count, np.random.default_rng(seed),
                                julia_slice_tree(params))
 
-    tree = _boundary_tree(params, nf, vs)
+    tree = _boundary_tree(params, nf)
 
     def density(z):
         d, _ = tree.query(np.column_stack([z.real, z.imag]))
@@ -340,7 +327,7 @@ def global_cone_check(params: HenonParams, v_spec: VSpec | None = None,
     # the frame's other coordinate is constant: |eta| = |a| forward, |xi| = |1/a| backward
     abs_eta_p, abs_xi_b = np.abs(a), np.abs(1.0 / a)
     xpre = ys / a  # first coordinate of H^{-1}(x, y)
-    valid = np.abs(2.0 * xpre) >= vs.crit_strip
+    valid = np.abs(2.0 * xpre) >= CRIT_STRIP
     # per sample: cones kept over the frame, least expansion in each metric
     h_inv, v_inv = np.empty(len(xs), dtype=bool), np.empty(len(xs), dtype=bool)
     h_exp_e, h_exp_w, v_exp = np.empty(len(xs)), np.empty(len(xs)), np.empty(len(xs))
@@ -355,8 +342,8 @@ def global_cone_check(params: HenonParams, v_spec: VSpec | None = None,
         h_exp_w[b] = (np.maximum(sig1[b, None] * np.abs(xi_w), abs_eta_p) / sig0[b, None]).min(axis=1)
         # vertical cones under DH^{-1}: boundary |xi| = tau |eta|, eta = 1,
         # restricted to samples whose preimage stays clear of the critical tube
-        abs_eta_b = np.abs((vs.tau * e - 2.0 * xpre[b, None] / a) / a)
-        v_inv[b] = (abs_xi_b < vs.tau * abs_eta_b).all(axis=1)
+        abs_eta_b = np.abs((TAU * e - 2.0 * xpre[b, None] / a) / a)
+        v_inv[b] = (abs_xi_b < TAU * abs_eta_b).all(axis=1)
         v_exp[b] = np.maximum(abs_xi_b, abs_eta_b).min(axis=1)  # ||v|| = max(tau, 1) = 1
     euclid_ok, weighted_ok = h_exp_e > 1.0, h_exp_w > 1.0
 
@@ -367,9 +354,9 @@ def global_cone_check(params: HenonParams, v_spec: VSpec | None = None,
     worst_v = float(np.min(v_exp[valid])) if valid.any() else float("nan")
 
     # nesting of the narrow vertical cone inside the normalized cone at dB
-    tau_nest = vs.tau_nest if vs.tau_nest is not None else min(0.005, 0.8 * (vs.rho / 2.0) ** (2 * params.q))
-    nest_x = params.poly.alpha + vs.rho_prime * np.exp(2j * math.pi * np.arange(64) / 64)
-    nest_keep = in_repelling_sector(params, nf.to_normalized(nest_x, np.zeros(64))[0], vs.rho * 1.5)
+    tau_nest = nest_aperture(params.q)
+    nest_x = params.poly.alpha + TUBE_RADIUS * np.exp(2j * math.pi * np.arange(64) / 64)
+    nest_keep = in_repelling_sector(params, nf.to_normalized(nest_x, np.zeros(64))[0], SECTOR_RADIUS * 1.5)
     nest_x = nest_x[nest_keep]
     nest_ratio = float("nan")
     if len(nest_x):
@@ -399,9 +386,8 @@ def global_cone_check(params: HenonParams, v_spec: VSpec | None = None,
             "vertical_skipped_preimage": int(np.sum(~valid)),
             "vertical_floor": vertical_floor,
             "vertical_ok": worst_v >= vertical_floor,
-            "tau": vs.tau,
+            "tau": TAU,
             "tau_nest": tau_nest,
-            "tau_nest_below_paper_bound": tau_nest < (vs.rho / 2.0) ** (2 * params.q),
             "nesting_ratio_at_dB": nest_ratio,
             "nesting_holds": bool(nest_ratio < 1.0) if nest_ratio == nest_ratio else False,
             "marginal": params.t == 0,

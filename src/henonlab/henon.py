@@ -21,6 +21,8 @@ from .errors import NumericalError, PreconditionError
 from .poly1d import PolyParams, poly_params
 
 FILTRATION_RADIUS = 3.5  # paper only requires r > 3
+CYCLE_TOL = 1e-12        # Newton step that ends the polish of attracting_cycle
+CYCLE_NEWTON_STEPS = 50  # most Newton steps of that polish
 
 
 @dataclass(frozen=True)
@@ -266,7 +268,7 @@ def symmetric_axis(lo, hi, res):
 
 
 def jplus_slice(params: HenonParams, window, resolution: int, max_iter: int,
-                y_slice: complex = 0.0, r: float = FILTRATION_RADIUS) -> EscapeGrid:
+                y_slice: complex = 0.0) -> EscapeGrid:
     """Escape-time grid on {y = const}; bounded cells touching escaped cells
     are emitted as the J+ slice sample cloud.  The grid is built and stepped
     one block of ESCAPE_BLOCK // resolution rows at a time.
@@ -293,7 +295,7 @@ def jplus_slice(params: HenonParams, window, resolution: int, max_iter: int,
     times = np.empty((resolution, resolution), dtype=int)
     for i in range(half, resolution, rows):
         X = xs[None, :] + 1j * ys[i:i + rows, None]
-        times[i:i + rows] = escape_times(params, X, y, max_iter, r)
+        times[i:i + rows] = escape_times(params, X, y, max_iter)
     times[:half] = times[resolution - 1:resolution - 1 - half:-1]
     esc = times >= 0
     neighbor_esc = np.zeros_like(esc)
@@ -310,7 +312,7 @@ def jplus_slice(params: HenonParams, window, resolution: int, max_iter: int,
     return EscapeGrid(xs=xs, ys=ys, times=times, y_slice=y, boundary=cloud)
 
 
-def attracting_cycle(params: HenonParams, tol: float = 1e-12, max_newton: int = 50):
+def attracting_cycle(params: HenonParams):
     """Newton-polished attracting q-cycle for t > 0, as an array of q points.
 
     Seeded from the attracting cycle of the a=0 polynomial (critical orbit),
@@ -328,7 +330,7 @@ def attracting_cycle(params: HenonParams, tol: float = 1e-12, max_newton: int = 
     for _ in range(500):
         pt = henon(params, pt)
     vec = np.array(pt, dtype=complex)
-    for _ in range(max_newton):
+    for _ in range(CYCLE_NEWTON_STEPS):
         cur = (vec[0], vec[1])
         jac = np.eye(2, dtype=complex)
         for _ in range(q):
@@ -337,7 +339,7 @@ def attracting_cycle(params: HenonParams, tol: float = 1e-12, max_newton: int = 
         g = np.array([cur[0] - vec[0], cur[1] - vec[1]], dtype=complex)
         step = np.linalg.solve(jac - np.eye(2), -g)
         vec = vec + step
-        if np.max(np.abs(step)) < tol:
+        if np.max(np.abs(step)) < CYCLE_TOL:
             break
     else:
         raise NumericalError("Newton failed to locate the attracting cycle")
@@ -346,6 +348,6 @@ def attracting_cycle(params: HenonParams, tol: float = 1e-12, max_newton: int = 
     for i in range(q):
         cycle[i] = cur
         cur = henon(params, cur)
-    if abs(cur[0] - cycle[0, 0]) + abs(cur[1] - cycle[0, 1]) > math.sqrt(tol):
+    if abs(cur[0] - cycle[0, 0]) + abs(cur[1] - cycle[0, 1]) > math.sqrt(CYCLE_TOL):
         raise NumericalError("located orbit is not q-periodic")
     return cycle

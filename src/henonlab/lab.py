@@ -11,9 +11,10 @@ import numpy as np
 from .errors import NumericalError, PreconditionError
 from .henon import HenonParams, PointCloud, jplus_slice, make_params, symmetric_axis
 from .poly1d import _normalize_pq, caratheodory
-from .torus import check_depth, julia_from_sigma, torus_fixed_point
+from .torus import check_depth, check_grid, julia_from_sigma, torus_fixed_point
 
 DEFAULT_WINDOW = (-2.2, 2.2, -2.2, 2.2)
+CONTINUITY_ESCAPE_STEPS = 200  # escape-time steps of each J+ slice of continuity
 
 
 def hausdorff(A: PointCloud, B: PointCloud) -> float:
@@ -69,21 +70,21 @@ def loop_cloud(loop) -> PointCloud:
 
 
 def continuity_experiment(p_over_q, a, t_list, resolution: int = 400,
-                          n_angles: int = 1024, n_iters: int = 40,
-                          depth: int = 12, max_iter: int = 200,
-                          window=DEFAULT_WINDOW):
+                          n_angles: int = 1024, n_iters: int = 40, depth: int = 12):
     """d_H(J_t, J_0) and d_H of the y=0 slices of J+, against the t=0 clouds.
 
     All clouds on both sides are built at identical resolution; the reference
     is the semi-parabolic member t = 0.  The J+ slices come first, so that a
     resolution they cannot resolve is refused before any torus is solved,
-    and a depth out of range before any slice is built.
+    and a torus grid or depth out of range before any slice is built.
     """
     t_vals = _check_t_list(t_list)
+    check_grid(n_iters, n_angles)
     check_depth(depth, n_angles)
 
     def slice_boundary(t):
-        boundary = jplus_slice(make_params(p_over_q, t, a), window, resolution, max_iter).boundary
+        boundary = jplus_slice(make_params(p_over_q, t, a), DEFAULT_WINDOW, resolution,
+                               CONTINUITY_ESCAPE_STEPS).boundary
         if not len(boundary):
             raise PreconditionError(
                 f"the J+ slice y=0 at t={t} has no boundary cell at resolution "
@@ -169,8 +170,7 @@ def connectivity_scan(p_over_q, t, a_window, resolution: int = 9,
     if n_iters < 2:
         raise PreconditionError(
             f"n_iters must be >= 2, got {n_iters}: the verdict compares the last two gaps")
-    if n_angles < 2 or n_angles & (n_angles - 1):
-        raise PreconditionError(f"n_angles must be a power of two >= 2, got {n_angles}")
+    check_grid(n_iters, n_angles)
     # a bad p/q or t is refused here, not reported as UNKNOWN in every cell
     real_lam = make_params(p_over_q, t, 0).lam.imag == 0
     res = resolution

@@ -87,7 +87,7 @@ class LoopSample:
         v = np.asarray(self.values, dtype=complex)
         n = len(v)
         if n < 2 or (n & (n - 1)) != 0:
-            raise PreconditionError("loop sample count must be a power of two")
+            raise PreconditionError(f"loop sample count must be a power of two >= 2, got {n}")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

@@ -39,6 +39,7 @@ MIRROR_ULPS = 4
 # scan cells that leave their branch at levels 5 to 9 on 1024 angles.
 FULL_GRID_LEVELS = 12
 BASE_ANGLES = 256
+RESIDUAL_SAMPLES = 4096  # (s, z) samples of semiconjugacy_residual
 
 
 # eq=False: the fields are arrays, so a generated == would raise on them
@@ -289,6 +290,15 @@ class TorusResult:
         return float(self.gaps[-1])
 
 
+def check_grid(n_iters: int, n_angles: int):
+    """Refuses what torus_fixed_point cannot run: fewer than one level, or an
+    angle count that is not a power of two >= 2."""
+    if n_iters < 1:
+        raise PreconditionError(f"n_iters must be >= 1, got {n_iters}")
+    if n_angles < 2 or n_angles & (n_angles - 1):
+        raise PreconditionError(f"n_angles must be a power of two >= 2, got {n_angles}")
+
+
 def torus_fixed_point(params: HenonParams, n_iters: int, n_angles: int,
                       disk_degree: int = 8) -> TorusResult:
     """n_iters-fold graph transform of the seed torus, with certificates.
@@ -307,8 +317,7 @@ def torus_fixed_point(params: HenonParams, n_iters: int, n_angles: int,
     angles.  At q = 1 all gaps are the direct solve's to rounding.  At q >= 2
     the base-grid gaps fall up to 85 % below the N-angle ones on 1024 angles
     and 92 % on 2048, so they may rise where the grid changes."""
-    if n_iters < 1:
-        raise PreconditionError("n_iters must be >= 1")
+    check_grid(n_iters, n_angles)
     torus = torus_seed(equipotential_loop(params.poly, n_angles), disk_degree)
     k = max(n_angles // BASE_ANGLES, 1).bit_length() - 1
     k = k if n_iters >= FULL_GRID_LEVELS + k + 2 else 0
@@ -388,13 +397,12 @@ def julia_from_sigma(params: HenonParams, fstar: SolidTorus, depth: int = 12) ->
                       meta=f"julia-from-sigma depth={depth} n_angles={n}")
 
 
-def semiconjugacy_residual(params: HenonParams, fstar: SolidTorus,
-                           sample_count: int = 4096, seed: int = 0) -> float:
+def semiconjugacy_residual(params: HenonParams, fstar: SolidTorus, seed: int = 0) -> float:
     """sup over samples of dist(H(f*(s,z)), f*(sigma(s,z))), max-norm on C^2."""
     rng = np.random.default_rng(seed)
     n = fstar.n_angles
-    k = rng.integers(0, n, sample_count)
-    z = uniform_disk(rng, NODE_FRACTION * FILTRATION_RADIUS, sample_count)
+    k = rng.integers(0, n, RESIDUAL_SAMPLES)
+    z = uniform_disk(rng, NODE_FRACTION * FILTRATION_RADIUS, RESIDUAL_SAMPLES)
     x = fstar.eval(k, z)
     hx, hy = henon(params, (x, z))
     z1 = params.a * x

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,6 +13,21 @@ from henonlab import cones
 from henonlab import normalform2d as nf2
 from henonlab.errors import PreconditionError
 from henonlab.poly1d import EPS1, green
+
+
+class VGeometry(NamedTuple):
+    """The constants that fix V, as an argument of the in_V oracle."""
+
+    r: float
+    R: float
+    tube: float
+    rho: float
+    collar: float
+    crit_strip: float
+
+
+V_GEOM = VGeometry(r=hn.FILTRATION_RADIUS, R=cones.BASE_RADIUS, tube=cones.TUBE_RADIUS,
+                   rho=cones.SECTOR_RADIUS, collar=cones.COLLAR, crit_strip=cones.CRIT_STRIP)
 
 
 @pytest.fixture(scope="module")
@@ -124,10 +140,17 @@ def test_global_requires_nonzero_a():
         cones.global_cone_check(hn.make_params((1, 1), 0.1, 0.0))
 
 
-def test_vspec_overlap_guard():
-    P = hn.make_params((1, 1), 0.1, 0.05)
-    with pytest.raises(PreconditionError, match="overlap"):
-        cones.global_cone_check(P, v_spec=cones.VSpec(rho_prime=0.6))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(q=st.integers(1, 6), data=st.data())
+def test_tube_B_misses_the_critical_point_and_the_nesting_aperture_stays_below_the_paper_bound(q, data):
+    # on the family |alpha| = |1 + t|/2 > 1/4, so B never reaches x = 0; the
+    # least |alpha| is at the family's edge t -> -1/(2q), checked every time
+    p = data.draw(st.integers(0, q - 1))
+    drawn = data.draw(st.floats(-0.5 / q, 0.5 / q, exclude_min=True, exclude_max=True))
+    for t in (drawn, np.nextafter(-0.5 / q, 0)):
+        P = hn.make_params((p, q), t, 0.05)
+        assert abs(P.poly.alpha) > cones.TUBE_RADIUS
+        assert 0 < cones.nest_aperture(P.q) < (cones.SECTOR_RADIUS / 2.0) ** (2 * P.q)
 
 
 def test_nesting_in_small_a_regime():
@@ -136,7 +159,6 @@ def test_nesting_in_small_a_regime():
     for q, a in [(1, 0.002), (2, 0.0005)]:
         P = hn.make_params((1, q), 0.1, a)
         rep = cones.global_cone_check(P, sample_count=300, seed=5)
-        assert rep.extras["tau_nest_below_paper_bound"]
         assert rep.extras["nesting_holds"]
 
 
@@ -166,17 +188,30 @@ def test_global_refuses_sample_count_below_one():
             cones.global_cone_check(P, sample_count=n)
 
 
-def test_global_refuses_an_empty_region():
+def test_global_runs_down_to_the_least_a_inside_the_float_range(recwarn):
+    # the backward frame's |eta| stays below 2r/|a|^3, which a0 puts at the float maximum
+    a0 = (2 * hn.FILTRATION_RADIUS / np.finfo(float).max) ** (1 / 3)
+    for a in (a0 * (1 + 1e-12), a0 * (1 + 1e-12) * np.exp(0.7j)):
+        rep = cones.global_cone_check(hn.make_params((1, 1), 0.05, a), sample_count=300, seed=1)
+        assert np.isfinite(rep.worst_v_expansion) and rep.extras["vertical_ok"]
+    with pytest.raises(PreconditionError, match=r"\|a\| = 3\.39e-103 is too small"):
+        cones.global_cone_check(hn.make_params((1, 1), 0.05, a0 * (1 - 1e-12)))
+    assert not recwarn.list
+
+
+def test_global_refuses_an_empty_region(monkeypatch):
     # no draw in the radius-2.5 disk meets |2x| >= 6, so sampling would never end
+    monkeypatch.setattr(cones, "CRIT_STRIP", 6.0)
     P = hn.make_params((1, 1), 0.1, 0.05)
-    with pytest.raises(PreconditionError, match=r"among 104 draws: VSpec\(.*crit_strip=6\.0"):
-        cones.global_cone_check(P, cones.VSpec(crit_strip=6.0), sample_count=10)
+    with pytest.raises(PreconditionError, match=r"among 104 draws at t=0\.1, a=\(0\.05\+0j\)"):
+        cones.global_cone_check(P, sample_count=10)
 
 
 # ------------------------------------------------ in_V against its full-array form
 
-def in_V_full(params, nf, vs, x, y, j_tree=None):
-    """in_V as it ran before the narrowing: every test on every point."""
+def in_V_full(params, nf, x, y, j_tree=None, vs=V_GEOM):
+    """in_V as it ran before the narrowing: every test on every point, on the
+    geometry vs."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     alpha = params.poly.alpha
@@ -187,11 +222,11 @@ def in_V_full(params, nf, vs, x, y, j_tree=None):
         j_tree = cones.julia_slice_tree(params)
     d, _ = j_tree.query(np.column_stack([x.real.ravel(), x.imag.ravel()]))
     ok &= (G > 0) | (d.reshape(x.shape) <= vs.collar)
-    in_B = np.abs(x - alpha) <= vs.rho_prime
+    in_B = np.abs(x - alpha) <= vs.tube
     xn, _ = nf.to_normalized(x, y)
     ok &= ~in_B | cones.in_repelling_sector(params, xn, vs.rho)
     hx, hy = hn.henon(params, (x, y))
-    in_Bp = (np.abs(hx - alpha) <= vs.rho_prime) & ~in_B & (np.abs(x) <= vs.r)
+    in_Bp = (np.abs(hx - alpha) <= vs.tube) & ~in_B & (np.abs(x) <= vs.r)
     hxn, _ = nf.to_normalized(hx, hy)
     ok &= ~in_Bp | cones.in_repelling_sector(params, hxn, vs.rho)
     return ok
@@ -203,11 +238,12 @@ def _v_setup(q, t):
     return P, nf2.reduce(P, D=2 * q + 8), cones.julia_slice_tree(P)
 
 
-def _v_points(P, vs, n, seed):
+def _v_points(P, n, seed):
     """n draws split over four groups: the sampling box of global_cone_check
     (with |y| up to 1.1 r), near alpha (tube B), near H^{-1}(B) (tube B')
     and near the critical strip."""
     rng = np.random.default_rng(seed)
+    vs = V_GEOM
 
     def disk(radius):
         return radius * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
@@ -215,9 +251,9 @@ def _v_points(P, vs, n, seed):
     alpha = P.poly.alpha
     y = disk(1.1 * vs.r)
     sign = np.where(rng.uniform(0, 1, n) < 0.5, -1.0, 1.0)
-    pre_B = sign * np.sqrt(alpha + disk(1.2 * vs.rho_prime) - P.c - P.a * y)
+    pre_B = sign * np.sqrt(alpha + disk(1.2 * vs.tube) - P.c - P.a * y)
     x = np.select([np.arange(n) % 4 == k for k in range(4)],
-                  [disk(2.5), alpha + disk(1.2 * vs.rho_prime), pre_B,
+                  [disk(2.5), alpha + disk(1.2 * vs.tube), pre_B,
                    disk(0.3 * vs.crit_strip) + 0.25 * vs.crit_strip])
     return x, y
 
@@ -228,8 +264,7 @@ def _v_points(P, vs, n, seed):
        n=st.integers(min_value=0, max_value=60), seed=st.integers(0, 2**32 - 1))
 def test_in_V_matches_full_array_oracle(q, t, layout, n, seed):
     P, nf, tree = _v_setup(q, t)
-    vs = cones.VSpec()
-    x, y = _v_points(P, vs, max(n, 1), seed)
+    x, y = _v_points(P, max(n, 1), seed)
     if layout == "0-d":
         x, y = x[0], y[0]
     elif layout == "1-d":
@@ -238,8 +273,8 @@ def test_in_V_matches_full_array_oracle(q, t, layout, n, seed):
         x, y = x[: n - n % 3].reshape(3, -1), y[: n - n % 3].reshape(3, -1)
     else:
         x, y = x[:n], y[0]
-    got = cones.in_V(P, nf, vs, x, y, tree)
-    want = in_V_full(P, nf, vs, x, y, tree)
+    got = cones.in_V(P, nf, x, y, tree)
+    want = in_V_full(P, nf, x, y, tree)
     assert type(got) is type(want)
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want)
@@ -250,16 +285,15 @@ def test_in_V_oracle_points_reach_both_tubes(q, t):
     # the drawn points make both tube tests decide: each tube holds points
     # that pass every other test, some kept by the chart and some rejected
     P, nf, tree = _v_setup(q, t)
-    vs = cones.VSpec()
-    x, y = _v_points(P, vs, 4000, 7)
-    wide = dataclasses.replace(vs, rho=10.0)  # every point of a tube in its sector
-    kept, kept_wide = in_V_full(P, nf, vs, x, y, tree), in_V_full(P, nf, wide, x, y, tree)
-    in_B = np.abs(x - P.poly.alpha) <= vs.rho_prime
-    in_Bp = (np.abs(hn.henon(P, (x, y))[0] - P.poly.alpha) <= vs.rho_prime) & ~in_B
+    x, y = _v_points(P, 4000, 7)
+    wide = V_GEOM._replace(rho=10.0)  # every point of a tube in its sector
+    kept, kept_wide = in_V_full(P, nf, x, y, tree), in_V_full(P, nf, x, y, tree, wide)
+    in_B = np.abs(x - P.poly.alpha) <= cones.TUBE_RADIUS
+    in_Bp = (np.abs(hn.henon(P, (x, y))[0] - P.poly.alpha) <= cones.TUBE_RADIUS) & ~in_B
     for tube in (in_B, in_Bp):
         assert np.any(kept & tube)
         assert np.any(kept_wide & ~kept & tube)
-    assert np.array_equal(cones.in_V(P, nf, vs, x, y, tree), kept)
+    assert np.array_equal(cones.in_V(P, nf, x, y, tree), kept)
 
 
 def _assert_reports_equal(got, want):
@@ -341,7 +375,7 @@ def local_cone_check_full(params, nf, sample_grid, rho=0.15):
     )
 
 
-def sample_V_minus_B_full(params, nf, vs, sample_count, rng, j_tree):
+def sample_V_minus_B_full(params, nf, sample_count, rng, j_tree):
     """The draw loop of global_cone_check before it tested quarters: every
     draw of a round is tested."""
     xs = np.empty(0, dtype=complex)
@@ -350,25 +384,25 @@ def sample_V_minus_B_full(params, nf, vs, sample_count, rng, j_tree):
     while len(xs) < sample_count:
         m = 4 * (sample_count - len(xs)) + 64
         x = hn.uniform_disk(rng, 2.5, m)
-        y = hn.uniform_disk(rng, vs.r, m)
-        keep = cones.in_V(params, nf, vs, x, y, j_tree) & (np.abs(x - alpha) > vs.rho_prime)
+        y = hn.uniform_disk(rng, V_GEOM.r, m)
+        keep = cones.in_V(params, nf, x, y, j_tree) & (np.abs(x - alpha) > V_GEOM.tube)
         if not len(xs) and not keep.any():
-            raise PreconditionError(f"no sample of V - B among {m} draws: {vs} leaves it empty")
+            raise PreconditionError(
+                f"no sample of V - B among {m} draws at t={params.t}, a={params.a}")
         xs = np.append(xs, x[keep])
         ys = np.append(ys, y[keep])
     return xs[:sample_count], ys[:sample_count]
 
 
-def global_cone_check_full(params, v_spec=None, sample_count=2000, seed=0, nf=None):
+def global_cone_check_full(params, sample_count=2000, seed=0, nf=None):
     """global_cone_check as it ran before the row blocks and the quarter
     tests: every draw tested, the whole (samples x N_DIRECTIONS) frame at once."""
-    vs = v_spec or cones.VSpec()
-    vs.validate(params)
+    vs, tau = V_GEOM, cones.TAU
     if nf is None:
         nf = nf2.reduce(params)
-    xs, ys = sample_V_minus_B_full(params, nf, vs, sample_count, np.random.default_rng(seed),
+    xs, ys = sample_V_minus_B_full(params, nf, sample_count, np.random.default_rng(seed),
                                    cones.julia_slice_tree(params))
-    tree = cones._boundary_tree(params, nf, vs)
+    tree = cones._boundary_tree(params, nf)
 
     def density(z):
         d, _ = tree.query(np.column_stack([z.real, z.imag]))
@@ -391,8 +425,8 @@ def global_cone_check_full(params, v_spec=None, sample_count=2000, seed=0, nf=No
     xpre = ys / a
     valid = np.abs(2.0 * xpre) >= vs.crit_strip
     xi_b = np.full((len(xs), cones.N_DIRECTIONS), 1.0 / a, dtype=complex)
-    eta_b = (vs.tau * e - 2.0 * xpre[:, None] / a) / a
-    v_inv = np.abs(xi_b) < vs.tau * np.abs(eta_b)
+    eta_b = (tau * e - 2.0 * xpre[:, None] / a) / a
+    v_inv = np.abs(xi_b) < tau * np.abs(eta_b)
     v_exp = np.maximum(np.abs(xi_b), np.abs(eta_b))
     v_inv_ok = v_inv.all(axis=1) | ~valid
 
@@ -402,9 +436,8 @@ def global_cone_check_full(params, v_spec=None, sample_count=2000, seed=0, nf=No
                                     np.min(h_exp_w, axis=1))))
     worst_v = float(np.min(v_exp[valid])) if valid.any() else float("nan")
 
-    tau_nest = (vs.tau_nest if vs.tau_nest is not None
-                else min(0.005, 0.8 * (vs.rho / 2.0) ** (2 * params.q)))
-    nest_x = params.poly.alpha + vs.rho_prime * np.exp(2j * math.pi * np.arange(64) / 64)
+    tau_nest = min(0.005, 0.8 * (vs.rho / 2.0) ** (2 * params.q))
+    nest_x = params.poly.alpha + vs.tube * np.exp(2j * math.pi * np.arange(64) / 64)
     nest_keep = cones.in_repelling_sector(params, nf.to_normalized(nest_x, np.zeros(64))[0],
                                           vs.rho * 1.5)
     nest_x = nest_x[nest_keep]
@@ -436,9 +469,8 @@ def global_cone_check_full(params, v_spec=None, sample_count=2000, seed=0, nf=No
             "vertical_skipped_preimage": int(np.sum(~valid)),
             "vertical_floor": vertical_floor,
             "vertical_ok": worst_v >= vertical_floor,
-            "tau": vs.tau,
+            "tau": tau,
             "tau_nest": tau_nest,
-            "tau_nest_below_paper_bound": tau_nest < (vs.rho / 2.0) ** (2 * params.q),
             "nesting_ratio_at_dB": nest_ratio,
             "nesting_holds": bool(nest_ratio < 1.0) if nest_ratio == nest_ratio else False,
             "marginal": params.t == 0,
@@ -502,7 +534,7 @@ def test_in_V_bounded_collar_query_at_the_collar_edge(q, t):
     # points whose nearest loop point lies at collar (1 +- k 2^-52): the
     # bounded query must decide the collar test as the unbounded one does
     P, nf, tree = _v_setup(q, t)
-    vs = cones.VSpec()
+    vs = V_GEOM
     rng = np.random.default_rng(q)
     z = hn.uniform_disk(rng, 2.5, 40000)
     d, i = tree.query(np.column_stack([z.real, z.imag]))
@@ -513,7 +545,7 @@ def test_in_V_bounded_collar_query_at_the_collar_edge(q, t):
     x = loop + (z[sel] - loop) * (vs.collar * (1 + k * 2.0**-52) / d[sel])
     x = np.concatenate([x, z[sel]])
     y = hn.uniform_disk(rng, vs.r, len(x))
-    assert np.array_equal(cones.in_V(P, nf, vs, x, y, tree), in_V_full(P, nf, vs, x, y, tree))
+    assert np.array_equal(cones.in_V(P, nf, x, y, tree), in_V_full(P, nf, x, y, tree))
     # the collar test decides on both sides within a few ulps of the collar
     dx, _ = tree.query(np.column_stack([x.real, x.imag]))
     reach = (green(P.poly, x, iters=80) == 0) & (np.abs(2 * x) >= vs.crit_strip)
@@ -526,11 +558,11 @@ def test_in_V_bounded_collar_query_at_the_collar_edge(q, t):
 def test_quarter_tests_keep_the_draws_of_the_full_loop(monkeypatch, R, n):
     # an acceptance below 1/4 needs more than one round of draws
     P, nf, tree = _v_setup(1, 0.05)
-    vs = cones.VSpec(R=R)
-    want = sample_V_minus_B_full(P, nf, vs, n, np.random.default_rng(n), tree)
+    monkeypatch.setattr(cones, "BASE_RADIUS", R)
+    want = sample_V_minus_B_full(P, nf, n, np.random.default_rng(n), tree)
     draws = []
     monkeypatch.setattr(cones, "uniform_disk", lambda *args: draws.append(args[2]) or hn.uniform_disk(*args))
-    got = cones._sample_V_minus_B(P, nf, vs, n, np.random.default_rng(n), tree)
+    got = cones._sample_V_minus_B(P, nf, n, np.random.default_rng(n), tree)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert len(got[0]) == n
     if n == 600:

@@ -247,6 +247,12 @@ def test_cli_torus_iterate_refuses_a_torus_whose_half_turn_fibers_coincide(
      "repelling sector is empty"),
     (["caratheodory", "--config=missing.cfg"], "cannot read config file missing.cfg"),
     (["caratheodory", "--config=bad.cfg"], "config key angles: 'abc' is not a valid int"),
+    (["torus-iterate", "--pq=1/1", "--t=0.1", "--angles=1000"],
+     "n_angles must be a power of two >= 2, got 1000"),
+    (["torus-iterate", "--pq=1/1", "--t=0.1", "--angles=0"],
+     "n_angles must be a power of two >= 2, got 0"),
+    (["torus-iterate", "--pq=1/1", "--t=0.1", "--angles=-4"],
+     "n_angles must be a power of two >= 2, got -4"),
     (["torus-iterate", "--pq=1/1", "--t=0.1", "--degree=0"], "disk degree must be >= 1"),
     (["torus-iterate", "--pq=1/1", "--t=0.1", "--degree=-1"], "disk degree must be >= 1"),
     (["cone-check", "--pq=1/1", "--t=0.05", "--a=0.05", "--samples=0"],
@@ -318,6 +324,48 @@ def test_cli_continuity_refuses_a_bad_depth_before_building_any_slice(
     assert err.strip() == (f"precondition error: depth must be in 1 .. {deepest} on {angles} "
                            f"angles, got {depth}")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag,cause,built", [
+    ("--angles=1000", "n_angles must be a power of two >= 2, got 1000", 0),
+    ("--angles=0", "n_angles must be a power of two >= 2, got 0", 0),
+    ("--angles=-4", "n_angles must be a power of two >= 2, got -4", 0),
+    ("--iters=0", "n_iters must be >= 1, got 0", 0),
+    ("--res=4", "the J+ slice y=0 at t=0.0 has no boundary cell at resolution 4: raise --res", 1),
+])
+def test_cli_continuity_refuses_a_bad_torus_grid_before_building_any_slice(
+        tmp_path, monkeypatch, capsys, flag, cause, built):
+    # torus_fixed_point refused both, after every J+ slice had been built;
+    # the --res case shows that the spy sees the slices that are built
+    slices = []
+    monkeypatch.setattr(lab, "jplus_slice", lambda *args: slices.append(args) or hn.jplus_slice(*args))
+    argv = ["continuity", "--pq=1/1", "--a=0.05", "--t-list=0.2,0.1", "--res=300",
+            "--angles=64", "--iters=12", flag, "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"precondition error: {cause}\n"
+    assert len(slices) == built
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("a", ["1e-150", "1e-160"])
+def test_cli_cone_check_refuses_an_a_whose_backward_cone_term_leaves_the_float_range(
+        tmp_path, capsys, recwarn, a):
+    # numpy warned of overflow, and worst_v read inf at 1e-150 and nan (FAIL) at 1e-160
+    argv = ["cone-check", "--pq=1/1", "--t=0.05", f"--a={a}", "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not recwarn.list
+    assert err == (f"precondition error: |a| = {a} is too small for the global cone check: "
+                   "the backward-cone term 2r/|a|^3 leaves the float range\n")
+
+
+def test_cli_cone_check_runs_at_a_tiny_a_inside_the_float_range(tmp_path, capsys, recwarn):
+    argv = ["cone-check", "--pq=1/1", "--t=0.05", "--a=1e-100", "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (
+        "local: PASS worst_h=1.054339 worst_v=1e+15 failures=0\n"
+        "global: PASS worst_h=1.356124 worst_v=4.58e+299 vertical_ok=True\n")
+    assert not recwarn.list
 
 
 def test_continuity_refuses_a_coarse_res_before_solving_any_torus(monkeypatch):
