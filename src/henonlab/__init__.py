@@ -1,7 +1,7 @@
 """Julia sets of complex Henon maps near semi-parabolic parameters."""
 
 from .errors import NumericalError, PreconditionError
-from .henon import HenonParams, PointCloud, make_params
+from .henon import HenonParams, make_params
 from .lab import HausdorffResult, RunConfig, hausdorff
 from .normalform2d import NormalForm2D, petal_check, reduce, wss_graph
 from .poly1d import LoopSample, PolyParams, caratheodory, green, normal_form_1d, poly_params
@@ -10,7 +10,7 @@ from .torus import SolidTorus, graph_transform, julia_from_sigma, sigma, torus_f
 
 __all__ = [
     "NumericalError", "PreconditionError",
-    "HenonParams", "PointCloud", "make_params",
+    "HenonParams", "make_params",
     "HausdorffResult", "RunConfig", "hausdorff",
     "NormalForm2D", "petal_check", "reduce", "wss_graph",
     "LoopSample", "PolyParams", "caratheodory", "green", "normal_form_1d", "poly_params",

@@ -150,7 +150,7 @@ def run(cfg: RunConfig) -> int:
         params = make_params(cfg.p_over_q, cfg.t, cfg.a)
         nf = reduce(params, D=2 * params.q + 8)
         loc = local_cone_check(params, nf, sector_samples(params, cfg.samples, seed=cfg.seed))
-        glob = global_cone_check(params, sample_count=cfg.samples, seed=cfg.seed, nf=nf) if cfg.a != 0 else None
+        glob = global_cone_check(params, cfg.samples, cfg.seed, nf) if cfg.a != 0 else None
         print(f"local: {loc.verdict} worst_h={loc.worst_h_expansion:.6f} "
               f"worst_v={loc.worst_v_expansion:.3g} failures={len(loc.invariance_failures)}")
         if glob is not None:

@@ -133,6 +133,11 @@ def local_cone_check(params: HenonParams, nf: NormalForm2D, sample_grid) -> Cone
     x, y = pts[:, 0], pts[:, 1]
     if not np.all(in_repelling_sector(params, x)):
         raise PreconditionError("sample outside the repelling sector")
+    # |xi_b|, |eta_b| < 4/|a|^2: their numerators stay below 2.01 and |a|^2/|det|
+    # below 1.37 (measured on the sector samples over q <= 6, |t| < 1/(2q))
+    if params.a != 0 and abs(params.a) ** 2 * np.finfo(float).max <= 4:
+        raise PreconditionError(f"|a| = {abs(params.a):.3g} is too small for the local cone check: "
+                                "the backward-cone term 4/|a|^2 leaves the float range")
     q = params.q
     N1, N2 = nf.normal
     J11 = N1.partial_x()(x, y)
@@ -148,7 +153,7 @@ def local_cone_check(params: HenonParams, nf: NormalForm2D, sample_grid) -> Cone
     h_bound = np.abs(params.lam) * (1.0 + (q + 0.5) * EPS1 * np.abs(x) ** q)
     x1 = N1(x, y)
     det = J11 * J22 - J12 * J21
-    singular = float(np.min(np.abs(det))) < 1e-13
+    singular = params.a == 0
     # per sample: cones kept over the frame, least expansion, least margin
     h_ok, v_ok = np.empty(len(x), dtype=bool), np.ones(len(x), dtype=bool)
     h_min, h_margin, v_min = np.empty(len(x)), np.empty(len(x)), np.empty(len(x))
@@ -291,8 +296,8 @@ def _boundary_tree(params, nf):
     return cKDTree(np.column_stack([pts.real, pts.imag]))
 
 
-def global_cone_check(params: HenonParams, sample_count: int = 2000, seed: int = 0,
-                      nf: NormalForm2D | None = None) -> ConeReport:
+def global_cone_check(params: HenonParams, sample_count: int, seed: int,
+                      nf: NormalForm2D) -> ConeReport:
     """Sampled cone verification on the collar V minus the tube B.
 
     The primary metric is the Euclidean product metric; a sample whose
@@ -309,8 +314,6 @@ def global_cone_check(params: HenonParams, sample_count: int = 2000, seed: int =
     if abs(params.a) ** 3 * np.finfo(float).max <= 2 * FILTRATION_RADIUS:  # |eta_b| < 2r/|a|^3
         raise PreconditionError(f"|a| = {abs(params.a):.3g} is too small for the global cone check: "
                                 "the backward-cone term 2r/|a|^3 leaves the float range")
-    if nf is None:
-        nf = reduce(params)
     xs, ys = _sample_V_minus_B(params, nf, sample_count, np.random.default_rng(seed),
                                julia_slice_tree(params))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,8 +108,8 @@ def uniform_disk(rng, radius: float, m: int) -> np.ndarray:
     return radius * np.sqrt(rng.uniform(0, 1, m)) * np.exp(2j * math.pi * rng.uniform(0, 1, m))
 
 
-def in_vplus(x, y, r=FILTRATION_RADIUS):
-    return np.abs(x) >= np.maximum(np.abs(y), r)
+def in_vplus(x, y):
+    return np.abs(x) >= np.maximum(np.abs(y), FILTRATION_RADIUS)
 
 
 # Longest run of steps between two V+ tests; the block doubles up to it
@@ -139,7 +139,7 @@ def _trap(a: complex, c: complex):
     return x, a * x, rho, abs(a) * rho
 
 
-def _entry_times(params: HenonParams, X, Y, n: int, max_iter: int, r: float, cap: int, trap):
+def _entry_times(params: HenonParams, X, Y, n: int, max_iter: int, cap: int, trap):
     """First steps in [n, max_iter] at which the orbits (X, Y), flat arrays at
     step n, lie in V+; -1 where none does.  X and Y are not written to.
 
@@ -151,7 +151,7 @@ def _entry_times(params: HenonParams, X, Y, n: int, max_iter: int, r: float, cap
     ``_trap``, when there is one, are dropped with time -1.
     """
     times = np.full(X.size, -1, dtype=int)
-    hit = in_vplus(X, Y, r)
+    hit = in_vplus(X, Y)
     times[hit] = n
     idx = np.flatnonzero(~hit)       # position in X of each active orbit
     X = X[idx]
@@ -172,10 +172,10 @@ def _entry_times(params: HenonParams, X, Y, n: int, max_iter: int, r: float, cap
             np.add(X, params.c, out=X)
             np.add(X, T[:m], out=X)
         n += steps
-        hit = done = in_vplus(X, Y, r)
+        hit = done = in_vplus(X, Y)
         if steps > 1:
             redo = np.flatnonzero(hit | ~(np.isfinite(X) & np.isfinite(Y)))
-            entry = _entry_times(params, CX[redo], CY[redo], n - steps, n, r, 1, None)
+            entry = _entry_times(params, CX[redo], CY[redo], n - steps, n, 1, None)
             hit[redo] = entry >= 0   # every hit is in redo
             times[idx[redo]] = entry
             if trap is not None:
@@ -192,13 +192,13 @@ def _entry_times(params: HenonParams, X, Y, n: int, max_iter: int, r: float, cap
     return times
 
 
-def escape_times(params: HenonParams, X, Y, max_iter: int, r: float = FILTRATION_RADIUS):
+def escape_times(params: HenonParams, X, Y, max_iter: int):
     """Vectorized first-entry times into V+; -1 marks still-bounded orbits.
 
     Y is broadcast to the shape of X.  Only the orbits still outside V+ are
-    stored and iterated, in place.  V+ = {|x| >= max(|y|, r)} is forward
-    invariant on the family: for |x| >= r > 3, |a| < 1/2 and the |c| <= 9/4
-    of the curve, |x'| >= |x|^2 - |a||x| - |c| >= |x| + 1 > |a||x| = |y'|.
+    stored and iterated, in place.  V+ = {|x| >= max(|y|, r)}, r = FILTRATION_RADIUS,
+    is forward invariant on the family: for |x| >= r > 3, |a| < 1/2 and the
+    |c| <= 9/4 of the curve, |x'| >= |x|^2 - |a||x| - |c| >= |x| + 1 > |a||x| = |y'|.
     An orbit outside V+ after a block of steps was therefore outside it
     during the block, so V+ is tested once per block (`_entry_times`), and
     the times are those of a test at every step, bit for bit.
@@ -217,8 +217,6 @@ def escape_times(params: HenonParams, X, Y, max_iter: int, r: float = FILTRATION
     from (a, c), not ``x_q``: the trap is the attracting fixed point at
     t != 0 for q = 1 and t < 0 for q >= 2, and exists off the family too.
     """
-    if r <= 3.0:
-        raise PreconditionError("filtration radius must exceed 3")
     if max_iter < 0:
         raise PreconditionError(f"max_iter must be >= 0, got {max_iter}")
     X = np.asarray(X, dtype=complex)
@@ -226,27 +224,12 @@ def escape_times(params: HenonParams, X, Y, max_iter: int, r: float = FILTRATION
     Y = np.broadcast_to(np.asarray(Y, dtype=complex), shape)
     # |x'| >= |x| + 1 and |y'| <= |x'| on V+ need |a| <= 1 and
     # r^2 - (1 + |a|) r - |c| >= 1; parameters built off the family may fail it
-    a, c = abs(params.a), abs(params.c)
+    a, c, r = abs(params.a), abs(params.c), FILTRATION_RADIUS
     cap = BLOCK_CAP if a <= 1 and r * r - (1 + a) * r - c >= 1 else 1
     trap = _trap(params.a, params.c)
     with np.errstate(over="ignore", invalid="ignore"):
-        times = _entry_times(params, X.reshape(-1), Y.reshape(-1), 0, max_iter, r, cap, trap)
+        times = _entry_times(params, X.reshape(-1), Y.reshape(-1), 0, max_iter, cap, trap)
     return times.reshape(shape)
-
-
-@dataclass(frozen=True)
-class PointCloud:
-    points: np.ndarray  # (n, 2) complex, rows are (x, y)
-    meta: str = ""
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=complex).reshape(-1, 2)
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self):
-        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -254,8 +237,7 @@ class EscapeGrid:
     xs: np.ndarray        # real axis samples
     ys: np.ndarray        # imaginary axis samples
     times: np.ndarray     # (len(ys), len(xs)) escape iterates, -1 bounded
-    y_slice: complex
-    boundary: PointCloud = field(repr=False)
+    boundary: np.ndarray  # (n, 2) complex J+ sample, rows (x, y_slice)
 
 
 def symmetric_axis(lo, hi, res):
@@ -270,7 +252,7 @@ def symmetric_axis(lo, hi, res):
 def jplus_slice(params: HenonParams, window, resolution: int, max_iter: int,
                 y_slice: complex = 0.0) -> EscapeGrid:
     """Escape-time grid on {y = const}; bounded cells touching escaped cells
-    are emitted as the J+ slice sample cloud.  The grid is built and stepped
+    are the J+ sample ``boundary``.  The grid is built and stepped
     one block of ESCAPE_BLOCK // resolution rows at a time.
 
     The axes come from ``symmetric_axis``.  When the mirror C(x, y) = (conj x,
@@ -305,11 +287,8 @@ def jplus_slice(params: HenonParams, window, resolution: int, max_iter: int,
     neighbor_esc[:, :-1] |= esc[:, 1:]
     iy, ix = np.nonzero(neighbor_esc & ~esc)
     pts = xs[ix] + 1j * ys[iy]
-    cloud = PointCloud(
-        points=np.column_stack([pts, np.full(len(pts), y)]),
-        meta=f"jplus-slice y={y_slice} res={resolution} max_iter={max_iter}",
-    )
-    return EscapeGrid(xs=xs, ys=ys, times=times, y_slice=y, boundary=cloud)
+    return EscapeGrid(xs=xs, ys=ys, times=times,
+                      boundary=np.column_stack([pts, np.full(len(pts), y)]))
 
 
 def attracting_cycle(params: HenonParams):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .henon import HenonParams, PointCloud, jplus_slice, make_params, symmetric_axis
+from .henon import jplus_slice, make_params, symmetric_axis
 from .poly1d import _normalize_pq, caratheodory
 from .torus import check_depth, check_grid, julia_from_sigma, torus_fixed_point
 
@@ -17,15 +17,14 @@ DEFAULT_WINDOW = (-2.2, 2.2, -2.2, 2.2)
 CONTINUITY_ESCAPE_STEPS = 200  # escape-time steps of each J+ slice of continuity
 
 
-def hausdorff(A: PointCloud, B: PointCloud) -> float:
-    """Hausdorff distance between point clouds in C^2 (sup-min, Euclidean R^4)."""
+def hausdorff(A: np.ndarray, B: np.ndarray) -> float:
+    """Hausdorff distance between (n, 2) complex point clouds in C^2 (sup-min, Euclidean R^4)."""
     from scipy.spatial import cKDTree  # deferred: scipy.spatial is slow to import
 
     if len(A) == 0 or len(B) == 0:
         raise PreconditionError("Hausdorff distance of an empty cloud")
 
-    def embed(c):
-        p = c.points
+    def embed(p):
         return np.column_stack([p[:, 0].real, p[:, 0].imag, p[:, 1].real, p[:, 1].imag])
 
     pa, pb = embed(A), embed(B)
@@ -62,11 +61,9 @@ def _check_t_list(t_list):
     return t
 
 
-def loop_cloud(loop) -> PointCloud:
+def loop_cloud(loop) -> np.ndarray:
     """A 1-D Julia sample as a cloud in C^2 on the {y=0} slice."""
-    vals = loop.values
-    return PointCloud(points=np.column_stack([vals, np.zeros_like(vals)]),
-                      meta=f"loop level={loop.level}")
+    return np.column_stack([loop.values, np.zeros_like(loop.values)])
 
 
 def continuity_experiment(p_over_q, a, t_list, resolution: int = 400,
@@ -76,11 +73,13 @@ def continuity_experiment(p_over_q, a, t_list, resolution: int = 400,
     All clouds on both sides are built at identical resolution; the reference
     is the semi-parabolic member t = 0.  The J+ slices come first, so that a
     resolution they cannot resolve is refused before any torus is solved,
-    and a torus grid or depth out of range before any slice is built.
+    and a = 0 or a torus grid or depth out of range before any slice is built.
     """
     t_vals = _check_t_list(t_list)
     check_grid(n_iters, n_angles)
     check_depth(depth, n_angles)
+    if a == 0:
+        raise PreconditionError("--a must be nonzero: the J tori need a != 0 for the graph transform")
 
     def slice_boundary(t):
         boundary = jplus_slice(make_params(p_over_q, t, a), DEFAULT_WINDOW, resolution,

@@ -136,7 +136,7 @@ def pullback_loop(params: PolyParams, loop: LoopSample) -> LoopSample:
         raise PreconditionError("pullback requires a positive Green level")
     n = loop.N
     if n < 2 * params.q:
-        raise PreconditionError("need at least 2q samples per loop")
+        raise PreconditionError(f"need at least 2q samples per loop, got {n} angles at q = {params.q}")
     targets = loop.values[(2 * np.arange(n)) % n]
     roots = np.sqrt(targets - params.c)
     out = continue_branch(roots)
@@ -215,6 +215,9 @@ def caratheodory(params: PolyParams, N: int, n_iters: int) -> CaratheodoryResult
         raise PreconditionError("N must be a power of two >= 1024")
     if n_iters < 1:
         raise PreconditionError("n_iters must be >= 1")
+    if math.ldexp(math.log(BASE_RADIUS) / 2.0, -n_iters) == 0:  # each pullback halves the level
+        raise PreconditionError(f"n_iters = {n_iters} pullbacks halve the Green level log(R)/2 "
+                                "past the least positive float, to 0")
     loop = equipotential_loop(params, N)
     gaps = np.empty(n_iters, dtype=float)
     for i in range(n_iters):

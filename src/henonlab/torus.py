@@ -16,8 +16,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .henon import (FILTRATION_RADIUS, HenonParams, PointCloud, henon, mirror_sign,
-                    uniform_disk)
+from .henon import FILTRATION_RADIUS, HenonParams, henon, mirror_sign, uniform_disk
 from .poly1d import LoopSample, continue_branch, equipotential_loop
 from .series import horner
 
@@ -40,6 +39,7 @@ MIRROR_ULPS = 4
 FULL_GRID_LEVELS = 12
 BASE_ANGLES = 256
 RESIDUAL_SAMPLES = 4096  # (s, z) samples of semiconjugacy_residual
+NEWTON_STEPS = 50  # most Newton steps per angle in one graph_transform solve
 
 
 # eq=False: the fields are arrays, so a generated == would raise on them
@@ -118,7 +118,7 @@ def torus_seed(loop0: LoopSample, disk_degree: int = 8) -> SolidTorus:
     return SolidTorus(coeffs=coeffs, level=0)
 
 
-def graph_transform(params: HenonParams, torus: SolidTorus, max_newton: int = 50,
+def graph_transform(params: HenonParams, torus: SolidTorus,
                     _refine: bool = False, _grid: int | None = None) -> SolidTorus:
     """One application of the operator: solve, per angle s and node z_j,
 
@@ -158,7 +158,7 @@ def graph_transform(params: HenonParams, torus: SolidTorus, max_newton: int = 50
     if not np.array_equal(seeds[n // 2:], -seeds[: n // 2]):
         raise NumericalError("resolution too coarse: fibers at s and s+1/2 took the same preimage")
     tcoeffs, seeds_h = torus.coeffs[target[:h]], seeds[:h]
-    solve = partial(_newton, params, torus.nodes(), max_newton=max_newton)
+    solve = partial(_newton, params, torus.nodes())
 
     rows = np.arange(h) // 2 if _refine else slice(h)  # a copy only when refining
     X, stalled = solve(tcoeffs, seeds_h if torus.samples is None else torus.samples[rows].T)
@@ -212,13 +212,13 @@ def _mirror_nodes(params, torus):
     return ((1 - e) // 2 * d - np.arange(2 * d)) % (2 * d)
 
 
-def _newton(params, nodes, tcoeffs, start, max_newton):
+def _newton(params, nodes, tcoeffs, start):
     """Newton for F(x) = x^2 + c + a z_j - phi_s(a x) = 0 at the nodes z_j, for the (n, d+1)
     coefficients ``tcoeffs`` of phi_s on D_r, from ``start`` (broadcast to (2d, n)).  An angle
     retires when at every node the step s just taken predicts a next step M |s|^2 / (2 |F'(x)|)
     <= eps (1 + |x|) / 2 <= ulp(1 + |x|) (Newton-Kantorovich), M >= sup |F''| per angle on
     |a x| <= max(r, |a| max |start|).  Returns the (2d, n) solutions and the mask of the
-    entries not retired after ``max_newton`` steps."""
+    entries not retired after NEWTON_STEPS steps."""
     (n, d1), m2 = tcoeffs.shape, len(nodes)
     a, c, az = params.a, params.c, params.a * nodes[:, None]
     # Node-major: column i holds angle angle[i], so each Horner add is a contiguous coefficient
@@ -239,9 +239,9 @@ def _newton(params, nodes, tcoeffs, start, max_newton):
     M = 2.0 + abs(a) ** 2 * np.sum(np.abs(active(phi)[2:]) * (m * (m - 1) * R ** (m - 2.0)), axis=0)
     M_eps, converged = M / np.finfo(float).eps, np.empty(m2 * n, dtype=bool)
     solved = np.empty((n, m2), dtype=complex)  # angle-major: retiring angles fill rows
-    # as if no step had converged, for max_newton = 0
+    # as if no step had converged, for NEWTON_STEPS = 0
     step_ok, done = np.zeros((m2, n), dtype=bool), np.zeros(n, dtype=bool)
-    for _ in range(max_newton):
+    for _ in range(NEWTON_STEPS):
         x, w, f, fp = active(X), active(xa), active(g), active(gp)
         np.multiply(a, x, out=w)
         # f = F(x) and fp = F'(x) = 2 x - a phi_s'(a x)
@@ -372,7 +372,7 @@ def check_depth(depth: int, n_angles: int):
         raise PreconditionError(f"depth must be in 1 .. {deepest} on {n_angles} angles, got {depth}")
 
 
-def julia_from_sigma(params: HenonParams, fstar: SolidTorus, depth: int = 12) -> PointCloud:
+def julia_from_sigma(params: HenonParams, fstar: SolidTorus, depth: int = 12) -> np.ndarray:
     """J sampled as f* of deep sigma-orbits of the seeds (k / (N 2^depth), 0).
 
     The nested intersection of sigma-images is realized by forward orbits:
@@ -384,7 +384,7 @@ def julia_from_sigma(params: HenonParams, fstar: SolidTorus, depth: int = 12) ->
     angle zero (doubling is nilpotent on the dyadic grid itself); off-grid
     ancestors snap to the nearest fiber, an error the z-contraction wipes out.
     N 2^depth must stay below the float range, 2^1024, or every seed is 0
-    (``check_depth``).
+    (``check_depth``).  Returns the distinct points as (n, 2) rows (x, z).
     """
     n = fstar.n_angles
     check_depth(depth, n)
@@ -392,9 +392,7 @@ def julia_from_sigma(params: HenonParams, fstar: SolidTorus, depth: int = 12) ->
     for _ in range(depth):
         s, z = sigma(params, fstar, (s, z))
     x = fstar.eval(np.rint(s * n).astype(int) % n, z)
-    pts = np.column_stack([x, z])
-    return PointCloud(points=np.unique(pts, axis=0),
-                      meta=f"julia-from-sigma depth={depth} n_angles={n}")
+    return np.unique(np.column_stack([x, z]), axis=0)
 
 
 def semiconjugacy_residual(params: HenonParams, fstar: SolidTorus, seed: int = 0) -> float:

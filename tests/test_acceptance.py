@@ -125,7 +125,7 @@ def test_acceptance_6_cones():
             worst_gap = min(worst_gap, rep.worst_h_expansion - required)
             all_pass &= not rep.invariance_failures
     Pg = hn.make_params((1, 1), 0.05, 0.05)
-    glob = cones.global_cone_check(Pg, sample_count=4000, seed=6)
+    glob = cones.global_cone_check(Pg, sample_count=4000, seed=6, nf=nf2.reduce(Pg))
     vert_ok = glob.worst_v_expansion >= 0.95 / abs(Pg.a)
     elapsed = time.time() - start
     ok = all_pass and worst_gap > 0 and vert_ok and elapsed < 60.0

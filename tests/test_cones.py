@@ -117,7 +117,7 @@ def test_determinant_consistency(nf_cache):
 @pytest.fixture(scope="module")
 def global_pass():
     P = hn.make_params((1, 1), 0.1, 0.05)
-    return P, cones.global_cone_check(P, sample_count=2000, seed=2)
+    return P, cones.global_cone_check(P, sample_count=2000, seed=2, nf=nf2.reduce(P))
 
 
 def test_global_vertical_floor(global_pass):
@@ -130,14 +130,16 @@ def test_global_pass_and_stability(global_pass):
     P, rep = global_pass
     assert rep.verdict == "PASS"
     assert rep.worst_h_expansion > 1.001
-    rep2 = cones.global_cone_check(P, sample_count=4000, seed=9)
+    rep2 = cones.global_cone_check(P, sample_count=4000, seed=9, nf=nf2.reduce(P))
     assert rep2.verdict == "PASS"
     assert rep2.worst_h_expansion > 1.001
 
 
 def test_global_requires_nonzero_a():
-    with pytest.raises(PreconditionError):
-        cones.global_cone_check(hn.make_params((1, 1), 0.1, 0.0))
+    P = hn.make_params((1, 1), 0.1, 0.0)
+    nf = nf2.reduce(P)
+    with pytest.raises(PreconditionError, match="requires a != 0"):
+        cones.global_cone_check(P, sample_count=10, seed=0, nf=nf)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -158,7 +160,7 @@ def test_nesting_in_small_a_regime():
     # |a| is small; at desk |a| the measured ratio is reported instead
     for q, a in [(1, 0.002), (2, 0.0005)]:
         P = hn.make_params((1, q), 0.1, a)
-        rep = cones.global_cone_check(P, sample_count=300, seed=5)
+        rep = cones.global_cone_check(P, sample_count=300, seed=5, nf=nf2.reduce(P))
         assert rep.extras["nesting_holds"]
 
 
@@ -183,19 +185,43 @@ def test_hyperbolicity_scan_refuses_non_finite_a(bad):
 
 def test_global_refuses_sample_count_below_one():
     P = hn.make_params((1, 1), 0.1, 0.05)
+    nf = nf2.reduce(P)
     for n in (0, -3):
         with pytest.raises(PreconditionError, match=f"sample count must be >= 1, got {n}"):
-            cones.global_cone_check(P, sample_count=n)
+            cones.global_cone_check(P, sample_count=n, seed=0, nf=nf)
 
 
 def test_global_runs_down_to_the_least_a_inside_the_float_range(recwarn):
     # the backward frame's |eta| stays below 2r/|a|^3, which a0 puts at the float maximum
     a0 = (2 * hn.FILTRATION_RADIUS / np.finfo(float).max) ** (1 / 3)
     for a in (a0 * (1 + 1e-12), a0 * (1 + 1e-12) * np.exp(0.7j)):
-        rep = cones.global_cone_check(hn.make_params((1, 1), 0.05, a), sample_count=300, seed=1)
+        P = hn.make_params((1, 1), 0.05, a)
+        rep = cones.global_cone_check(P, sample_count=300, seed=1, nf=nf2.reduce(P))
         assert np.isfinite(rep.worst_v_expansion) and rep.extras["vertical_ok"]
+    P = hn.make_params((1, 1), 0.05, a0 * (1 - 1e-12))
+    nf = nf2.reduce(P)
     with pytest.raises(PreconditionError, match=r"\|a\| = 3\.39e-103 is too small"):
-        cones.global_cone_check(hn.make_params((1, 1), 0.05, a0 * (1 - 1e-12)))
+        cones.global_cone_check(P, sample_count=300, seed=1, nf=nf)
+    assert not recwarn.list
+
+
+def test_local_measures_the_vertical_cones_down_to_the_least_a_inside_the_float_range(recwarn):
+    # |xi_b|, |eta_b| < 4/|a|^2, which a0 puts at the float maximum.  Every
+    # |a| below about 3e-7 took min |det| < 1e-13 for DH singular and reported
+    # the sentinel without checking the vertical cones
+    a0 = (4 / np.finfo(float).max) ** 0.5
+    for a in (1e-7, 1e-100, a0 * (1 + 1e-12), a0 * (1 + 1e-12) * np.exp(0.7j)):
+        P = hn.make_params((1, 1), 0.05, a)
+        rep = cones.local_cone_check(P, nf2.reduce(P), cones.sector_samples(P, 300, seed=1))
+        assert rep.verdict == "PASS"
+        assert 1 < rep.worst_v_expansion * abs(a) ** 2 < 1.1  # ~ |lambda| / |a|^2
+    P = hn.make_params((1, 1), 0.05, a0 * (1 - 1e-12))
+    nf, grid = nf2.reduce(P), cones.sector_samples(P, 300, seed=1)
+    with pytest.raises(PreconditionError, match=r"\|a\| = 1\.49e-154 is too small for the local"):
+        cones.local_cone_check(P, nf, grid)
+    # the scan read PASS there, from the horizontal cones alone
+    [cell] = cones.hyperbolicity_scan((1, 1), [0.05], [1e-160], local_samples=10)
+    assert cell.verdict == "EXCLUDED"
     assert not recwarn.list
 
 
@@ -204,7 +230,7 @@ def test_global_refuses_an_empty_region(monkeypatch):
     monkeypatch.setattr(cones, "CRIT_STRIP", 6.0)
     P = hn.make_params((1, 1), 0.1, 0.05)
     with pytest.raises(PreconditionError, match=r"among 104 draws at t=0\.1, a=\(0\.05\+0j\)"):
-        cones.global_cone_check(P, sample_count=10)
+        cones.global_cone_check(P, sample_count=10, seed=0, nf=nf2.reduce(P))
 
 
 # ------------------------------------------------ in_V against its full-array form

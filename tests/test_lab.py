@@ -19,7 +19,7 @@ from henonlab.errors import NumericalError, PreconditionError
 
 
 def cloud(pts):
-    return hn.PointCloud(points=np.asarray(pts, dtype=complex).reshape(-1, 2))
+    return np.asarray(pts, dtype=complex).reshape(-1, 2)
 
 
 def test_hausdorff_identical_is_zero():
@@ -41,7 +41,11 @@ def test_hausdorff_circle_sampling_bound():
 
 def test_hausdorff_empty_cloud_rejected():
     with pytest.raises(PreconditionError):
-        lab.hausdorff(cloud([[0, 0]]), hn.PointCloud(points=np.zeros((0, 2))))
+        lab.hausdorff(cloud([[0, 0]]), np.zeros((0, 2), dtype=complex))
+
+
+def test_every_public_name_resolves():
+    assert all(hasattr(henonlab, name) for name in henonlab.__all__)
 
 
 def test_t_list_validation():
@@ -69,7 +73,7 @@ def test_radial_reference_distance_is_zero():
 def test_negative_control_shifted_reference():
     # distances to a translated reference must not tend to zero
     ref = lab.loop_cloud(p1.caratheodory(p1.poly_params((1, 1), 0.0), 1024, 40).loop)
-    shifted = hn.PointCloud(points=ref.points + np.array([0.3, 0.0]))
+    shifted = ref + np.array([0.3, 0.0])
     dists = []
     for t in (0.2, 0.1, 0.05):
         cur = lab.loop_cloud(p1.caratheodory(p1.poly_params((1, 1), t), 1024, 40).loop)
@@ -288,6 +292,8 @@ def test_cli_torus_iterate_refuses_a_torus_whose_half_turn_fibers_coincide(
     # the scan wrote EXCLUDED rows for the t outside the family and exited 0
     (["hyp-scan", "--pq=1/2", "--t-list=0.05,0.3", "--a=0.05", "--res=3"],
      "|t| must be below 1/(2q) = 0.25"),
+    (["torus-iterate", "--pq=1/7", "--t=0.01", "--angles=8"],
+     "need at least 2q samples per loop, got 8 angles at q = 7"),
 ])
 def test_cli_bad_input_is_a_precondition_error(tmp_path, monkeypatch, capsys, argv, cause):
     monkeypatch.chdir(tmp_path)
@@ -331,6 +337,8 @@ def test_cli_continuity_refuses_a_bad_depth_before_building_any_slice(
     ("--angles=0", "n_angles must be a power of two >= 2, got 0", 0),
     ("--angles=-4", "n_angles must be a power of two >= 2, got -4", 0),
     ("--iters=0", "n_iters must be >= 1, got 0", 0),
+    # the J+ slices ran, then the t = 0 torus raised "graph transform requires a != 0"
+    ("--a=0", "--a must be nonzero: the J tori need a != 0 for the graph transform", 0),
     ("--res=4", "the J+ slice y=0 at t=0.0 has no boundary cell at resolution 4: raise --res", 1),
 ])
 def test_cli_continuity_refuses_a_bad_torus_grid_before_building_any_slice(
@@ -347,23 +355,39 @@ def test_cli_continuity_refuses_a_bad_torus_grid_before_building_any_slice(
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("a", ["1e-150", "1e-160"])
+def test_cli_radial_demo_refuses_iters_past_the_float_range_before_any_pullback(
+        tmp_path, monkeypatch, capsys):
+    # 1075 pullbacks left the loop at Green level 0.0 and 100000 exited 2 with
+    # "pullback requires a positive Green level" after 1075 pullbacks
+    monkeypatch.setattr(p1, "pullback_loop", lambda *args: pytest.fail("a pullback ran"))
+    argv = ["radial-demo", "--pq=1/1", "--t-list=0.2,0.1", "--iters=100000",
+            "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == ("precondition error: n_iters = 100000 pullbacks halve "
+                                       "the Green level log(R)/2 past the least positive float, to 0\n")
+
+
+@pytest.mark.parametrize("a,check,term", [
+    pytest.param("1e-150", "global", "2r/|a|^3", id="1e-150"),
+    pytest.param("1e-160", "local", "4/|a|^2", id="1e-160"),
+])
 def test_cli_cone_check_refuses_an_a_whose_backward_cone_term_leaves_the_float_range(
-        tmp_path, capsys, recwarn, a):
-    # numpy warned of overflow, and worst_v read inf at 1e-150 and nan (FAIL) at 1e-160
+        tmp_path, capsys, recwarn, a, check, term):
+    # numpy warned of overflow, and worst_v read inf at 1e-150 and nan (FAIL) at 1e-160;
+    # the local check, which runs first, refuses 1e-160 since it measures the vertical cones
     argv = ["cone-check", "--pq=1/1", "--t=0.05", f"--a={a}", "--out", str(tmp_path / "x")]
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and not recwarn.list
-    assert err == (f"precondition error: |a| = {a} is too small for the global cone check: "
-                   "the backward-cone term 2r/|a|^3 leaves the float range\n")
+    assert err == (f"precondition error: |a| = {a} is too small for the {check} cone check: "
+                   f"the backward-cone term {term} leaves the float range\n")
 
 
 def test_cli_cone_check_runs_at_a_tiny_a_inside_the_float_range(tmp_path, capsys, recwarn):
     argv = ["cone-check", "--pq=1/1", "--t=0.05", "--a=1e-100", "--out", str(tmp_path / "x")]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == (
-        "local: PASS worst_h=1.054339 worst_v=1e+15 failures=0\n"
+        "local: PASS worst_h=1.054339 worst_v=1.05e+200 failures=0\n"
         "global: PASS worst_h=1.356124 worst_v=4.58e+299 vertical_ok=True\n")
     assert not recwarn.list
 

@@ -187,6 +187,19 @@ def test_caratheodory_preconditions():
         p1.caratheodory(pp, 1024, 0)
 
 
+def test_caratheodory_refuses_pullbacks_past_the_least_positive_level(monkeypatch):
+    # log(R)/2 2^-1074 rounds to the least positive float; one more halving gave
+    # a loop at level 0.0, and the pullback after it raised on the level
+    pp = p1.poly_params((1, 1), 0.1)
+    assert p1.caratheodory(pp, 1024, 1074).loop.level == 5e-324
+    pullbacks = []
+    monkeypatch.setattr(p1, "pullback_loop", lambda *args: pullbacks.append(args))
+    for n in (1075, 100_000):
+        with pytest.raises(PreconditionError, match=f"^n_iters = {n} pullbacks halve"):
+            p1.caratheodory(pp, 1024, n)
+    assert pullbacks == []
+
+
 def test_limit_loop_semiconjugates_doubling():
     pp = p1.poly_params((1, 1), 0.1)
     res = p1.caratheodory(pp, 1024, 60)

@@ -43,7 +43,7 @@ def test_graph_transform_defining_residual():
     assert T1.level == 1
 
 
-def _full_array_graph_transform(params, torus, max_newton=50):
+def _full_array_graph_transform(params, torus, max_newton=tor.NEWTON_STEPS):
     """Reference: the graph transform whose Newton solve starts every (angle,
     node) entry at the 1-D pullback seed and updates all of them until the
     last one retires.  An entry retires when the step s just taken predicts a
@@ -213,7 +213,7 @@ def test_fixed_point_equals_a_chain_of_graph_transforms_bit_for_bit():
     assert np.array_equal(res.torus.samples, T.samples)
 
 
-def test_torus_samples_warm_start_the_next_level():
+def test_torus_samples_warm_start_the_next_level(monkeypatch):
     P = hn.make_params((1, 1), 0.1, 0.05)
     T0 = tor.torus_seed(p1.equipotential_loop(P.poly, 256))
     T1 = tor.graph_transform(P, T0)
@@ -227,22 +227,24 @@ def test_torus_samples_warm_start_the_next_level():
         tor.SolidTorus(coeffs=T1.coeffs, level=1, samples=T1.samples[:, :8])
     # from the samples of a late level Newton needs fewer steps than from the seeds
     T = tor.torus_fixed_point(P, 60, 256).torus
-    tor.graph_transform(P, T, max_newton=4)
+    monkeypatch.setattr(tor, "NEWTON_STEPS", 4)
+    tor.graph_transform(P, T)
     with pytest.raises(NumericalError, match="stalled"):
-        tor.graph_transform(P, tor.SolidTorus(coeffs=T.coeffs, level=T.level), max_newton=4)
+        tor.graph_transform(P, tor.SolidTorus(coeffs=T.coeffs, level=T.level))
 
 
-def _stall_messages(a, level, max_newton):
+def _stall_messages(monkeypatch, a, level, max_newton):
     """The stall messages of the reference and of graph_transform on the
-    level-``level`` torus at q=2, t=0.1."""
+    level-``level`` torus at q=2, t=0.1, with max_newton Newton steps."""
     P = hn.make_params((1, 2), 0.1, a)
     T = tor.torus_seed(p1.equipotential_loop(P.poly, 256))
     for _ in range(level):
         T = tor.graph_transform(P, T)
     with pytest.raises(NumericalError) as expected:
         _full_array_graph_transform(P, T, max_newton=max_newton)
+    monkeypatch.setattr(tor, "NEWTON_STEPS", max_newton)
     with pytest.raises(NumericalError) as exc:
-        tor.graph_transform(P, T, max_newton=max_newton)
+        tor.graph_transform(P, T)
     return str(expected.value), str(exc.value)
 
 
@@ -253,15 +255,15 @@ def _stall_messages(a, level, max_newton):
     # from samples, the stalled angles start again from the pullback seeds
     (1, 1, "angle 0/256, node 0"), (1, 3, "angle 0/256, node 0"),
 ])
-def test_graph_transform_names_the_stalled_entry(level, max_newton, entry):
+def test_graph_transform_names_the_stalled_entry(monkeypatch, level, max_newton, entry):
     expected = f"Newton stalled at {entry}"
-    assert _stall_messages(0.05 + 0.05j, level, max_newton) == (expected, expected)
+    assert _stall_messages(monkeypatch, 0.05 + 0.05j, level, max_newton) == (expected, expected)
 
 
-def test_graph_transform_names_the_first_stalled_node():
+def test_graph_transform_names_the_first_stalled_node(monkeypatch):
     # the first stalled entry in angle-major order, here past node 0
     expected = "Newton stalled at angle 44/256, node 1"
-    assert _stall_messages(0.05 + 0.05j, 2, 4) == (expected, expected)
+    assert _stall_messages(monkeypatch, 0.05 + 0.05j, 2, 4) == (expected, expected)
 
 
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
@@ -281,14 +283,15 @@ def test_newton_retires_samples_that_solve_their_equation_to_rounding(q, levels,
     assert np.all(resid <= 8 * np.spacing(np.max(terms, axis=0)))
 
 
-def test_newton_retires_every_angle_of_a_converged_torus_after_one_step():
+def test_newton_retires_every_angle_of_a_converged_torus_after_one_step(monkeypatch):
     # from the samples of level 30 (Cauchy gap 7e-13; from level 22 on, gap
     # 6e-9) the first step predicts a next step below one ulp, so with one step
     # allowed nothing stalls and no angle is solved again from the seeds.  A
     # rule that waits for a step of 1e-13 (1 + |x|) stalls here.
     P = hn.make_params((1, 2), 0.1, 0.05 + 0.05j)
     T = tor.torus_fixed_point(P, 30, 256).torus
-    tor.graph_transform(P, T, max_newton=1)
+    monkeypatch.setattr(tor, "NEWTON_STEPS", 1)
+    tor.graph_transform(P, T)
 
 
 @pytest.mark.parametrize("pq,n_angles", [((1, 1), 2), ((1, 1), 4), ((1, 2), 4)])
@@ -438,7 +441,7 @@ def test_sigma_on_arrays_is_the_scalar_map_and_drives_julia_from_sigma(fixed_q1)
         s, z = tor.sigma(P, T, (s, z))
     x = T.eval(np.rint(s * n).astype(int) % n, z)
     cloud = tor.julia_from_sigma(P, T, depth=depth)
-    assert np.array_equal(cloud.points, np.unique(np.column_stack([x, z]), axis=0))
+    assert np.array_equal(cloud, np.unique(np.column_stack([x, z]), axis=0))
 
 
 def test_julia_from_sigma_refuses_a_depth_past_the_float_range():
@@ -460,11 +463,11 @@ def test_julia_cloud_membership(fixed_q1):
     P, res = fixed_q1
     cloud = tor.julia_from_sigma(P, res.torus, depth=12)
     assert len(cloud) > res.torus.n_angles // 2
-    esc = hn.escape_times(P, cloud.points[:, 0], cloud.points[:, 1], 50)
+    esc = hn.escape_times(P, cloud[:, 0], cloud[:, 1], 50)
     assert np.all(esc < 0)
     # backward deviation grows like |2y/a|/|a| ~ 8e2 per step, so one inverse
     # step is what a 1e-6-accurate cloud supports inside the bidisk
-    X, Y = hn.henon_inv(P, (cloud.points[:, 0], cloud.points[:, 1]))
+    X, Y = hn.henon_inv(P, (cloud[:, 0], cloud[:, 1]))
     assert np.max(np.maximum(np.abs(X), np.abs(Y))) <= tor.FILTRATION_RADIUS
 
 
@@ -518,7 +521,7 @@ def test_model_attractor_matches_true_julia(fixed_q1):
         z = eps * zeta - eps**2 * z / (2.0 * zeta)
         s = (2.0 * s) % 1.0
     k = np.rint(s * n).astype(int) % n
-    mapped = hn.PointCloud(points=np.column_stack([res.torus.eval(k, z), z]))
+    mapped = np.column_stack([res.torus.eval(k, z), z])
     from henonlab.lab import hausdorff
 
     assert hausdorff(mapped, cloud) < 0.1
