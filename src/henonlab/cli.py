@@ -4,25 +4,21 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import io
-from .cones import global_cone_check, hyperbolicity_scan, local_cone_check, sector_samples
+from .cones import SCAN_SAMPLES, global_cone_check, hyperbolicity_scan, local_cone_check, sector_samples
 from .errors import NumericalError, PreconditionError
 from .henon import make_params
-from .lab import (
-    RunConfig,
-    connectivity_image,
-    connectivity_scan,
-    continuity_experiment,
-    radial_demo,
-)
+from .lab import connectivity_image, connectivity_scan, continuity_experiment, radial_demo
 from .normalform2d import petal_check, reduce
-from .poly1d import caratheodory, normal_form_1d, poly_params
-from .torus import semiconjugacy_residual, torus_fixed_point
+from .poly1d import _normalize_pq, caratheodory, normal_form_1d, poly_params
+from .torus import DISK_DEGREE, semiconjugacy_residual, torus_fixed_point
 
 COMMANDS = (
     "caratheodory", "normal-form", "petal-check", "cone-check", "hyp-scan",
@@ -54,28 +50,111 @@ def build_parser():
     ap = _Parser(prog="henonlab")
     ap.add_argument("subcommand", choices=COMMANDS)
     ap.add_argument("--config", help="flat key=value config file; flags override")
-    ap.add_argument("--pq", help="rotation number p/q, e.g. 1/2")
-    ap.add_argument("--t", type=float, help="multiplier perturbation")
-    ap.add_argument("--a", type=complex, help="Jacobian parameter, complex ok")
-    ap.add_argument("--angles", type=int, help="angle samples (power of two)")
-    ap.add_argument("--degree", type=int, help="disk Taylor degree")
-    ap.add_argument("--iters", type=int, help="iteration count")
-    ap.add_argument("--res", type=int, help="grid resolution")
-    ap.add_argument("--depth", type=int, help="sigma-orbit depth")
-    ap.add_argument("--seed", type=int, help="RNG seed")
-    ap.add_argument("--samples", type=int, help="sample count")
-    ap.add_argument("--tol", type=float, help="tolerance")
-    ap.add_argument("--t-list", help="comma separated t values")
-    ap.add_argument("--out", help="output path prefix")
+    ap.add_argument("--pq", help="rotation number p/q, e.g. 1/2 (every command)")
+    ap.add_argument("--t", type=float, help="multiplier perturbation (caratheodory, "
+                    "normal-form, petal-check, cone-check, torus-iterate, connectivity-scan)")
+    ap.add_argument("--a", type=complex, help="Jacobian parameter, complex ok (every command "
+                    "but caratheodory and radial-demo; the scans span -|a| .. |a|)")
+    ap.add_argument("--angles", type=int, help="angle samples, a power of two (caratheodory, "
+                    "torus-iterate, continuity, connectivity-scan, radial-demo)")
+    ap.add_argument("--degree", type=int, help="disk Taylor degree "
+                    "(torus-iterate, continuity, connectivity-scan)")
+    ap.add_argument("--iters", type=int, help="iteration count (caratheodory, petal-check, "
+                    "torus-iterate, continuity, connectivity-scan, radial-demo)")
+    ap.add_argument("--res", type=int, help="grid resolution (hyp-scan, continuity, connectivity-scan)")
+    ap.add_argument("--depth", type=int, help="sigma-orbit depth (continuity)")
+    ap.add_argument("--seed", type=int, help="RNG seed (petal-check, cone-check, hyp-scan, "
+                    "torus-iterate)")
+    ap.add_argument("--samples", type=int, help="sample count (petal-check, cone-check, hyp-scan)")
+    ap.add_argument("--tol", type=float, help="trapping tolerance (petal-check)")
+    ap.add_argument("--t-list", help="comma separated t values (hyp-scan, continuity, radial-demo)")
+    ap.add_argument("--out", help="output path prefix (every command)")
     return ap
 
 
-# Per-command defaults for the RunConfig sizes: RunConfig's own res/angles/iters
-# defaults belong to continuity and torus-iterate.  petal-check runs its orbits
-# 500 steps: 40 leave the README line's samples up to 5.8e-2 from the cycle.
+@dataclass
+class RunConfig:
+    """Flat run description; round-trips losslessly through key=value files."""
+
+    subcommand: str = ""
+    pq: str = "1/1"
+    t: float = 0.0
+    a_re: float = 0.05
+    a_im: float = 0.0
+    angles: int = 1024
+    degree: int = DISK_DEGREE
+    iters: int = 40
+    res: int = 400
+    depth: int = 12
+    seed: int = 0
+    tol: float = 1e-6
+    samples: int = 1000
+    t_list: str = "0.2,0.1,0.05,0.025"
+    out: str = "out"
+
+    @property
+    def a(self) -> complex:
+        return complex(self.a_re, self.a_im)
+
+    @property
+    def p_over_q(self):
+        frac = _normalize_pq(self.pq)
+        return (frac.numerator, frac.denominator)
+
+    @property
+    def ts(self):
+        try:
+            ts = [float(v) for v in self.t_list.split(",")]
+            if all(math.isfinite(v) for v in ts):
+                return ts
+        except ValueError:
+            pass
+        raise PreconditionError(
+            f"t list must be comma separated finite numbers, got {self.t_list!r}")
+
+    def to_file(self, path):
+        with open(path, "w") as fh:
+            fh.write("# henonlab run config v1\n")
+            for f in fields(self):
+                v = getattr(self, f.name)
+                fh.write(f"{f.name}=%.17g\n" % v if isinstance(v, float) else f"{f.name}={v}\n")
+
+    @classmethod
+    def from_file(cls, path, **defaults):
+        """The config in a key=value file; a key it leaves out takes its value
+        from ``defaults``, then from the field default."""
+        kwargs = dict(defaults)
+        types = {f.name: f.type for f in fields(cls)}
+        try:
+            fh = open(path)
+        except OSError as exc:
+            raise PreconditionError(f"cannot read config file {path}: {exc.strerror}") from None
+        with fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, _, val = line.partition("=")
+                key = key.strip()
+                if key not in types:
+                    raise PreconditionError(f"unknown config key: {key}")
+                typ = types[key]
+                try:
+                    kwargs[key] = (float(val) if typ == "float"
+                                   else int(val) if typ == "int" else val.strip())
+                except ValueError:
+                    raise PreconditionError(
+                        f"config key {key}: {val.strip()!r} is not a valid {typ}") from None
+        return cls(**kwargs)
+
+
+# Per-command defaults for the RunConfig sizes, the only defaults of the sizes: the
+# library takes each as an argument.  RunConfig's own res/angles/iters defaults belong
+# to continuity and torus-iterate.  petal-check runs its orbits 500 steps: 40 leave
+# the README line's samples up to 5.8e-2 from the cycle.
 COMMAND_DEFAULTS = {
     "petal-check": {"iters": 500},
-    "hyp-scan": {"res": 9},
+    "hyp-scan": {"res": 9, "samples": SCAN_SAMPLES},
     "connectivity-scan": {"res": 16, "angles": 256, "iters": 12},
 }
 
@@ -159,7 +238,7 @@ def run(cfg: RunConfig) -> int:
     elif cfg.subcommand == "hyp-scan":
         pq, ts = cfg.p_over_q, cfg.ts
         a_vals = np.linspace(-abs(cfg.a), abs(cfg.a), cfg.res)
-        cells = hyperbolicity_scan(pq, ts, a_vals, seed=cfg.seed)
+        cells = hyperbolicity_scan(pq, ts, a_vals, local_samples=cfg.samples, seed=cfg.seed)
         io.write_csv(out + ".csv", "hyperbolicity-scan", "t,a,verdict,worst_h,worst_v",
                      ((c.t, c.a, c.verdict, c.worst_h, c.worst_v) for c in cells))
         n = len(a_vals)
@@ -176,7 +255,8 @@ def run(cfg: RunConfig) -> int:
               f"semiconjugacy_residual={resid:.3e}")
     elif cfg.subcommand == "continuity":
         rj, rs = continuity_experiment(cfg.p_over_q, cfg.a, cfg.ts, resolution=cfg.res,
-                                       n_angles=cfg.angles, n_iters=cfg.iters, depth=cfg.depth)
+                                       n_angles=cfg.angles, n_iters=cfg.iters, depth=cfg.depth,
+                                       disk_degree=cfg.degree)
         _write_distances(out + "_j.csv", rj)
         _write_distances(out + "_jplus.csv", rs)
         print(f"continuity J: {['%.4f' % d for d in rj.distances]} decreasing={rj.strictly_decreasing}")
@@ -184,7 +264,7 @@ def run(cfg: RunConfig) -> int:
     elif cfg.subcommand == "connectivity-scan":
         w = abs(cfg.a)
         cells = connectivity_scan(cfg.p_over_q, cfg.t, (-w, w, -w, w), resolution=cfg.res,
-                                  n_angles=cfg.angles, n_iters=cfg.iters)
+                                  n_angles=cfg.angles, n_iters=cfg.iters, disk_degree=cfg.degree)
         io.write_pgm(out + ".pgm", connectivity_image(cells))
         flat = [c for row in cells for c in row]
         print(f"connectivity: {sum(c.verdict.startswith('CONNECTED') for c in flat)}/{len(flat)} connected")

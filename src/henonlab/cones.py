@@ -51,6 +51,7 @@ TAU = 0.25         # vertical cone aperture
 JULIA_TREE_ANGLES = 2048
 JULIA_TREE_ITERS = 48
 BOUNDARY_LOOP_ANGLES = 512  # outer-equipotential samples of the boundary of U_t
+SCAN_SAMPLES = 400  # sector samples per hyp-scan cell, the CLI's --samples default there
 
 
 def eps2(q: int) -> float:
@@ -72,7 +73,7 @@ def expansion_estimate_margin(q: int, t: float, xq_abs):
     return lhs - rhs
 
 
-def sector_samples(params: HenonParams, n: int, seed: int = 0) -> np.ndarray:
+def sector_samples(params: HenonParams, n: int, seed: int) -> np.ndarray:
     """n normalized-coordinate points of W^- = sector x D_{r_loc}."""
     if n < 1:
         raise PreconditionError(f"sample count must be >= 1, got {n}")
@@ -407,16 +408,18 @@ class ScanCell:
     worst_v: float
 
 
-def hyperbolicity_scan(p_over_q, t_values, a_values, local_samples: int = 400,
+def hyperbolicity_scan(p_over_q, t_values, a_values, local_samples: int = SCAN_SAMPLES,
                        seed: int = 0) -> list:
     """PASS/MARGINAL/FAIL verdict per (t, a) cell from the local cone check
-    plus the global vertical floor; a = 0 and out-of-range a cells are EXCLUDED.
-    An out-of-family t or a non-finite a is a precondition error, as it is for
-    every other command."""
+    alone; a = 0 and out-of-range a cells are EXCLUDED.
+    An out-of-family t, a non-finite a or a sample count below 1 is a
+    precondition error, as it is for every other command."""
     for t in t_values:
         make_params(p_over_q, float(t), 0)
     if not np.all(np.isfinite(a_values)):
         raise PreconditionError("a values must all be finite")
+    if local_samples < 1:  # sector_samples would refuse it in every cell
+        raise PreconditionError(f"sample count must be >= 1, got {local_samples}")
     cells = []
     for t in t_values:
         for a in a_values:

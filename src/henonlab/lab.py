@@ -3,15 +3,14 @@ scans over the parameter disk, and the one-dimensional radial demo."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .henon import jplus_slice, make_params, symmetric_axis
-from .poly1d import _normalize_pq, caratheodory
-from .torus import check_depth, check_grid, julia_from_sigma, torus_fixed_point
+from .poly1d import caratheodory, poly_params
+from .torus import DISK_DEGREE, check_depth, check_grid, julia_from_sigma, torus_fixed_point
 
 DEFAULT_WINDOW = (-2.2, 2.2, -2.2, 2.2)
 CONTINUITY_ESCAPE_STEPS = 200  # escape-time steps of each J+ slice of continuity
@@ -66,17 +65,17 @@ def loop_cloud(loop) -> np.ndarray:
     return np.column_stack([loop.values, np.zeros_like(loop.values)])
 
 
-def continuity_experiment(p_over_q, a, t_list, resolution: int = 400,
-                          n_angles: int = 1024, n_iters: int = 40, depth: int = 12):
+def continuity_experiment(p_over_q, a, t_list, resolution: int, n_angles: int,
+                          n_iters: int, depth: int, disk_degree: int):
     """d_H(J_t, J_0) and d_H of the y=0 slices of J+, against the t=0 clouds.
 
     All clouds on both sides are built at identical resolution; the reference
     is the semi-parabolic member t = 0.  The J+ slices come first, so that a
     resolution they cannot resolve is refused before any torus is solved,
-    and a = 0 or a torus grid or depth out of range before any slice is built.
+    and a = 0 or a bad torus grid, degree or depth before any slice is built.
     """
     t_vals = _check_t_list(t_list)
-    check_grid(n_iters, n_angles)
+    check_grid(n_iters, n_angles, disk_degree)
     check_depth(depth, n_angles)
     if a == 0:
         raise PreconditionError("--a must be nonzero: the J tori need a != 0 for the graph transform")
@@ -92,7 +91,7 @@ def continuity_experiment(p_over_q, a, t_list, resolution: int = 400,
 
     def julia_cloud(t):
         params = make_params(p_over_q, t, a)
-        torus = torus_fixed_point(params, n_iters, n_angles).torus
+        torus = torus_fixed_point(params, n_iters, n_angles, disk_degree).torus
         return julia_from_sigma(params, torus, depth=depth)
 
     ref_slice = slice_boundary(0.0)
@@ -110,11 +109,9 @@ def continuity_experiment(p_over_q, a, t_list, resolution: int = 400,
             HausdorffResult(t_values=t_vals, distances=ds, meta="J+slice " + meta))
 
 
-def radial_demo(p_over_q, t_list, N: int = 2048, n_iters: int = 48) -> HausdorffResult:
+def radial_demo(p_over_q, t_list, N: int, n_iters: int) -> HausdorffResult:
     """1-D continuity: d_H between Caratheodory images at t and at 0."""
     t_vals = _check_t_list(t_list)
-    from .poly1d import poly_params
-
     ref = loop_cloud(caratheodory(poly_params(p_over_q, 0.0), N, n_iters).loop)
     dist = []
     for t in t_vals:
@@ -141,8 +138,8 @@ GAP_TOL = 5e-2
 SEPARATION_FLOOR = 1e-2
 
 
-def connectivity_scan(p_over_q, t, a_window, resolution: int = 9,
-                      n_angles: int = 256, n_iters: int = 10):
+def connectivity_scan(p_over_q, t, a_window, resolution: int, n_angles: int, n_iters: int,
+                      disk_degree: int = DISK_DEGREE):
     """Constructive connectivity verdicts on a grid of complex a.
 
     A cell is CONNECTED-BY-CONSTRUCTION when the graph transform converges
@@ -169,15 +166,14 @@ def connectivity_scan(p_over_q, t, a_window, resolution: int = 9,
     if n_iters < 2:
         raise PreconditionError(
             f"n_iters must be >= 2, got {n_iters}: the verdict compares the last two gaps")
-    check_grid(n_iters, n_angles)
+    check_grid(n_iters, n_angles, disk_degree)
     # a bad p/q or t is refused here, not reported as UNKNOWN in every cell
     real_lam = make_params(p_over_q, t, 0).lam.imag == 0
-    res = resolution
     done = {}
     cells = []
-    for im in symmetric_axis(im_min, im_max, res):
+    for im in symmetric_axis(im_min, im_max, resolution):
         row = []
-        for re in symmetric_axis(re_min, re_max, res):
+        for re in symmetric_axis(re_min, re_max, resolution):
             a = complex(re, im)
             twins = (-a, a.conjugate(), -a.conjugate()) if real_lam else (-a,)
             twin = next((b for b in twins if b in done), None)
@@ -187,16 +183,16 @@ def connectivity_scan(p_over_q, t, a_window, resolution: int = 9,
                 cell = ConnectivityCell(a=a, verdict="EXCLUDED",
                                         final_gap=float("nan"), separation=float("nan"))
             else:
-                cell = _connectivity_cell(p_over_q, t, a, n_angles, n_iters)
+                cell = _connectivity_cell(p_over_q, t, a, n_angles, n_iters, disk_degree)
             done[a] = cell
             row.append(cell)
         cells.append(row)
     return cells
 
 
-def _connectivity_cell(p_over_q, t, a, n_angles, n_iters):
+def _connectivity_cell(p_over_q, t, a, n_angles, n_iters, disk_degree):
     try:
-        result = torus_fixed_point(make_params(p_over_q, t, a), n_iters, n_angles)
+        result = torus_fixed_point(make_params(p_over_q, t, a), n_iters, n_angles, disk_degree)
     except (PreconditionError, NumericalError):
         return ConnectivityCell(a=a, verdict="UNKNOWN",
                                 final_gap=float("nan"), separation=float("nan"))
@@ -214,82 +210,3 @@ def connectivity_image(cells) -> np.ndarray:
     """0/128/255 image matrix (UNKNOWN/EXCLUDED/CONNECTED) for P5 output."""
     code = {"UNKNOWN": 0, "EXCLUDED": 128, "CONNECTED-BY-CONSTRUCTION": 255}
     return np.array([[code[c.verdict] for c in row] for row in cells], dtype=float)
-
-
-@dataclass
-class RunConfig:
-    """Flat run description; round-trips losslessly through key=value files."""
-
-    subcommand: str = ""
-    pq: str = "1/1"
-    t: float = 0.0
-    a_re: float = 0.05
-    a_im: float = 0.0
-    angles: int = 1024
-    degree: int = 8
-    iters: int = 40
-    res: int = 400
-    depth: int = 12
-    seed: int = 0
-    tol: float = 1e-6
-    samples: int = 1000
-    t_list: str = "0.2,0.1,0.05,0.025"
-    out: str = "out"
-
-    @property
-    def a(self) -> complex:
-        return complex(self.a_re, self.a_im)
-
-    @property
-    def p_over_q(self):
-        frac = _normalize_pq(self.pq)
-        return (frac.numerator, frac.denominator)
-
-    @property
-    def ts(self):
-        try:
-            ts = [float(v) for v in self.t_list.split(",")]
-            if all(math.isfinite(v) for v in ts):
-                return ts
-        except ValueError:
-            pass
-        raise PreconditionError(
-            f"t list must be comma separated finite numbers, got {self.t_list!r}")
-
-    def to_file(self, path):
-        with open(path, "w") as fh:
-            fh.write("# henonlab run config v1\n")
-            for f in fields(self):
-                v = getattr(self, f.name)
-                if isinstance(v, float):
-                    fh.write(f"{f.name}=%.17g\n" % v)
-                else:
-                    fh.write(f"{f.name}={v}\n")
-
-    @classmethod
-    def from_file(cls, path, **defaults):
-        """The config in a key=value file; a key it leaves out takes its value
-        from ``defaults``, then from the field default."""
-        kwargs = dict(defaults)
-        types = {f.name: f.type for f in fields(cls)}
-        try:
-            fh = open(path)
-        except OSError as exc:
-            raise PreconditionError(f"cannot read config file {path}: {exc.strerror}") from None
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, val = line.partition("=")
-                key = key.strip()
-                if key not in types:
-                    raise PreconditionError(f"unknown config key: {key}")
-                typ = types[key]
-                try:
-                    kwargs[key] = (float(val) if typ == "float"
-                                   else int(val) if typ == "int" else val.strip())
-                except ValueError:
-                    raise PreconditionError(
-                        f"config key {key}: {val.strip()!r} is not a valid {typ}") from None
-        return cls(**kwargs)

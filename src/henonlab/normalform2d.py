@@ -253,8 +253,8 @@ class TrappingReport:
         return not self.rotation_failures and not self.attraction_failures
 
 
-def petal_check(params: HenonParams, nf: NormalForm2D, samples: int = 1000,
-                steps: int = 500, tol: float = 1e-6, seed: int = 0) -> TrappingReport:
+def petal_check(params: HenonParams, nf: NormalForm2D, samples: int,
+                steps: int, tol: float, seed: int) -> TrappingReport:
     """Sampled verification of petal rotation and trapping.
 
     Each sampled point of the petals (normalized coordinates) is mapped back to

@@ -40,6 +40,7 @@ FULL_GRID_LEVELS = 12
 BASE_ANGLES = 256
 RESIDUAL_SAMPLES = 4096  # (s, z) samples of semiconjugacy_residual
 NEWTON_STEPS = 50  # most Newton steps per angle in one graph_transform solve
+DISK_DEGREE = 8  # Taylor degree of the disks, the CLI's --degree default
 
 
 # eq=False: the fields are arrays, so a generated == would raise on them
@@ -107,12 +108,10 @@ class SolidTorus:
         return float(np.min(np.max(np.abs(vals[:half] - vals[half:]), axis=1)))
 
 
-def torus_seed(loop0: LoopSample, disk_degree: int = 8) -> SolidTorus:
+def torus_seed(loop0: LoopSample, disk_degree: int) -> SolidTorus:
     """Constant-in-z disks over the seed equipotential: phi_s = gamma_0(s)."""
     if loop0.level <= 0:
         raise PreconditionError("seed loop must sit at a positive Green level")
-    if disk_degree < 1:
-        raise PreconditionError(f"disk degree must be >= 1, got {disk_degree}")
     coeffs = np.zeros((loop0.N, disk_degree + 1), dtype=complex)
     coeffs[:, 0] = loop0.values
     return SolidTorus(coeffs=coeffs, level=0)
@@ -290,17 +289,19 @@ class TorusResult:
         return float(self.gaps[-1])
 
 
-def check_grid(n_iters: int, n_angles: int):
-    """Refuses what torus_fixed_point cannot run: fewer than one level, or an
-    angle count that is not a power of two >= 2."""
+def check_grid(n_iters: int, n_angles: int, disk_degree: int):
+    """Refuses what torus_fixed_point cannot run: fewer than one level, an
+    angle count that is not a power of two >= 2, or a disk degree below 1."""
     if n_iters < 1:
         raise PreconditionError(f"n_iters must be >= 1, got {n_iters}")
     if n_angles < 2 or n_angles & (n_angles - 1):
         raise PreconditionError(f"n_angles must be a power of two >= 2, got {n_angles}")
+    if disk_degree < 1:
+        raise PreconditionError(f"disk degree must be >= 1, got {disk_degree}")
 
 
 def torus_fixed_point(params: HenonParams, n_iters: int, n_angles: int,
-                      disk_degree: int = 8) -> TorusResult:
+                      disk_degree: int) -> TorusResult:
     """n_iters-fold graph transform of the seed torus, with certificates.
 
     On N = BASE_ANGLES 2^k angles with n_iters >= FULL_GRID_LEVELS + k + 2,
@@ -317,7 +318,7 @@ def torus_fixed_point(params: HenonParams, n_iters: int, n_angles: int,
     angles.  At q = 1 all gaps are the direct solve's to rounding.  At q >= 2
     the base-grid gaps fall up to 85 % below the N-angle ones on 1024 angles
     and 92 % on 2048, so they may rise where the grid changes."""
-    check_grid(n_iters, n_angles)
+    check_grid(n_iters, n_angles, disk_degree)
     torus = torus_seed(equipotential_loop(params.poly, n_angles), disk_degree)
     k = max(n_angles // BASE_ANGLES, 1).bit_length() - 1
     k = k if n_iters >= FULL_GRID_LEVELS + k + 2 else 0
@@ -372,7 +373,7 @@ def check_depth(depth: int, n_angles: int):
         raise PreconditionError(f"depth must be in 1 .. {deepest} on {n_angles} angles, got {depth}")
 
 
-def julia_from_sigma(params: HenonParams, fstar: SolidTorus, depth: int = 12) -> np.ndarray:
+def julia_from_sigma(params: HenonParams, fstar: SolidTorus, depth: int) -> np.ndarray:
     """J sampled as f* of deep sigma-orbits of the seeds (k / (N 2^depth), 0).
 
     The nested intersection of sigma-images is realized by forward orbits:
@@ -395,7 +396,7 @@ def julia_from_sigma(params: HenonParams, fstar: SolidTorus, depth: int = 12) ->
     return np.unique(np.column_stack([x, z]), axis=0)
 
 
-def semiconjugacy_residual(params: HenonParams, fstar: SolidTorus, seed: int = 0) -> float:
+def semiconjugacy_residual(params: HenonParams, fstar: SolidTorus, seed: int) -> float:
     """sup over samples of dist(H(f*(s,z)), f*(sigma(s,z))), max-norm on C^2."""
     rng = np.random.default_rng(seed)
     n = fstar.n_angles

@@ -107,7 +107,8 @@ def _scan_calls(monkeypatch, window, res, pq=(1, 2)):
                                     separation=1.0)
 
     monkeypatch.setattr(lab, "_connectivity_cell", stub)
-    return lab.connectivity_scan(pq, 0.1, window, resolution=res), computed
+    cells = lab.connectivity_scan(pq, 0.1, window, resolution=res, n_angles=256, n_iters=10)
+    return cells, computed
 
 
 def _twins(a, q):
@@ -160,7 +161,8 @@ def test_connectivity_verdict_ignores_gap_rises_at_the_rounding_floor(monkeypatc
     torus = tor.SolidTorus(coeffs=[[3, 0, 0]] * 4, level=3)
     result = tor.TorusResult(torus=torus, gaps=np.array(gaps), separations=np.ones(3))
     monkeypatch.setattr(lab, "torus_fixed_point", lambda *args: result)
-    cells = lab.connectivity_scan((1, 2), 0.1, (0.1, 0.2, 0.1, 0.2), resolution=2)
+    cells = lab.connectivity_scan((1, 2), 0.1, (0.1, 0.2, 0.1, 0.2), resolution=2,
+                                  n_angles=256, n_iters=10)
     assert {c.verdict for row in cells for c in row} == {verdict}
 
 
@@ -177,7 +179,8 @@ def test_connectivity_scan_reused_cells_match_a_direct_solve():
     assert {c.verdict for _, c in reused} == {"CONNECTED-BY-CONSTRUCTION", "UNKNOWN"}
     for _, c in reused:
         try:
-            direct = tor.torus_fixed_point(hn.make_params((1, 2), 0.1, c.a), 12, 256)
+            direct = tor.torus_fixed_point(hn.make_params((1, 2), 0.1, c.a), 12, 256,
+                                           tor.DISK_DEGREE)
         except NumericalError:
             assert math.isnan(c.final_gap)
             continue
@@ -187,7 +190,8 @@ def test_connectivity_scan_reused_cells_match_a_direct_solve():
 
 def test_connectivity_scan_window_guard():
     with pytest.raises(PreconditionError):
-        lab.connectivity_scan((1, 1), 0.1, (-0.6, 0.6, -0.1, 0.1))
+        lab.connectivity_scan((1, 1), 0.1, (-0.6, 0.6, -0.1, 0.1), resolution=9,
+                              n_angles=256, n_iters=10)
 
 
 @pytest.mark.parametrize("where", range(4))
@@ -196,16 +200,16 @@ def test_connectivity_scan_refuses_a_nan_window_bound(where):
     window = [-0.1, 0.1, -0.1, 0.1]
     window[where] = math.nan
     with pytest.raises(PreconditionError, match="a window must stay inside"):
-        lab.connectivity_scan((1, 1), 0.1, tuple(window), resolution=3)
+        lab.connectivity_scan((1, 1), 0.1, tuple(window), resolution=3, n_angles=256, n_iters=10)
 
 
 def test_runconfig_roundtrip(tmp_path):
-    cfg = lab.RunConfig(subcommand="continuity", pq="1/2", t=-0.017,
+    cfg = cli.RunConfig(subcommand="continuity", pq="1/2", t=-0.017,
                         a_re=0.0375, a_im=1e-3, angles=512, iters=17,
                         t_list="0.2,0.1", out="somewhere")
     path = tmp_path / "run.cfg"
     cfg.to_file(path)
-    back = lab.RunConfig.from_file(path)
+    back = cli.RunConfig.from_file(path)
     assert back == cfg
     assert back.a == complex(0.0375, 1e-3)
     assert back.p_over_q == (1, 2)
@@ -216,7 +220,7 @@ def test_runconfig_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("nonsense=1\n")
     with pytest.raises(PreconditionError):
-        lab.RunConfig.from_file(path)
+        cli.RunConfig.from_file(path)
 
 
 def test_cli_exit_codes(tmp_path):
@@ -294,6 +298,12 @@ def test_cli_torus_iterate_refuses_a_torus_whose_half_turn_fibers_coincide(
      "|t| must be below 1/(2q) = 0.25"),
     (["torus-iterate", "--pq=1/7", "--t=0.01", "--angles=8"],
      "need at least 2q samples per loop, got 8 angles at q = 7"),
+    # continuity built degree-8 tori whatever --degree said
+    (["continuity", "--pq=1/1", "--a=0.05", "--t-list=0.2,0.1", "--degree=0"],
+     "disk degree must be >= 1, got 0"),
+    # hyp-scan read every cell EXCLUDED once --samples reached the scan
+    (["hyp-scan", "--pq=1/1", "--t-list=0.05", "--a=0.05", "--res=3", "--samples=0"],
+     "sample count must be >= 1, got 0"),
 ])
 def test_cli_bad_input_is_a_precondition_error(tmp_path, monkeypatch, capsys, argv, cause):
     monkeypatch.chdir(tmp_path)
@@ -398,7 +408,9 @@ def test_continuity_refuses_a_coarse_res_before_solving_any_torus(monkeypatch):
 
     monkeypatch.setattr(lab, "torus_fixed_point", no_torus)
     with pytest.raises(PreconditionError) as exc:
-        lab.continuity_experiment((1, 1), 0.05, [0.2, 0.1, 0.05, 0.025], resolution=200)
+        lab.continuity_experiment((1, 1), 0.05, [0.2, 0.1, 0.05, 0.025], resolution=200,
+                                  n_angles=1024, n_iters=40, depth=12,
+                                  disk_degree=tor.DISK_DEGREE)
     assert str(exc.value) == ("the J+ slices at t=0.025 and t=0 have the same boundary "
                               "cells at resolution 200: raise --res")
 
@@ -408,6 +420,7 @@ def test_continuity_refuses_a_coarse_res_before_solving_any_torus(monkeypatch):
     (["--iters=0"], "n_iters must be >= 2, got 0"),
     (["--iters=1"], "n_iters must be >= 2, got 1"),
     (["--angles=3"], "n_angles must be a power of two >= 2, got 3"),
+    (["--degree=0"], "disk degree must be >= 1, got 0"),
 ])
 def test_cli_connectivity_scan_refuses_bad_input_up_front(tmp_path, capsys, flags, cause):
     argv = ["connectivity-scan", "--pq=1/1", "--t=0.1", "--a=0.2", "--res=3"]
@@ -494,6 +507,25 @@ def test_cli_scan_sizes_above_their_defaults_run_as_given(tmp_path, capsys, monk
     assert (seen["resolution"], seen["n_angles"], seen["n_iters"]) == (3, 512, 13)
 
 
+@pytest.mark.parametrize("argv,module,fn,read", [
+    (["torus-iterate", "--t=0.1", "--degree=3"], cli, "torus_fixed_point", lambda a, kw: a[3:]),
+    (["continuity", "--t-list=0.2,0.1", "--res=300", "--degree=3"], lab, "torus_fixed_point",
+     lambda a, kw: a[3:]),
+    (["connectivity-scan", "--t=0.1", "--res=3", "--degree=3"], lab, "torus_fixed_point",
+     lambda a, kw: a[3:]),
+    (["hyp-scan", "--t-list=0.05", "--res=3", "--samples=3"], cli, "hyperbolicity_scan",
+     lambda a, kw: (kw.get("local_samples"),)),
+], ids=["torus-iterate", "continuity", "connectivity-scan", "hyp-scan"])
+def test_cli_passes_degree_and_samples_through(tmp_path, monkeypatch, argv, module, fn, read):
+    # continuity and connectivity-scan built degree-8 tori and hyp-scan drew 400
+    # samples per cell whatever the flag said
+    seen, compute = [], getattr(module, fn)
+    monkeypatch.setattr(module, fn, lambda *a, **kw: seen.append(read(a, kw)) or compute(*a, **kw))
+    flags = ["--pq=1/1", "--a=0.05", "--angles=64", "--iters=3", "--out", str(tmp_path / "x")]
+    assert cli.main(argv + flags) == 0
+    assert seen and set(seen) == {(3,)}
+
+
 def test_cli_normal_form_checks_a_before_printing(tmp_path, capsys):
     argv = ["normal-form", "--pq=1/1", "--t=0.05", "--a=nan", "--out", str(tmp_path / "x")]
     assert cli.main(argv) == 2
@@ -546,7 +578,7 @@ def test_cli_import_stays_light():
 
 
 def test_cli_deterministic_outputs(tmp_path):
-    cfg = lab.RunConfig(subcommand="radial-demo", pq="1/1", angles=1024,
+    cfg = cli.RunConfig(subcommand="radial-demo", pq="1/1", angles=1024,
                         iters=30, t_list="0.2,0.1", out=str(tmp_path / "r1"))
     path = tmp_path / "c.cfg"
     cfg.to_file(path)

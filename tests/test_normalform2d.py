@@ -207,7 +207,7 @@ def test_petal_rotation_combinatorics(pq, t):
     # shrinks fast with q (rotation bound vs chart size)
     P = hn.make_params(pq, t, 0.03)
     nf = nf2.reduce(P)
-    rep = nf2.petal_check(P, nf, samples=200, steps=0, seed=4)
+    rep = nf2.petal_check(P, nf, samples=200, steps=0, seed=4, tol=1e-6)
     assert not rep.rotation_failures
 
 
@@ -229,7 +229,7 @@ def test_trapping_t_positive():
 def test_trapping_t_zero_checks_rotation_only():
     P = hn.make_params((1, 1), 0.0, 0.05)
     nf = nf2.reduce(P, D=10)
-    rep = nf2.petal_check(P, nf, samples=300, seed=2)
+    rep = nf2.petal_check(P, nf, samples=300, seed=2, steps=500, tol=1e-6)
     assert not rep.rotation_failures
     assert rep.target.startswith("none")
 

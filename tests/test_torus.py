@@ -17,12 +17,12 @@ SQUARE = p1.PolyParams(p=0, q=1, t=1.0, lam=2.0 + 0j, c=0.0 + 0j, alpha=1.0 + 0j
 @pytest.fixture(scope="module")
 def fixed_q1():
     P = hn.make_params((1, 1), 0.1, 0.05)
-    return P, tor.torus_fixed_point(P, 100, 1024)
+    return P, tor.torus_fixed_point(P, 100, 1024, tor.DISK_DEGREE)
 
 
 def test_seed_square_family():
     # c=0: the level-log(sqrt R) equipotential is the radius-2 circle
-    T = tor.torus_seed(p1.equipotential_loop(SQUARE, 64))
+    T = tor.torus_seed(p1.equipotential_loop(SQUARE, 64), tor.DISK_DEGREE)
     assert np.max(np.abs(np.abs(T.centers) - 2.0)) < 1e-12
     assert np.max(np.abs(T.coeffs[:, 1:])) == 0.0
     assert T.level == 0
@@ -30,7 +30,7 @@ def test_seed_square_family():
 
 def test_graph_transform_defining_residual():
     P = hn.make_params((1, 1), 0.1, 0.05)
-    T0 = tor.torus_seed(p1.equipotential_loop(P.poly, 256))
+    T0 = tor.torus_seed(p1.equipotential_loop(P.poly, 256), tor.DISK_DEGREE)
     T1 = tor.graph_transform(P, T0)
     # H of the new fiber lands on the input fiber over the doubled angle,
     # for both halves of the two-to-one angle structure
@@ -86,7 +86,7 @@ def _full_array_graph_transform(params, torus, max_newton=tor.NEWTON_STEPS):
 def _iterate(transform, params, n_iters, n_angles):
     """(tori, gaps, separations) of n_iters transform steps from the seed
     torus, or the level and message of the NumericalError that stopped them."""
-    torus = tor.torus_seed(p1.equipotential_loop(params.poly, n_angles))
+    torus = tor.torus_seed(p1.equipotential_loop(params.poly, n_angles), tor.DISK_DEGREE)
     tori, gaps, seps = [torus], [], []
     for level in range(1, n_iters + 1):
         try:
@@ -110,7 +110,7 @@ def test_fixed_point_matches_full_array_newton(pq, a):
 
 def _fixed_point_of_full_array_newton(P):
     """The 30-level fixed point at 256 angles, checked against the reference."""
-    res = tor.torus_fixed_point(P, 30, 256)
+    res = tor.torus_fixed_point(P, 30, 256, tor.DISK_DEGREE)
     torus, gaps, seps = _iterate(_full_array_graph_transform, P, 30, 256)
     assert np.max(np.abs(res.torus.coeffs - torus.coeffs)) < 1e-14
     assert np.max(np.abs(res.gaps - gaps)) < 1e-13
@@ -168,7 +168,7 @@ def _solved_angles(monkeypatch, params, torus, **kwargs):
 def test_graph_transform_solves_half_the_fibers_only_on_the_mirror_axes(
         monkeypatch, pq, t, a, mirrored):
     P = hn.make_params(pq, t, a)
-    T = tor.torus_seed(p1.equipotential_loop(P.poly, 256))
+    T = tor.torus_seed(p1.equipotential_loop(P.poly, 256), tor.DISK_DEGREE)
     for _ in range(3):
         width, T = _solved_angles(monkeypatch, P, T)
         assert width == (129 if mirrored else 256)
@@ -178,7 +178,7 @@ def test_graph_transform_solves_every_fiber_of_an_asymmetric_torus(monkeypatch):
     # one fiber moved by 1e-10 breaks the mirror of the input torus, so every
     # fiber is solved, and the result still matches the reference
     P = hn.make_params((1, 1), 0.1, 0.05)
-    T = tor.torus_fixed_point(P, 3, 256).torus
+    T = tor.torus_fixed_point(P, 3, 256, tor.DISK_DEGREE).torus
     coeffs = T.coeffs.copy()
     coeffs[5, 0] += 1e-10
     bent = tor.SolidTorus(coeffs=coeffs, level=T.level, samples=T.samples)
@@ -197,7 +197,7 @@ def test_fixed_point_raises_like_full_array_newton(a):
     expected = _iterate(_full_array_graph_transform, P, 30, 256)
     assert expected == _iterate(tor.graph_transform, P, 30, 256)
     with pytest.raises(NumericalError) as exc:
-        tor.torus_fixed_point(P, 30, 256)
+        tor.torus_fixed_point(P, 30, 256, tor.DISK_DEGREE)
     assert str(exc.value) == expected[1]
 
 
@@ -206,8 +206,8 @@ def test_fixed_point_equals_a_chain_of_graph_transforms_bit_for_bit():
     # on the caller's grid, so a chain of 8 calls from the same seed torus
     # gives the same bits
     P = hn.make_params((1, 2), 0.1, 0.15)
-    res = tor.torus_fixed_point(P, 8, 256)
-    T = tor.torus_seed(p1.equipotential_loop(P.poly, 256))
+    res = tor.torus_fixed_point(P, 8, 256, tor.DISK_DEGREE)
+    T = tor.torus_seed(p1.equipotential_loop(P.poly, 256), tor.DISK_DEGREE)
     for _ in range(8):
         T = tor.graph_transform(P, T)
     assert np.array_equal(res.torus.samples, T.samples)
@@ -215,7 +215,7 @@ def test_fixed_point_equals_a_chain_of_graph_transforms_bit_for_bit():
 
 def test_torus_samples_warm_start_the_next_level(monkeypatch):
     P = hn.make_params((1, 1), 0.1, 0.05)
-    T0 = tor.torus_seed(p1.equipotential_loop(P.poly, 256))
+    T0 = tor.torus_seed(p1.equipotential_loop(P.poly, 256), tor.DISK_DEGREE)
     T1 = tor.graph_transform(P, T0)
     assert T0.samples is None
     assert T1.samples.shape == (256, 16) and not T1.samples.flags.writeable
@@ -226,7 +226,7 @@ def test_torus_samples_warm_start_the_next_level(monkeypatch):
     with pytest.raises(PreconditionError, match="samples"):
         tor.SolidTorus(coeffs=T1.coeffs, level=1, samples=T1.samples[:, :8])
     # from the samples of a late level Newton needs fewer steps than from the seeds
-    T = tor.torus_fixed_point(P, 60, 256).torus
+    T = tor.torus_fixed_point(P, 60, 256, tor.DISK_DEGREE).torus
     monkeypatch.setattr(tor, "NEWTON_STEPS", 4)
     tor.graph_transform(P, T)
     with pytest.raises(NumericalError, match="stalled"):
@@ -237,7 +237,7 @@ def _stall_messages(monkeypatch, a, level, max_newton):
     """The stall messages of the reference and of graph_transform on the
     level-``level`` torus at q=2, t=0.1, with max_newton Newton steps."""
     P = hn.make_params((1, 2), 0.1, a)
-    T = tor.torus_seed(p1.equipotential_loop(P.poly, 256))
+    T = tor.torus_seed(p1.equipotential_loop(P.poly, 256), tor.DISK_DEGREE)
     for _ in range(level):
         T = tor.graph_transform(P, T)
     with pytest.raises(NumericalError) as expected:
@@ -273,7 +273,7 @@ def test_newton_retires_samples_that_solve_their_equation_to_rounding(q, levels,
     # the samples at level L solve x^2 + c + a z = phi_{2s}(a x) for the torus
     # of level L - 1 within 8 ulps of the largest term, mirrored fibers included
     P = hn.make_params((1, q), 0.1, a)
-    T = tor.torus_seed(p1.equipotential_loop(P.poly, 64))
+    T = tor.torus_seed(p1.equipotential_loop(P.poly, 64), tor.DISK_DEGREE)
     for _ in range(levels):
         prev, T = T, tor.graph_transform(P, T)
     x, z = T.samples, T.nodes()[None, :]
@@ -289,7 +289,7 @@ def test_newton_retires_every_angle_of_a_converged_torus_after_one_step(monkeypa
     # allowed nothing stalls and no angle is solved again from the seeds.  A
     # rule that waits for a step of 1e-13 (1 + |x|) stalls here.
     P = hn.make_params((1, 2), 0.1, 0.05 + 0.05j)
-    T = tor.torus_fixed_point(P, 30, 256).torus
+    T = tor.torus_fixed_point(P, 30, 256, tor.DISK_DEGREE).torus
     monkeypatch.setattr(tor, "NEWTON_STEPS", 1)
     tor.graph_transform(P, T)
 
@@ -300,14 +300,15 @@ def test_fibers_at_s_and_s_plus_half_must_take_different_preimages(pq, n_angles)
     # the same square root, so the torus would be one disk twice
     P = hn.make_params(pq, 0.1, 0.05)
     with pytest.raises(NumericalError, match=r"s and s\+1/2 took the same preimage"):
-        tor.torus_fixed_point(P, 5, n_angles)
+        tor.torus_fixed_point(P, 5, n_angles, tor.DISK_DEGREE)
 
 
 def test_torus_of_minus_a_is_the_torus_of_a_with_z_negated():
     # S(x, y) = (x, -y) conjugates H_{c,a} to H_{c,-a}, and c is even in a, so
     # the fiber of -a at z is the fiber of a at -z, the node half a turn on
     a = 0.1 + 0.1j
-    results = [tor.torus_fixed_point(hn.make_params((1, 2), -0.02, b), 20, 512) for b in (a, -a)]
+    results = [tor.torus_fixed_point(hn.make_params((1, 2), -0.02, b), 20, 512, tor.DISK_DEGREE)
+               for b in (a, -a)]
     for res in results:
         assert res.final_gap < 5e-2 and res.separations[-1] > 1e-2
     plus, minus = (res.torus for res in results)
@@ -319,7 +320,7 @@ def _conjugate_torus_mismatch(pq, t, a):
     """Largest differences in node values, gaps and separations between the
     torus of conj(a) and the mirror image of the torus of a: fiber k -> -k,
     node j -> -j, values conjugated."""
-    plus, minus = (tor.torus_fixed_point(hn.make_params(pq, t, b), 20, 512)
+    plus, minus = (tor.torus_fixed_point(hn.make_params(pq, t, b), 20, 512, tor.DISK_DEGREE)
                    for b in (a, a.conjugate()))
     return (np.max(np.abs(minus.torus.node_values() - _mirror(plus.torus.node_values()))),
             np.max(np.abs(minus.gaps - plus.gaps)),
@@ -341,7 +342,7 @@ def test_torus_of_conjugate_a_is_not_the_mirror_image_at_q3():
 
 def test_solid_tori_compare_by_identity():
     P = hn.make_params((1, 1), 0.1, 0.05)
-    T = tor.torus_seed(p1.equipotential_loop(P.poly, 64))
+    T = tor.torus_seed(p1.equipotential_loop(P.poly, 64), tor.DISK_DEGREE)
     copy = tor.SolidTorus(coeffs=T.coeffs, level=T.level)
     assert T == T
     assert T != copy
@@ -349,7 +350,7 @@ def test_solid_tori_compare_by_identity():
 
 def test_graph_transform_requires_a():
     P = hn.make_params((1, 1), 0.1, 0.0)
-    T0 = tor.torus_seed(p1.equipotential_loop(P.poly, 128))
+    T0 = tor.torus_seed(p1.equipotential_loop(P.poly, 128), tor.DISK_DEGREE)
     with pytest.raises(PreconditionError):
         tor.graph_transform(P, T0)
 
@@ -363,7 +364,7 @@ def test_fibers_follow_polynomial_pullback_as_a_shrinks():
     for a in avals:
         P = hn.make_params((1, 1), 0.1, a)
         loop = p1.equipotential_loop(P.poly, 256)
-        T1 = tor.graph_transform(P, tor.torus_seed(loop))
+        T1 = tor.graph_transform(P, tor.torus_seed(loop, tor.DISK_DEGREE))
         pb = p1.pullback_loop(P.poly, loop)
         sup_diffs.append(np.max(np.abs(T1.node_values() - pb.values[:, None])))
         center_diffs.append(np.max(np.abs(T1.centers - pb.values)))
@@ -387,7 +388,7 @@ def test_phi_oa2_residual_scales_quadratically():
     avals = (0.02, 0.04, 0.08)
     for a in avals:
         P = hn.make_params((1, 1), 0.1, a)
-        T = tor.torus_fixed_point(P, 40, N).torus
+        T = tor.torus_fixed_point(P, 40, N, tor.DISK_DEGREE).torus
         res.append(tor.phi_oa2_residual(P, T, gamma))
     slope = np.polyfit(np.log(avals), np.log(res), 1)[0]
     assert 1.7 < slope < 2.3
@@ -405,7 +406,7 @@ def test_sigma_basic(fixed_q1):
 
 def test_sigma_parabolic_center():
     P = hn.make_params((1, 1), 0.0, 0.05)
-    T = tor.torus_fixed_point(P, 60, 1024).torus
+    T = tor.torus_fixed_point(P, 60, 1024, tor.DISK_DEGREE).torus
     s, z = tor.sigma(P, T, (0.0, 0.0))
     assert s == 0.0
     assert abs(z - 0.025) < 2e-3  # a * phi_0(0) ~ a/2
@@ -449,7 +450,7 @@ def test_julia_from_sigma_refuses_a_depth_past_the_float_range():
     # 1015 and overflows to inf at 1016, where every seed became angle 0 and
     # the cloud one point; from depth 1024 on 2.0**depth itself overflowed
     P = hn.make_params((1, 1), 0.1, 0.05)
-    T = tor.torus_fixed_point(P, 12, 256).torus
+    T = tor.torus_fixed_point(P, 12, 256, tor.DISK_DEGREE).torus
     assert len(tor.julia_from_sigma(P, T, depth=1015)) == 256
     for depth in (1016, 1100):
         with pytest.raises(PreconditionError, match=f"got {depth}"):
@@ -475,18 +476,18 @@ def test_semiconjugacy_residual_and_negative_control(fixed_q1):
     # the residual tracks the distance to the true fixed point, which is the
     # gap amplified by rho/(1-rho) at contraction factor rho ~ 0.9 here
     P, res = fixed_q1
-    resid = tor.semiconjugacy_residual(P, res.torus)
+    resid = tor.semiconjugacy_residual(P, res.torus, seed=0)
     rho = res.gaps[-1] / res.gaps[-2]
     assert resid < 2 * res.final_gap * rho / (1 - rho)
-    seed = tor.torus_seed(p1.equipotential_loop(P.poly, res.torus.n_angles))
-    assert tor.semiconjugacy_residual(P, seed) > 1e3 * resid
+    seed = tor.torus_seed(p1.equipotential_loop(P.poly, res.torus.n_angles), tor.DISK_DEGREE)
+    assert tor.semiconjugacy_residual(P, seed, seed=0) > 1e3 * resid
 
 
 def test_semiconjugacy_degenerates_to_1d():
     # at tiny a the residual reduces to the loop's functional-equation error
     P = hn.make_params((1, 1), 0.1, 1e-4)
-    res = tor.torus_fixed_point(P, 40, 1024)
-    resid = tor.semiconjugacy_residual(P, res.torus)
+    res = tor.torus_fixed_point(P, 40, 1024, tor.DISK_DEGREE)
+    resid = tor.semiconjugacy_residual(P, res.torus, seed=0)
     v = res.torus.centers
     n = len(v)
     loop_err = np.max(np.abs(v**2 + P.c - v[(2 * np.arange(n)) % n]))
@@ -531,7 +532,7 @@ def test_equivalence_class_stability_fat_basilica():
     # angles 1/3 and 2/3 are identified on the basilica-family loop; the
     # corresponding fibers coincide to the same order
     P = hn.make_params((1, 2), 0.1, 0.05)
-    res = tor.torus_fixed_point(P, 48, 1024)
+    res = tor.torus_fixed_point(P, 48, 1024, tor.DISK_DEGREE)
     T = res.torus
     n = T.n_angles
     k1, k2 = round(n / 3), round(2 * n / 3)
@@ -552,7 +553,7 @@ def test_equivalence_class_stability_fat_basilica():
 ])
 def test_fixed_point_matches_the_full_grid_iteration(pq, t, a, n_iters, n_angles):
     P = hn.make_params(pq, t, a)
-    res = tor.torus_fixed_point(P, n_iters, n_angles)
+    res = tor.torus_fixed_point(P, n_iters, n_angles, tor.DISK_DEGREE)
     torus, gaps, seps = _iterate(tor.graph_transform, P, n_iters, n_angles)
     assert res.torus.n_angles == n_angles and res.torus.level == n_iters
     coeff_ulp = np.spacing(np.max(np.abs(torus.coeffs)))
@@ -572,7 +573,7 @@ def test_refining_step_is_the_step_on_the_doubled_grid(monkeypatch):
     # equations of the 512-angle step; on the mirror axis it solves the
     # fibers 0 .. 256 only
     P = hn.make_params((1, 2), 0.1, 0.05)
-    T = tor.torus_fixed_point(P, 6, 512).torus
+    T = tor.torus_fixed_point(P, 6, 512, tor.DISK_DEGREE).torus
     even = tor.SolidTorus(coeffs=T.coeffs[::2], level=T.level, samples=T.samples[::2])
     width, refined = _solved_angles(monkeypatch, P, even, _refine=True)
     direct = tor.graph_transform(P, T)
@@ -593,7 +594,7 @@ def _raising_level(monkeypatch, params, n_iters, n_angles):
     with monkeypatch.context() as m:
         m.setattr(tor, "graph_transform", spy)
         with pytest.raises(NumericalError) as exc:
-            tor.torus_fixed_point(params, n_iters, n_angles)
+            tor.torus_fixed_point(params, n_iters, n_angles, tor.DISK_DEGREE)
     return levels[-1], str(exc.value)
 
 
@@ -603,7 +604,7 @@ def test_early_levels_run_on_the_full_grid(monkeypatch):
     P = hn.make_params((1, 3), 0.05, 0.1)
     assert _raising_level(monkeypatch, P, 30, 512) == (
         5, "resolution too coarse: node left its branch")
-    tor.torus_fixed_point(P, 30, 256)
+    tor.torus_fixed_point(P, 30, 256, tor.DISK_DEGREE)
 
 
 @pytest.mark.parametrize("n_angles", [256, 512, 1024, 2048])
@@ -626,7 +627,7 @@ def test_fixed_point_holds_two_full_grid_tori_at_most(monkeypatch):
         return out
 
     monkeypatch.setattr(tor, "graph_transform", spy)
-    res = tor.torus_fixed_point(P, 20, 1024)
+    res = tor.torus_fixed_point(P, 20, 1024, tor.DISK_DEGREE)
     assert res.torus.n_angles == 1024 and max(alive) == 2
     # one step per level: 12 on 1024 angles, 4 on 256, 2 refining, 2 on 1024
     assert len(alive) == 20
