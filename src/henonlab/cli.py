@@ -15,7 +15,7 @@ from . import io
 from .cones import SCAN_SAMPLES, global_cone_check, hyperbolicity_scan, local_cone_check, sector_samples
 from .errors import NumericalError, PreconditionError
 from .henon import make_params
-from .lab import connectivity_image, connectivity_scan, continuity_experiment, radial_demo
+from .lab import connectivity_scan, continuity_experiment, radial_demo
 from .normalform2d import petal_check, reduce
 from .poly1d import _normalize_pq, caratheodory, normal_form_1d, poly_params
 from .torus import DISK_DEGREE, semiconjugacy_residual, torus_fixed_point
@@ -55,8 +55,9 @@ def build_parser():
                     "normal-form, petal-check, cone-check, torus-iterate, connectivity-scan)")
     ap.add_argument("--a", type=complex, help="Jacobian parameter, complex ok (every command "
                     "but caratheodory and radial-demo; the scans span -|a| .. |a|)")
-    ap.add_argument("--angles", type=int, help="angle samples, a power of two (caratheodory, "
-                    "torus-iterate, continuity, connectivity-scan, radial-demo)")
+    ap.add_argument("--angles", type=int, help="angle samples, a power of two, at least 1024 "
+                    "for caratheodory and radial-demo (caratheodory, torus-iterate, continuity, "
+                    "connectivity-scan, radial-demo)")
     ap.add_argument("--degree", type=int, help="disk Taylor degree "
                     "(torus-iterate, continuity, connectivity-scan)")
     ap.add_argument("--iters", type=int, help="iteration count (caratheodory, petal-check, "
@@ -175,11 +176,14 @@ def config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _write_torus(path, level, coeffs):
-    """Torus CSV: one row per angle index k and Taylor coefficient index m."""
-    n = len(coeffs)
-    io.write_csv(path, "torus", "level,k,s,coeff_index,re,im",
-                 ((level, k, k / n, m, c) for k in range(n) for m, c in enumerate(coeffs[k].tolist())))
+# gray level of each verdict in a scan's PGM, before write_pgm rescales to the image's range
+HYP_SCAN_LEVELS = {"PASS": 255, "MARGINAL": 170, "FAIL": 60, "EXCLUDED": 0}
+CONNECTIVITY_LEVELS = {"UNKNOWN": 0, "EXCLUDED": 128, "CONNECTED-BY-CONSTRUCTION": 255}
+
+
+def _write_verdicts(path, rows, levels):
+    """PGM of a grid of scan cells, one pixel per cell at its verdict's level."""
+    io.write_pgm(path, np.array([[levels[c.verdict] for c in row] for row in rows], dtype=float))
 
 
 def _write_distances(path, result):
@@ -212,7 +216,9 @@ def run(cfg: RunConfig) -> int:
         print(f"1-D: C_t = {C_t}")
         if params is not None:
             nf = reduce(params)
-            _write_torus(out + "_normal.csv", 0, [h.coeffs.ravel() for h in nf.normal])
+            io.write_csv(out + "_normal.csv", "normal-form", "component,i,j,re,im",
+                         ((k, i, j, complex(h.coeffs[i, j])) for k, h in enumerate(nf.normal)
+                          for i in range(nf.D + 1) for j in range(nf.D + 1 - i)))
             print(f"2-D: C_at = {nf.C_at}, rescale A = {nf.rescale}")
     elif cfg.subcommand == "petal-check":
         params = make_params(cfg.p_over_q, cfg.t, cfg.a)
@@ -242,15 +248,17 @@ def run(cfg: RunConfig) -> int:
         io.write_csv(out + ".csv", "hyperbolicity-scan", "t,a,verdict,worst_h,worst_v",
                      ((c.t, c.a, c.verdict, c.worst_h, c.worst_v) for c in cells))
         n = len(a_vals)
-        img = np.array([{"PASS": 255, "MARGINAL": 170, "FAIL": 60, "EXCLUDED": 0}[c.verdict]
-                        for c in cells], dtype=float).reshape(-1, n)
-        io.write_pgm(out + ".pgm", img)
+        _write_verdicts(out + ".pgm", (cells[i:i + n] for i in range(0, len(cells), n)),
+                        HYP_SCAN_LEVELS)
         print(f"hyp-scan: {sum(c.verdict == 'PASS' for c in cells)}/{len(cells)} PASS")
     elif cfg.subcommand == "torus-iterate":
         params = make_params(cfg.p_over_q, cfg.t, cfg.a)
         result = torus_fixed_point(params, cfg.iters, cfg.angles, cfg.degree)
-        _write_torus(out + ".csv", result.torus.level, result.torus.coeffs)
-        resid = semiconjugacy_residual(params, result.torus, seed=cfg.seed)
+        torus = result.torus
+        io.write_csv(out + ".csv", "torus", "level,k,s,coeff_index,re,im",
+                     ((torus.level, k, k / torus.n_angles, m, c)
+                      for k, row in enumerate(torus.coeffs.tolist()) for m, c in enumerate(row)))
+        resid = semiconjugacy_residual(params, torus, seed=cfg.seed)
         print(f"torus: gap={result.final_gap:.3e} separation={result.separations[-1]:.3e} "
               f"semiconjugacy_residual={resid:.3e}")
     elif cfg.subcommand == "continuity":
@@ -265,7 +273,7 @@ def run(cfg: RunConfig) -> int:
         w = abs(cfg.a)
         cells = connectivity_scan(cfg.p_over_q, cfg.t, (-w, w, -w, w), resolution=cfg.res,
                                   n_angles=cfg.angles, n_iters=cfg.iters, disk_degree=cfg.degree)
-        io.write_pgm(out + ".pgm", connectivity_image(cells))
+        _write_verdicts(out + ".pgm", cells, CONNECTIVITY_LEVELS)
         flat = [c for row in cells for c in row]
         print(f"connectivity: {sum(c.verdict.startswith('CONNECTED') for c in flat)}/{len(flat)} connected")
     elif cfg.subcommand == "radial-demo":

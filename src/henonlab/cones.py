@@ -3,8 +3,9 @@
 Local checks run in the normal-form chart against the Euclidean metric and
 the sector bounds.  Global checks run on the neighborhood V of the Julia set
 with a distance-to-boundary weighted surrogate for the hyperbolic density;
-every verdict records which metric certified it and the language is always
-"verified at samples", never "proven".
+their ``euclid_certified`` and ``weighted_certified`` counts record which
+metric certified each sample, and the language is always "verified at
+samples", never "proven".
 
 V is one geometry, fixed by module constants (see ``in_V``).  Its tube
 B = {|x - alpha| <= TUBE_RADIUS} misses the critical point, as the family
@@ -14,7 +15,7 @@ has |alpha| = |1 + t|/2 > 1/4 > TUBE_RADIUS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -39,6 +40,9 @@ if TYPE_CHECKING:
 
 VERTICAL_SENTINEL = 1e15  # reported when DH is singular (a = 0)
 N_DIRECTIONS = 16
+# boundary directions of the cones, the N_DIRECTIONS roots of unity
+DIRECTION_FRAME = np.exp(1j * (2.0 * math.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS))
+DIRECTION_FRAME.setflags(write=False)
 # Samples per row block of the cone checks' direction frames: no
 # (samples x N_DIRECTIONS) array spans the sample set, and a block's complex
 # frame array is 128 KiB.  The 400-sample scan checks fit in one block.
@@ -99,26 +103,17 @@ def sector_samples(params: HenonParams, n: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConeReport:
-    region: str
-    samples: int
     worst_h_expansion: float
     worst_v_expansion: float
     invariance_failures: list
     worst_h_margin: float          # min measured/required over samples
-    n_directions: int = N_DIRECTIONS
-    metric: str = "euclidean (normalized chart)"
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
     @property
     def verdict(self) -> str:
         if self.invariance_failures or self.worst_h_expansion <= 1.0 or self.worst_v_expansion <= 1.0:
             return "FAIL"
         return "PASS"
-
-
-def _direction_frame():
-    beta = 2.0 * math.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
-    return np.exp(1j * beta)
 
 
 def local_cone_check(params: HenonParams, nf: NormalForm2D, sample_grid) -> ConeReport:
@@ -145,7 +140,7 @@ def local_cone_check(params: HenonParams, nf: NormalForm2D, sample_grid) -> Cone
     J12 = N1.partial_y()(x, y)
     J21 = N2.partial_x()(x, y)
     J22 = N2.partial_y()(x, y)
-    e = _direction_frame()[None, :]
+    e = DIRECTION_FRAME[None, :]
 
     xh = nf.xh_series()
     n_at = max(float(np.max(np.abs(xh.partial_x()(x, y)))),
@@ -181,8 +176,6 @@ def local_cone_check(params: HenonParams, nf: NormalForm2D, sample_grid) -> Cone
     bad = ~(h_ok & v_ok)
     failures = [(complex(a), complex(b)) for a, b in zip(x[bad], y[bad])]
     return ConeReport(
-        region=f"W- normalized, q={q}, t={params.t}, a={params.a}, rho={SECTOR_RADIUS}",
-        samples=len(x),
         worst_h_expansion=float(np.min(h_min)),
         worst_v_expansion=worst_v,
         invariance_failures=failures,
@@ -191,7 +184,6 @@ def local_cone_check(params: HenonParams, nf: NormalForm2D, sample_grid) -> Cone
             "n_at": n_at,
             "v_bound": 1.0 / (abs(params.nu) + 1.5 * n_at) if n_at + abs(params.nu) > 0 else VERTICAL_SENTINEL,
             "min_abs_xq": float(np.min(np.abs(x) ** q)),
-            "marginal": params.t == 0,
         },
     )
 
@@ -325,7 +317,7 @@ def global_cone_check(params: HenonParams, sample_count: int, seed: int,
         return 1.0 / np.clip(d, 0.15, 3.0)  # bounded like the true density on V - B''
 
     a = params.a
-    e = _direction_frame()[None, :]
+    e = DIRECTION_FRAME[None, :]
     x1, _ = henon(params, (xs, ys))
     sig0, sig1 = density(xs), density(x1)
     # the frame's other coordinate is constant: |eta| = |a| forward, |xi| = |1/a| backward
@@ -370,31 +362,23 @@ def global_cone_check(params: HenonParams, sample_count: int, seed: int,
         d1x, d1y = c1.partial_x()(cx, cy), c1.partial_y()(cx, cy)
         d2x, d2y = c2.partial_x()(cx, cy), c2.partial_y()(cx, cy)
         xn = nf.to_normalized(nest_x, np.zeros_like(nest_x))[0]
-        ph = _direction_frame()[:, None]  # one row per direction
+        ph = DIRECTION_FRAME[:, None]  # one row per direction
         xi_t = d1x * tau_nest * ph + d1y
         eta_t = d2x * tau_nest * ph + d2y
         nest_ratio = float(np.max(np.abs(xi_t) / (np.abs(xn) ** (2 * params.q) * np.abs(eta_t))))
 
-    vertical_floor = 0.95 / abs(a)
     return ConeReport(
-        region=f"V global, t={params.t}, a={params.a}",
-        samples=sample_count,
         worst_h_expansion=worst_h,
         worst_v_expansion=worst_v,
         invariance_failures=failures,
         worst_h_margin=worst_h,
-        metric="euclidean + distance-weighted (Koebe surrogate)",
         extras={
             "euclid_certified": int(np.sum(euclid_ok)),
             "weighted_certified": int(np.sum(weighted_ok & ~euclid_ok)),
             "vertical_skipped_preimage": int(np.sum(~valid)),
-            "vertical_floor": vertical_floor,
-            "vertical_ok": worst_v >= vertical_floor,
-            "tau": TAU,
-            "tau_nest": tau_nest,
+            "vertical_ok": worst_v >= 0.95 / abs(a),
             "nesting_ratio_at_dB": nest_ratio,
             "nesting_holds": bool(nest_ratio < 1.0) if nest_ratio == nest_ratio else False,
-            "marginal": params.t == 0,
         },
     )
 

@@ -104,7 +104,8 @@ def continuity_experiment(p_over_q, a, t_list, resolution: int, n_angles: int,
                 f"resolution {resolution}: raise --res")
     ref_j = julia_cloud(0.0)
     dj = [hausdorff(julia_cloud(t), ref_j) for t in t_vals]
-    meta = f"pq={p_over_q} a={a} angles={n_angles} iters={n_iters} res={resolution}"
+    meta = (f"pq={p_over_q} a={a} angles={n_angles} iters={n_iters} res={resolution} "
+            f"degree={disk_degree} depth={depth}")
     return (HausdorffResult(t_values=t_vals, distances=dj, meta="J " + meta),
             HausdorffResult(t_values=t_vals, distances=ds, meta="J+slice " + meta))
 
@@ -204,9 +205,3 @@ def _connectivity_cell(p_over_q, t, a, n_angles, n_iters, disk_degree):
     return ConnectivityCell(a=a, verdict="CONNECTED-BY-CONSTRUCTION" if ok else "UNKNOWN",
                             final_gap=result.final_gap,
                             separation=float(result.separations[-1]))
-
-
-def connectivity_image(cells) -> np.ndarray:
-    """0/128/255 image matrix (UNKNOWN/EXCLUDED/CONNECTED) for P5 output."""
-    code = {"UNKNOWN": 0, "EXCLUDED": 128, "CONNECTED-BY-CONSTRUCTION": 255}
-    return np.array([[code[c.verdict] for c in row] for row in cells], dtype=float)

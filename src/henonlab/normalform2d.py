@@ -239,9 +239,6 @@ def sample_petal(rng, n: int, q: int, R: float):
 @dataclass(frozen=True)
 class TrappingReport:
     region: str
-    n_samples: int
-    steps: int
-    tolerance: float
     rotation_failures: list
     attraction_failures: list
     target: str
@@ -316,7 +313,6 @@ def petal_check(params: HenonParams, nf: NormalForm2D, samples: int,
         ]
     return TrappingReport(
         region=f"petals R={R:.3f} r_loc={LOCAL_DISK_RADIUS} (q={q}, t={t}, a={params.a})",
-        n_samples=samples, steps=steps, tolerance=tol,
         rotation_failures=rotation_failures,
         attraction_failures=attraction_failures,
         target=target, max_final_distance=max_final, rows=rows,

@@ -76,6 +76,12 @@ def poly_params(p_over_q, t: float) -> PolyParams:
     return PolyParams(p=p, q=q, t=float(t), lam=complex(lam), c=complex(c), alpha=complex(lam / 2.0))
 
 
+def check_angles(n: int, least: int):
+    """Refuses an angle count that is not a power of two >= least."""
+    if n < least or n & (n - 1):
+        raise PreconditionError(f"n_angles must be a power of two >= {least}, got {n}")
+
+
 @dataclass(frozen=True)
 class LoopSample:
     """A closed curve sampled at s = k/N, cyclic indexing, N a power of two."""
@@ -84,11 +90,8 @@ class LoopSample:
     level: float
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        n = len(v)
-        if n < 2 or (n & (n - 1)) != 0:
-            raise PreconditionError(f"loop sample count must be a power of two >= 2, got {n}")
-        v = v.copy()
+        v = np.array(self.values, dtype=complex)
+        check_angles(len(v), 2)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -211,8 +214,7 @@ class CaratheodoryResult:
 
 def caratheodory(params: PolyParams, N: int, n_iters: int) -> CaratheodoryResult:
     """n_iters pullbacks of the level-log(sqrt R) equipotential, with certificate."""
-    if N < 1024 or (N & (N - 1)) != 0:
-        raise PreconditionError("N must be a power of two >= 1024")
+    check_angles(N, 1024)
     if n_iters < 1:
         raise PreconditionError("n_iters must be >= 1")
     if math.ldexp(math.log(BASE_RADIUS) / 2.0, -n_iters) == 0:  # each pullback halves the level

@@ -4,9 +4,9 @@ All operations return new objects truncated to the shared order D; there is
 no silent degree growth.  One-variable series are plain coefficient vectors
 ``c[0..D]``; two-variable series are total-degree truncated, i.e. only
 coefficients with ``i + j <= D`` are carried.  Both kinds share one base,
-``_Jet``, for their linear algebra: sums, differences, negation, scalar
-multiples and the coercion of a scalar to a constant jet.  Each kind keeps
-its own product ``__mul__`` and evaluation ``__call__``.
+``_Jet``, for their linear algebra: sums and differences of two jets of one
+kind and order, negation and scalar multiples.  Each kind keeps its own
+product ``__mul__`` and evaluation ``__call__``.
 
 Products are linear operators.  A gather table cached per D turns a jet u
 into the SxS matrix ``append(u[slots], 0)[table]`` of multiplication by u
@@ -38,20 +38,18 @@ class _Jet:
 
     __slots__ = ("coeffs", "D")
 
-    def _coerce(self, v):
-        if isinstance(v, type(self)):
-            if v.D != self.D:
-                raise PreconditionError("mixed truncation orders")
-            return v
-        return self.constant(v, self.D)
+    def _check(self, v):
+        if type(v) is not type(self):
+            raise PreconditionError(f"a {type(self).__name__} adds only to a jet of its own kind")
+        if v.D != self.D:
+            raise PreconditionError("mixed truncation orders")
+        return v
 
     def __add__(self, other):
-        return type(self)(self.coeffs + self._coerce(other).coeffs, D=self.D)
-
-    __radd__ = __add__
+        return type(self)(self.coeffs + self._check(other).coeffs, D=self.D)
 
     def __sub__(self, other):
-        return type(self)(self.coeffs - self._coerce(other).coeffs, D=self.D)
+        return type(self)(self.coeffs - self._check(other).coeffs, D=self.D)
 
     def __neg__(self):
         return type(self)(-self.coeffs, D=self.D)
@@ -88,11 +86,6 @@ class TruncSeries1(_Jet):
     @classmethod
     def constant(cls, value, D):
         return cls([value], D=D)
-
-    def truncate(self, Dp):
-        if Dp > self.D:
-            raise PreconditionError("cannot truncate upward")
-        return TruncSeries1(self.coeffs[: Dp + 1], D=Dp)
 
     def __mul__(self, other):
         if np.isscalar(other):
@@ -219,10 +212,6 @@ class TruncSeries2(_Jet):
         c.setflags(write=False)
         self.coeffs = c
         self.D = D
-
-    @classmethod
-    def constant(cls, value, D):
-        return cls.from_terms({(0, 0): value}, D)
 
     @classmethod
     def from_terms(cls, terms, D):

@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .henon import FILTRATION_RADIUS, HenonParams, henon, mirror_sign, uniform_disk
-from .poly1d import LoopSample, continue_branch, equipotential_loop
+from .poly1d import LoopSample, check_angles, continue_branch, equipotential_loop
 from .series import horner
 
-NODE_FRACTION = 0.9  # collocation radius as a fraction of the disk radius
+NODE_RADIUS = 0.9 * FILTRATION_RADIUS  # collocation radius, 0.9 of the disk radius
 # A Newton solution from the last level's samples whose distances to its
 # pullback seed and to minus that seed differ by less than this fraction of
 # |seed| is solved again from the seed.  Near the critical point x = 0 the two
@@ -59,10 +59,11 @@ class SolidTorus:
                 x = np.array(x, dtype=complex)
                 x.setflags(write=False)
                 object.__setattr__(self, name, x)
-        c, n = self.coeffs, self.coeffs.shape[0]
-        if c.ndim != 2 or n < 2 or (n & (n - 1)) != 0:
-            raise PreconditionError("torus needs a power-of-two number of angle fibers")
-        if self.samples is not None and self.samples.shape != (n, 2 * (c.shape[1] - 1)):
+        c = self.coeffs
+        if c.ndim != 2:
+            raise PreconditionError("torus coefficients must be (n_angles, disk_degree+1)")
+        check_angles(len(c), 2)
+        if self.samples is not None and self.samples.shape != (len(c), 2 * (c.shape[1] - 1)):
             raise PreconditionError("torus samples must be (n_angles, 2 disk_degree)")
 
     @property
@@ -79,7 +80,7 @@ class SolidTorus:
 
     def nodes(self):
         m = 2 * self.disk_degree
-        return NODE_FRACTION * FILTRATION_RADIUS * np.exp(2j * math.pi * np.arange(m) / m)
+        return NODE_RADIUS * np.exp(2j * math.pi * np.arange(m) / m)
 
     def eval(self, k, z):
         """phi at angle index k (array ok) and points z (broadcast)."""
@@ -91,7 +92,7 @@ class SolidTorus:
 
     @cached_property
     def _node_values(self):  # the coefficients are a truncated DFT on the nodes
-        scaled = self.coeffs * (NODE_FRACTION * FILTRATION_RADIUS) ** np.arange(self.disk_degree + 1)
+        scaled = self.coeffs * NODE_RADIUS ** np.arange(self.disk_degree + 1)
         vals = np.fft.ifft(scaled, n=2 * self.disk_degree, axis=1, norm="forward")
         vals.setflags(write=False)
         return vals
@@ -99,7 +100,7 @@ class SolidTorus:
     def max_slope(self):
         """Upper bound for sup |phi_s'| on the collocation circle."""
         m = np.arange(1, self.disk_degree + 1)
-        radii = (NODE_FRACTION * FILTRATION_RADIUS) ** (m - 1)
+        radii = NODE_RADIUS ** (m - 1)
         return float(np.max(np.sum(np.abs(self.coeffs[:, 1:]) * m * radii, axis=1)))
 
     def separation(self):
@@ -179,7 +180,7 @@ def graph_transform(params: HenonParams, torus: SolidTorus,
         raise NumericalError("resolution too coarse: node left its branch")
 
     dft = np.fft.fft(X, axis=0)[: d + 1]
-    dft /= 2 * d * ((NODE_FRACTION * FILTRATION_RADIUS) ** np.arange(d + 1))[:, None]
+    dft /= 2 * d * (NODE_RADIUS ** np.arange(d + 1))[:, None]
     coeffs = dft.T.copy()  # a view would keep all 2d rows of the transform
     for arr in (coeffs, X):  # read-only, so that SolidTorus does not copy them
         arr.setflags(write=False)
@@ -294,8 +295,7 @@ def check_grid(n_iters: int, n_angles: int, disk_degree: int):
     angle count that is not a power of two >= 2, or a disk degree below 1."""
     if n_iters < 1:
         raise PreconditionError(f"n_iters must be >= 1, got {n_iters}")
-    if n_angles < 2 or n_angles & (n_angles - 1):
-        raise PreconditionError(f"n_angles must be a power of two >= 2, got {n_angles}")
+    check_angles(n_angles, 2)
     if disk_degree < 1:
         raise PreconditionError(f"disk degree must be >= 1, got {disk_degree}")
 
@@ -401,7 +401,7 @@ def semiconjugacy_residual(params: HenonParams, fstar: SolidTorus, seed: int) ->
     rng = np.random.default_rng(seed)
     n = fstar.n_angles
     k = rng.integers(0, n, RESIDUAL_SAMPLES)
-    z = uniform_disk(rng, NODE_FRACTION * FILTRATION_RADIUS, RESIDUAL_SAMPLES)
+    z = uniform_disk(rng, NODE_RADIUS, RESIDUAL_SAMPLES)
     x = fstar.eval(k, z)
     hx, hy = henon(params, (x, z))
     z1 = params.a * x

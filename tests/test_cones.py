@@ -356,7 +356,7 @@ def local_cone_check_full(params, nf, sample_grid, rho=0.15):
     J12 = N1.partial_y()(x, y)
     J21 = N2.partial_x()(x, y)
     J22 = N2.partial_y()(x, y)
-    e = cones._direction_frame()[None, :]
+    e = cones.DIRECTION_FRAME[None, :]
 
     xh = nf.xh_series()
     n_at = max(float(np.max(np.abs(xh.partial_x()(x, y)))),
@@ -385,8 +385,6 @@ def local_cone_check_full(params, nf, sample_grid, rho=0.15):
     bad = ~(h_invariant.all(axis=1) & v_invariant.all(axis=1))
     failures = [(complex(a), complex(b)) for a, b in zip(x[bad], y[bad])]
     return cones.ConeReport(
-        region=f"W- normalized, q={q}, t={params.t}, a={params.a}, rho={rho}",
-        samples=len(x),
         worst_h_expansion=float(np.min(h_norm)),
         worst_v_expansion=worst_v,
         invariance_failures=failures,
@@ -396,7 +394,6 @@ def local_cone_check_full(params, nf, sample_grid, rho=0.15):
             "v_bound": (1.0 / (abs(params.nu) + 1.5 * n_at) if n_at + abs(params.nu) > 0
                         else cones.VERTICAL_SENTINEL),
             "min_abs_xq": float(np.min(np.abs(x) ** q)),
-            "marginal": params.t == 0,
         },
     )
 
@@ -435,7 +432,7 @@ def global_cone_check_full(params, sample_count=2000, seed=0, nf=None):
         return 1.0 / np.clip(d, 0.15, 3.0)
 
     a = params.a
-    e = cones._direction_frame()[None, :]
+    e = cones.DIRECTION_FRAME[None, :]
     x1, _ = hn.henon(params, (xs, ys))
     sig0, sig1 = density(xs), density(x1)
 
@@ -475,31 +472,23 @@ def global_cone_check_full(params, sample_count=2000, seed=0, nf=None):
         d1x, d1y = c1.partial_x()(cx, cy), c1.partial_y()(cx, cy)
         d2x, d2y = c2.partial_x()(cx, cy), c2.partial_y()(cx, cy)
         xn = nf.to_normalized(nest_x, np.zeros_like(nest_x))[0]
-        ph = cones._direction_frame()[:, None]
+        ph = cones.DIRECTION_FRAME[:, None]
         xi_t = d1x * tau_nest * ph + d1y
         eta_t = d2x * tau_nest * ph + d2y
         nest_ratio = float(np.max(np.abs(xi_t) / (np.abs(xn) ** (2 * params.q) * np.abs(eta_t))))
 
-    vertical_floor = 0.95 / abs(a)
     return cones.ConeReport(
-        region=f"V global, t={params.t}, a={params.a}",
-        samples=sample_count,
         worst_h_expansion=worst_h,
         worst_v_expansion=worst_v,
         invariance_failures=failures,
         worst_h_margin=worst_h,
-        metric="euclidean + distance-weighted (Koebe surrogate)",
         extras={
             "euclid_certified": int(np.sum(euclid_ok)),
             "weighted_certified": int(np.sum(weighted_ok & ~euclid_ok)),
             "vertical_skipped_preimage": int(np.sum(~valid)),
-            "vertical_floor": vertical_floor,
-            "vertical_ok": worst_v >= vertical_floor,
-            "tau": tau,
-            "tau_nest": tau_nest,
+            "vertical_ok": worst_v >= 0.95 / abs(a),
             "nesting_ratio_at_dB": nest_ratio,
             "nesting_holds": bool(nest_ratio < 1.0) if nest_ratio == nest_ratio else False,
-            "marginal": params.t == 0,
         },
     )
 

@@ -16,6 +16,7 @@ from henonlab import cli, io, lab
 from henonlab import poly1d as p1
 from henonlab import torus as tor
 from henonlab.errors import NumericalError, PreconditionError
+from henonlab.normalform2d import reduce
 
 
 def cloud(pts):
@@ -81,7 +82,7 @@ def test_negative_control_shifted_reference():
     assert min(dists) > 0.15
 
 
-def test_connectivity_scan_small():
+def test_connectivity_scan_small(tmp_path):
     w = 0.08
     cells = lab.connectivity_scan((1, 1), 0.1, (-w, w, -w, w), resolution=3,
                                   n_angles=256, n_iters=10)
@@ -92,8 +93,8 @@ def test_connectivity_scan_small():
     # reflection symmetry of verdicts
     for c in flat.values():
         assert flat[-c.a].verdict == c.verdict
-    img = lab.connectivity_image(cells)
-    assert img.shape == (3, 3)
+    cli._write_verdicts(tmp_path / "conn.pgm", cells, cli.CONNECTIVITY_LEVELS)
+    assert (tmp_path / "conn.pgm").read_bytes().startswith(b"P5\n# henonlab v1\n3 3\n")
 
 
 def _scan_calls(monkeypatch, window, res, pq=(1, 2)):
@@ -618,8 +619,9 @@ CSV_KINDS = {
         lambda r: _torus_rows(r.torus.level, r.torus.coeffs)),
     "normal-form": (
         ["normal-form", "--pq=1/2", "--t=0.05", "--a=0.05"],
-        "reduce", lambda r: "torus", "level,k,s,coeff_index,re,im",
-        lambda r: _torus_rows(0, [h.coeffs.ravel() for h in r.normal])),
+        "reduce", lambda r: "normal-form", "component,i,j,re,im",
+        lambda r: [(k, i, j, h.coeffs[i, j]) for k, h in enumerate(r.normal)
+                   for i in range(r.D + 1) for j in range(r.D + 1 - i)]),
     "trapping": (
         ["petal-check", "--pq=1/1", "--t=0.05", "--a=0.05", "--samples=20", "--iters=50"],
         "petal_check", lambda r: f"trapping {r.region}",
@@ -668,6 +670,33 @@ def test_csv_format(tmp_path, monkeypatch, kind):
             else:
                 assert next(fields) == v
         assert next(fields, None) is None
+
+
+def test_normal_form_csv_has_one_row_per_simplex_coefficient(tmp_path):
+    argv = ["normal-form", "--pq=1/1", "--t=0.05", "--a=0.05", "--out", str(tmp_path / "nf")]
+    assert cli.main(argv) == 0
+    nf = reduce(hn.make_params((1, 1), 0.05, 0.05))
+    lines = (tmp_path / "nf_normal.csv").read_text().splitlines()
+    assert lines[:2] == ["# henonlab-csv v1 normal-form", "component,i,j,re,im"]
+    assert len(lines) - 2 == (nf.D + 1) * (nf.D + 2)
+    keys = set()
+    for line in lines[2:]:
+        c, i, j, re, im = line.split(",")
+        c, i, j = int(c), int(i), int(j)
+        assert i + j <= nf.D
+        assert complex(float(re), float(im)) == nf.normal[c].coeffs[i, j]
+        keys.add((c, i, j))
+    assert len(keys) == len(lines) - 2
+
+
+def test_continuity_headers_name_degree_and_depth(tmp_path):
+    argv = ["continuity", "--pq=1/1", "--a=0.05", "--t-list=0.2,0.1", "--res=300",
+            "--angles=64", "--iters=3", "--degree=3", "--depth=5", "--out", str(tmp_path / "c")]
+    assert cli.main(argv) == 0
+    meta = "pq=(1, 1) a=(0.05+0j) angles=64 iters=3 res=300 degree=3 depth=5"
+    for name, kind in (("c_j.csv", "J"), ("c_jplus.csv", "J+slice")):
+        header = (tmp_path / name).read_text().splitlines()[0]
+        assert header == f"# henonlab-csv v1 hausdorff {kind} {meta}"
 
 
 def _per_field_csv(path, kind, columns, rows):

@@ -133,7 +133,7 @@ def test_truncation_consistency():
 
 
 def test_coefficient_access_outside_simplex_is_error():
-    f = TruncSeries2.constant(0, 4)
+    f = TruncSeries2.from_terms({(0, 0): 0}, 4)
     with pytest.raises(PreconditionError):
         f.coeff(3, 2)
     with pytest.raises(PreconditionError):

@@ -79,7 +79,7 @@ def _full_array_graph_transform(params, torus, max_newton=tor.NEWTON_STEPS):
     if np.any(np.abs(X - seeds[:, None]) > np.abs(X + seeds[:, None])):
         raise NumericalError("resolution too coarse: node left its branch")
     dft = np.fft.fft(X, axis=1)[:, : d + 1] / (2 * d)
-    scale = (tor.NODE_FRACTION * tor.FILTRATION_RADIUS) ** np.arange(d + 1)
+    scale = tor.NODE_RADIUS ** np.arange(d + 1)
     return tor.SolidTorus(coeffs=dft / scale, level=torus.level + 1)
 
 
@@ -222,7 +222,7 @@ def test_torus_samples_warm_start_the_next_level(monkeypatch):
     # the coefficients are the truncated DFT of the samples
     d = T1.disk_degree
     fit = np.fft.fft(T1.samples, axis=1)[:, : d + 1] / (2 * d)
-    assert np.array_equal(T1.coeffs, fit / (tor.NODE_FRACTION * tor.FILTRATION_RADIUS) ** np.arange(d + 1))
+    assert np.array_equal(T1.coeffs, fit / tor.NODE_RADIUS ** np.arange(d + 1))
     with pytest.raises(PreconditionError, match="samples"):
         tor.SolidTorus(coeffs=T1.coeffs, level=1, samples=T1.samples[:, :8])
     # from the samples of a late level Newton needs fewer steps than from the seeds
