@@ -176,14 +176,14 @@ def config_from_args(args) -> RunConfig:
     return cfg
 
 
-# gray level of each verdict in a scan's PGM, before write_pgm rescales to the image's range
+# gray level of each verdict in a scan's PGM
 HYP_SCAN_LEVELS = {"PASS": 255, "MARGINAL": 170, "FAIL": 60, "EXCLUDED": 0}
 CONNECTIVITY_LEVELS = {"UNKNOWN": 0, "EXCLUDED": 128, "CONNECTED-BY-CONSTRUCTION": 255}
 
 
 def _write_verdicts(path, rows, levels):
     """PGM of a grid of scan cells, one pixel per cell at its verdict's level."""
-    io.write_pgm(path, np.array([[levels[c.verdict] for c in row] for row in rows], dtype=float))
+    io.write_pgm(path, [[levels[c.verdict] for c in row] for row in rows])
 
 
 def _write_distances(path, result):

@@ -115,9 +115,12 @@ def in_vplus(x, y):
 # Longest run of steps between two V+ tests; the block doubles up to it
 # while no orbit enters V+ and drops back to one step when one does.
 BLOCK_CAP = 64
-# Orbits per row block of `jplus_slice`: no array spans the grid, and a block's
-# long-running orbits (15 % on continuity slices) step in L2 (under 1 MiB).
-ESCAPE_BLOCK = 65_536
+# Orbits per row block of `jplus_slice`.  The arrays a block steps in place
+# (X, Y and the product T, 16 bytes an orbit each) take 768 KiB and their
+# checkpoint 512 KiB more, inside a 2 MiB L2.  Of blocks of 8k to 64k orbits,
+# 16k and 32k stepped the five continuity slices fastest (0.21 s against
+# 0.27-0.29 s at 64k), and 16k holds a res-800 slice to 4.1 MiB (8.9 at 64k).
+ESCAPE_BLOCK = 16_384
 
 
 # Radius of the trap of `escape_times` as a fraction of its slack; 0.9
@@ -252,8 +255,8 @@ def symmetric_axis(lo, hi, res):
 def jplus_slice(params: HenonParams, window, resolution: int, max_iter: int,
                 y_slice: complex = 0.0) -> EscapeGrid:
     """Escape-time grid on {y = const}; bounded cells touching escaped cells
-    are the J+ sample ``boundary``.  The grid is built and stepped
-    one block of ESCAPE_BLOCK // resolution rows at a time.
+    are the J+ sample ``boundary``.  The grid is built and stepped, and its
+    boundary found, one block of ESCAPE_BLOCK // resolution rows at a time.
 
     The axes come from ``symmetric_axis``.  When the mirror C(x, y) = (conj x,
     e conj y) of ``mirror_sign`` maps the slice to itself (e conj(y_slice) =
@@ -265,7 +268,7 @@ def jplus_slice(params: HenonParams, window, resolution: int, max_iter: int,
     from mirrored starts then meet the same V+ tests and overflows, and the
     block and overflow replays of ``escape_times`` give the same times."""
     if resolution < 2 or resolution > 8192:
-        raise PreconditionError("resolution out of range")
+        raise PreconditionError(f"resolution must be in 2 .. 8192, got {resolution}")
     re_min, re_max, im_min, im_max = window
     xs = symmetric_axis(re_min, re_max, resolution)
     ys = symmetric_axis(im_min, im_max, resolution)
@@ -274,21 +277,27 @@ def jplus_slice(params: HenonParams, window, resolution: int, max_iter: int,
     mirrored = e is not None and e * y.conjugate() == y and im_min == -im_max
     half = resolution // 2 if mirrored else 0  # the rows copied from their mirror images
     rows = max(1, ESCAPE_BLOCK // resolution)
-    times = np.empty((resolution, resolution), dtype=int)
+    times = np.empty((resolution, resolution), dtype=np.int32)  # -1 or a step <= max_iter
     for i in range(half, resolution, rows):
         X = xs[None, :] + 1j * ys[i:i + rows, None]
         times[i:i + rows] = escape_times(params, X, y, max_iter)
     times[:half] = times[resolution - 1:resolution - 1 - half:-1]
-    esc = times >= 0
-    neighbor_esc = np.zeros_like(esc)
-    neighbor_esc[1:, :] |= esc[:-1, :]
-    neighbor_esc[:-1, :] |= esc[1:, :]
-    neighbor_esc[:, 1:] |= esc[:, :-1]
-    neighbor_esc[:, :-1] |= esc[:, 1:]
-    iy, ix = np.nonzero(neighbor_esc & ~esc)
-    pts = xs[ix] + 1j * ys[iy]
+    pts = []
+    for i in range(0, resolution, rows):
+        iy, ix = _boundary_cells(times, i, i + rows)
+        pts.append(xs[ix] + 1j * ys[iy])
+    pts = np.concatenate(pts)
     return EscapeGrid(xs=xs, ys=ys, times=times,
                       boundary=np.column_stack([pts, np.full(len(pts), y)]))
+
+
+def _boundary_cells(times, lo, hi):
+    """Row-major (row, column) indices of the bounded cells of rows lo .. hi-1
+    of ``times`` with an escaped 4-neighbour; rows lo-1 and hi are its halo."""
+    esc = np.pad(times[max(lo - 1, 0):hi + 1] >= 0, ((lo == 0, hi >= len(times)), (1, 1)))
+    near = esc[:-2, 1:-1] | esc[2:, 1:-1] | esc[1:-1, :-2] | esc[1:-1, 2:]
+    iy, ix = np.nonzero(near & (times[lo:hi] < 0))
+    return iy + lo, ix
 
 
 def attracting_cycle(params: HenonParams):

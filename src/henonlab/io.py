@@ -29,13 +29,13 @@ def write_csv(path, kind, columns, rows):
 
 
 def write_pgm(path, values):
-    """8-bit P5 graymap from a 2-D array scaled to its own range."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
+    """8-bit P5 graymap of a 2-D array of gray levels, integers in 0 .. 255."""
+    img = np.asarray(values)
+    if img.ndim != 2:
         raise PreconditionError("graymap needs a 2-D array")
-    lo, hi = float(np.min(arr)), float(np.max(arr))
-    span = hi - lo if hi > lo else 1.0
-    img = np.round((arr - lo) / span * PGM_LEVELS).astype(np.uint8)
+    if not np.isin(img, np.arange(PGM_LEVELS + 1)).all():
+        raise PreconditionError(f"graymap levels must be integers in 0 .. {PGM_LEVELS}")
+    img = img.astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(b"P5\n# henonlab v1\n%d %d\n%d\n" % (img.shape[1], img.shape[0], PGM_LEVELS))
         fh.write(img.tobytes())

@@ -142,7 +142,7 @@ def test_escaped_fraction_monotone_in_max_iter():
 
 def test_jplus_resolution_cap():
     P = hn.make_params((1, 1), 0.0, 0.0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="resolution must be in 2 .. 8192, got 9000"):
         hn.jplus_slice(P, (-2, 2, -2, 2), 9000, 10)
 
 
@@ -295,6 +295,15 @@ def test_jplus_slice_of_the_continuity_experiment_matches_full_grid_reference(
                                           lab.DEFAULT_WINDOW, 200, 200) == 100
 
 
+def test_jplus_slice_at_the_default_resolution_matches_full_grid_reference(monkeypatch):
+    # res 400, the CLI's default, in the default blocks of 40 rows: 10 blocks
+    # step the slice and 10 find its boundary.  At 1/3, t = 0 (c complex, no
+    # mirror) 37 boundary cells have their one escaped neighbour across a block
+    # edge, in a halo row; at 1/1 none has.
+    assert assert_slice_matches_full_grid(monkeypatch, None, hn.make_params((1, 3), 0.0, 0.05),
+                                          lab.DEFAULT_WINDOW, 400, 200) == 400
+
+
 def _off_family():
     # c = -10 leaves V+ not forward invariant, so escape_times steps with
     # block cap 1; cells within ~1e-4 of the saddle x = -2.79 stay outside
@@ -374,15 +383,21 @@ def test_symmetric_axis_is_antisymmetric_and_linspace_up_to_rounding(w):
 
 
 def test_jplus_slice_allocates_no_full_grid_array():
-    # the times take 8 bytes a cell; a full-grid complex array would add 16
-    P = hn.make_params((1, 1), 0.1, 0.05)
-    tracemalloc.start()
-    try:
-        hn.jplus_slice(P, lab.DEFAULT_WINDOW, 800, 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * 800**2
+    # a res-800 continuity slice holds its int32 times (2.4 MiB) and one row
+    # block's arrays (1.6 MiB): 4.1 MiB.  int64 times would add 2.4 MiB, a
+    # full-grid bool 0.6 MiB each, and blocks of 65,536 orbits 4.9 MiB
+    for t in (0.0, 0.1):
+        P = hn.make_params((1, 1), t, 0.05)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]  # nonzero if tracing was already on
+            tracemalloc.reset_peak()
+            grid = hn.jplus_slice(P, lab.DEFAULT_WINDOW, 800, lab.CONTINUITY_ESCAPE_STEPS)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert grid.times.nbytes == 4 * 800**2
+        assert peak <= grid.times.nbytes + 2.5 * 2**20, (t, peak)
 
 
 # slices whose bounded orbits fall into an attracting fixed point: the other

@@ -351,6 +351,8 @@ def test_cli_continuity_refuses_a_bad_depth_before_building_any_slice(
     # the J+ slices ran, then the t = 0 torus raised "graph transform requires a != 0"
     ("--a=0", "--a must be nonzero: the J tori need a != 0 for the graph transform", 0),
     ("--res=4", "the J+ slice y=0 at t=0.0 has no boundary cell at resolution 4: raise --res", 1),
+    ("--res=1", "resolution must be in 2 .. 8192, got 1", 1),
+    ("--res=9000", "resolution must be in 2 .. 8192, got 9000", 1),
 ])
 def test_cli_continuity_refuses_a_bad_torus_grid_before_building_any_slice(
         tmp_path, monkeypatch, capsys, flag, cause, built):
@@ -595,9 +597,17 @@ def test_cli_deterministic_outputs(tmp_path):
 def test_pgm_writer(tmp_path):
     path = tmp_path / "img.pgm"
     io.write_pgm(path, np.arange(12).reshape(3, 4))
-    raw = path.read_bytes()
-    assert raw.startswith(b"P5\n")
-    assert raw.endswith(bytes(range(0, 256, 255 // 11))[:12]) or len(raw) > 12
+    assert path.read_bytes() == b"P5\n# henonlab v1\n4 3\n255\n" + bytes(range(12))
+
+
+def test_cli_scan_pgm_keeps_the_verdict_levels(tmp_path, capsys):
+    # both cells PASS: the image was rescaled to its own range, which is empty,
+    # and came out black
+    argv = ["hyp-scan", "--pq", "1/1", "--t-list", "0.05", "--a", "0.05", "--res", "2",
+            "--out", str(tmp_path / "scan")]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "hyp-scan: 2/2 PASS\n"
+    assert (tmp_path / "scan.pgm").read_bytes() == b"P5\n# henonlab v1\n2 1\n255\n\xff\xff"
 
 
 def _torus_rows(level, coeffs):

@@ -45,6 +45,8 @@ REFUSALS = {
                       PreconditionError, "loop and torus angle grids differ"),
     "write_pgm 1-D": (lambda: io.write_pgm("unused.pgm", np.zeros(4)), PreconditionError,
                       "graymap needs a 2-D array"),
+    "write_pgm levels": (lambda: io.write_pgm("unused.pgm", [[0, 256]]), PreconditionError,
+                         r"graymap levels must be integers in 0 \.\. 255"),
     "hausdorff lengths": (lambda: lab.HausdorffResult(t_values=[0.1], distances=[]),
                           PreconditionError, "t and distance lists must align"),
     "hausdorff sign": (lambda: lab.HausdorffResult(t_values=[0.1], distances=[-1.0]),
