@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,9 +34,6 @@ from .poly1d import (
     repelling_inner_radius,
 )
 
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
-
 VERTICAL_SENTINEL = 1e15  # reported when DH is singular (a = 0)
 N_DIRECTIONS = 16
 # boundary directions of the cones, the N_DIRECTIONS roots of unity
@@ -47,6 +43,7 @@ DIRECTION_FRAME.setflags(write=False)
 # (samples x N_DIRECTIONS) array spans the sample set, and a block's complex
 # frame array is 128 KiB.  The 400-sample scan checks fit in one block.
 CONE_BLOCK = 512
+NEAREST_PAIRS = 1 << 15  # point-site pairs per block of nearest_within
 TUBE_RADIUS = 0.2  # tube B around alpha
 COLLAR = 0.05      # basin-side thickness of the J neighborhood
 CRIT_STRIP = 0.5   # exclude |2x| below this (tube through the critical point)
@@ -193,18 +190,71 @@ def nest_aperture(q: int) -> float:
     return min(0.005, 0.8 * (SECTOR_RADIUS / 2.0) ** (2 * q))
 
 
-def julia_slice_tree(params: HenonParams) -> cKDTree:
-    """Spatial index over a sampled J_{p_t}, the backbone of the V collar."""
-    from scipy.spatial import cKDTree  # deferred: scipy.spatial is slow to import
+def nearest_within(points: np.ndarray, sites: np.ndarray, reach: float) -> np.ndarray:
+    """Distance from each of the (m, 2) points to the nearest of the (n, 2)
+    sites where that distance is at most reach > 0, inf elsewhere.
 
+    A distance is sqrt(dx*dx + dy*dy), the bits of cKDTree.query.  The sites
+    are binned on square cells of side just above reach, so every site within
+    reach of a point lies in the 3 x 3 cells around the point's cell, and only
+    those pairs are measured, in blocks of about NEAREST_PAIRS pairs.
+    """
+    out = np.full(len(points), np.inf)
+    if not len(points) or not len(sites):
+        return out
+    lo = sites.min(axis=0)
+    # at most 16 n cells cover the sites, so the table below grows with them
+    # and rounding moves a cell index by far less than the 2^-20 margin
+    side = max(reach * (1 + 2.0**-20),
+               float(np.max(sites.max(axis=0) - lo)) / math.sqrt(16 * len(sites)))
+    # two spare columns and rows on each side: the 3 x 3 window of a point
+    # next to a site's cell stays inside the table
+    cell = ((sites - lo) / side).astype(np.int64) + 2
+    width, height = cell.max(axis=0) + 3
+    key = cell[:, 0] * height + cell[:, 1]
+    order = np.argsort(key)
+    sx, sy = sites[order, 0], sites[order, 1]
+    start = np.zeros(width * height + 1, dtype=np.int64)  # sites before each cell
+    np.cumsum(np.bincount(key, minlength=width * height), out=start[1:])
+    at = np.floor((points - lo) / side) + 2
+    # beyond the cells next to the sites' cells no site is within reach
+    near = np.flatnonzero((at[:, 0] >= 1) & (at[:, 0] <= width - 2)
+                          & (at[:, 1] >= 1) & (at[:, 1] <= height - 2))
+    at = at[near].astype(np.int64)
+    window = (at[:, :1] + np.arange(-1, 2)) * height + at[:, 1:]  # middle cell of each column
+    first = start[window - 1]
+    count = start[window + 2] - first
+    per = count.sum(axis=1)
+    ends = np.cumsum(per)
+    px, py = points[near, 0], points[near, 1]
+    # blocks of whole points; a point's pairs are its three column runs of
+    # sorted sites, back to back
+    i0 = 0
+    while i0 < len(near):
+        i1 = max(int(np.searchsorted(ends, ends[i0] - per[i0] + NEAREST_PAIRS, "right")), i0 + 1)
+        b = slice(i0, i1)
+        i0 = i1
+        c, n = count[b].ravel(), per[b]
+        pair = np.arange(n.sum()) + np.repeat(first[b].ravel() - (np.cumsum(c) - c), c)
+        dx = np.repeat(px[b], n) - sx[pair]
+        dy = np.repeat(py[b], n) - sy[pair]
+        has = n > 0
+        d = np.sqrt(np.minimum.reduceat(dx * dx + dy * dy, (np.cumsum(n) - n)[has]))
+        d[d > reach] = np.inf
+        out[near[b][has]] = d
+    return out
+
+
+def julia_slice_tree(params: HenonParams) -> np.ndarray:
+    """(n, 2) sites of a sampled J_{p_t}, the backbone of the V collar."""
     vals = caratheodory(params.poly, JULIA_TREE_ANGLES, JULIA_TREE_ITERS).loop.values
-    return cKDTree(np.column_stack([vals.real, vals.imag]))
+    return np.column_stack([vals.real, vals.imag])
 
 
-def in_V(params: HenonParams, nf: NormalForm2D, x, y, j_tree: cKDTree):
+def in_V(params: HenonParams, nf: NormalForm2D, x, y, j_sites: np.ndarray):
     """Membership in the disk realization of the neighborhood V.
 
-    x and y are broadcast against each other; j_tree is julia_slice_tree(params),
+    x and y are broadcast against each other; j_sites is julia_slice_tree(params),
     built once per check.  Each test runs only on the points every earlier
     test accepted, and only where it can reject: the |y| bound and the
     critical strip on every point, the Green bound on those kept, the
@@ -226,10 +276,8 @@ def in_V(params: HenonParams, nf: NormalForm2D, x, y, j_tree: cKDTree):
     # Julia collar: only the non-escaping points must lie near J
     near = ok & ~(G > 0)
     if near.any():
-        # beyond the bound d comes back inf, which the collar test rejects too
-        d, _ = j_tree.query(np.column_stack([x[near].real, x[near].imag]),
-                            distance_upper_bound=2 * COLLAR)
-        ok[near] = d <= COLLAR
+        ok[near] = nearest_within(np.column_stack([x[near].real, x[near].imag]),
+                                  j_sites, COLLAR) <= COLLAR
     # tube B: keep repelling sectors only
     in_B = np.abs(x - alpha) <= TUBE_RADIUS
     sel = ok & in_B
@@ -241,7 +289,7 @@ def in_V(params: HenonParams, nf: NormalForm2D, x, y, j_tree: cKDTree):
     return ok.reshape(shape)[()]
 
 
-def _sample_V_minus_B(params, nf, sample_count: int, rng, j_tree):
+def _sample_V_minus_B(params, nf, sample_count: int, rng, j_sites):
     """The first sample_count draws from the sampling box that lie in V - B.
 
     A round draws m = 4 need + 64 points, enough at an acceptance of 1/4, and
@@ -259,7 +307,7 @@ def _sample_V_minus_B(params, nf, sample_count: int, rng, j_tree):
         y = uniform_disk(rng, FILTRATION_RADIUS, m)
         for lo in range(0, m, need + 16):
             xq, yq = x[lo : lo + need + 16], y[lo : lo + need + 16]
-            keep = in_V(params, nf, xq, yq, j_tree) & (np.abs(xq - alpha) > TUBE_RADIUS)
+            keep = in_V(params, nf, xq, yq, j_sites) & (np.abs(xq - alpha) > TUBE_RADIUS)
             xs = np.append(xs, xq[keep])
             ys = np.append(ys, yq[keep])
             if len(xs) >= sample_count:
@@ -269,11 +317,9 @@ def _sample_V_minus_B(params, nf, sample_count: int, rng, j_tree):
     return xs[:sample_count], ys[:sample_count]
 
 
-def _boundary_tree(params, nf):
-    """Sample stand-ins for the boundary of U_t: the outer equipotential and
-    the thin attracting tube (critical orbit plus the axis spine inside B)."""
-    from scipy.spatial import cKDTree  # deferred: scipy.spatial is slow to import
-
+def _boundary_tree(params, nf) -> np.ndarray:
+    """(n, 2) sites standing in for the boundary of U_t: the outer equipotential
+    and the thin attracting tube (critical orbit plus the axis spine inside B)."""
     outer = equipotential_loop(params.poly, BOUNDARY_LOOP_ANGLES, level=math.log(BASE_RADIUS)).values
     u = np.geomspace(1e-4, TUBE_RADIUS**params.q, 64)  # spine: arg(x^q) = pi
     spines = []
@@ -286,7 +332,7 @@ def _boundary_tree(params, nf):
         orbit[k] = z
         z = z * z + params.c_t
     pts = np.concatenate([outer] + spines + [orbit])
-    return cKDTree(np.column_stack([pts.real, pts.imag]))
+    return np.column_stack([pts.real, pts.imag])
 
 
 def global_cone_check(params: HenonParams, sample_count: int, seed: int,
@@ -310,43 +356,53 @@ def global_cone_check(params: HenonParams, sample_count: int, seed: int,
     xs, ys = _sample_V_minus_B(params, nf, sample_count, np.random.default_rng(seed),
                                julia_slice_tree(params))
 
-    tree = _boundary_tree(params, nf)
-
-    def density(z):
-        d, _ = tree.query(np.column_stack([z.real, z.imag]))
-        return 1.0 / np.clip(d, 0.15, 3.0)  # bounded like the true density on V - B''
-
     a = params.a
     e = DIRECTION_FRAME[None, :]
-    x1, _ = henon(params, (xs, ys))
-    sig0, sig1 = density(xs), density(x1)
     # the frame's other coordinate is constant: |eta| = |a| forward, |xi| = |1/a| backward
     abs_eta_p, abs_xi_b = np.abs(a), np.abs(1.0 / a)
     xpre = ys / a  # first coordinate of H^{-1}(x, y)
     valid = np.abs(2.0 * xpre) >= CRIT_STRIP
-    # per sample: cones kept over the frame, least expansion in each metric
+    # per sample: cones kept over the frame, least expansion in each direction
     h_inv, v_inv = np.empty(len(xs), dtype=bool), np.empty(len(xs), dtype=bool)
-    h_exp_e, h_exp_w, v_exp = np.empty(len(xs)), np.empty(len(xs)), np.empty(len(xs))
+    h_exp, v_exp = np.empty(len(xs)), np.empty(len(xs))
     for s in range(0, len(xs), CONE_BLOCK):
         b = slice(s, s + CONE_BLOCK)
         # horizontal cones under DH, Euclidean frame (xi, eta) = (1, e)
         abs_xi_p = np.abs(2.0 * xs[b, None] + a * e)
         h_inv[b] = (abs_xi_p > abs_eta_p).all(axis=1)
-        h_exp_e[b] = np.maximum(abs_xi_p, abs_eta_p).min(axis=1)
-        # weighted retry on the same frame reweighted to the surrogate density
-        xi_w = 2.0 * xs[b, None] + a * (sig0[b, None] * e)
-        h_exp_w[b] = (np.maximum(sig1[b, None] * np.abs(xi_w), abs_eta_p) / sig0[b, None]).min(axis=1)
+        h_exp[b] = np.maximum(abs_xi_p, abs_eta_p).min(axis=1)
         # vertical cones under DH^{-1}: boundary |xi| = tau |eta|, eta = 1,
         # restricted to samples whose preimage stays clear of the critical tube
         abs_eta_b = np.abs((TAU * e - 2.0 * xpre[b, None] / a) / a)
         v_inv[b] = (abs_xi_b < TAU * abs_eta_b).all(axis=1)
         v_exp[b] = np.maximum(abs_xi_b, abs_eta_b).min(axis=1)  # ||v|| = max(tau, 1) = 1
-    euclid_ok, weighted_ok = h_exp_e > 1.0, h_exp_w > 1.0
+    euclid_ok = h_exp > 1.0
 
-    bad = ~(h_inv & (v_inv | ~valid) & (euclid_ok | weighted_ok))
+    # weighted retry, only where the Euclidean metric leaves a sample
+    # uncertified: the same frame reweighted to the surrogate density, whose
+    # expansion then stands in h_exp for the Euclidean one
+    retry = np.flatnonzero(~euclid_ok)
+    if len(retry):
+        sites = _boundary_tree(params, nf)
+
+        def density(z):
+            # beyond 3 the clip reads 3 whatever the distance, inf included
+            d = nearest_within(np.column_stack([z.real, z.imag]), sites, 3.0)
+            return 1.0 / np.clip(d, 0.15, 3.0)  # bounded like the true density on V - B''
+
+        xr = xs[retry]
+        sig0, sig1 = density(xr), density(henon(params, (xr, ys[retry]))[0])
+        for s in range(0, len(retry), CONE_BLOCK):
+            b = slice(s, s + CONE_BLOCK)
+            xi_w = 2.0 * xr[b, None] + a * (sig0[b, None] * e)
+            h_exp[retry[b]] = (np.maximum(sig1[b, None] * np.abs(xi_w), abs_eta_p)
+                               / sig0[b, None]).min(axis=1)
+    h_ok = h_exp > 1.0  # in the Euclidean metric, or in the weighted one on a retry
+
+    bad = ~(h_inv & (v_inv | ~valid) & h_ok)
     failures = [(complex(p), complex(r)) for p, r in zip(xs[bad], ys[bad])]
 
-    worst_h = float(np.min(np.where(euclid_ok, h_exp_e, h_exp_w)))
+    worst_h = float(np.min(h_exp))
     worst_v = float(np.min(v_exp[valid])) if valid.any() else float("nan")
 
     # nesting of the narrow vertical cone inside the normalized cone at dB
@@ -374,7 +430,7 @@ def global_cone_check(params: HenonParams, sample_count: int, seed: int,
         worst_h_margin=worst_h,
         extras={
             "euclid_certified": int(np.sum(euclid_ok)),
-            "weighted_certified": int(np.sum(weighted_ok & ~euclid_ok)),
+            "weighted_certified": int(np.sum(h_ok & ~euclid_ok)),
             "vertical_skipped_preimage": int(np.sum(~valid)),
             "vertical_ok": worst_v >= 0.95 / abs(a),
             "nesting_ratio_at_dB": nest_ratio,

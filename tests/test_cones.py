@@ -2,11 +2,13 @@ import dataclasses
 import functools
 import math
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import henonlab.henon as hn
 from henonlab import cones
@@ -235,18 +237,18 @@ def test_global_refuses_an_empty_region(monkeypatch):
 
 # ------------------------------------------------ in_V against its full-array form
 
-def in_V_full(params, nf, x, y, j_tree=None, vs=V_GEOM):
+def in_V_full(params, nf, x, y, j_sites=None, vs=V_GEOM):
     """in_V as it ran before the narrowing: every test on every point, on the
-    geometry vs."""
+    geometry vs, with the unbounded k-d tree distance to the J sites."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     alpha = params.poly.alpha
     ok = (np.abs(y) <= vs.r) & (np.abs(2 * x) >= vs.crit_strip)
     G = green(params.poly, x, iters=80)
     ok &= G <= math.log(vs.R) / 2.0 + 1e-12
-    if j_tree is None:
-        j_tree = cones.julia_slice_tree(params)
-    d, _ = j_tree.query(np.column_stack([x.real.ravel(), x.imag.ravel()]))
+    if j_sites is None:
+        j_sites = cones.julia_slice_tree(params)
+    d, _ = cKDTree(j_sites).query(np.column_stack([x.real.ravel(), x.imag.ravel()]))
     ok &= (G > 0) | (d.reshape(x.shape) <= vs.collar)
     in_B = np.abs(x - alpha) <= vs.tube
     xn, _ = nf.to_normalized(x, y)
@@ -289,7 +291,7 @@ def _v_points(P, n, seed):
        layout=st.sampled_from(["0-d", "1-d", "2-d", "scalar y"]),
        n=st.integers(min_value=0, max_value=60), seed=st.integers(0, 2**32 - 1))
 def test_in_V_matches_full_array_oracle(q, t, layout, n, seed):
-    P, nf, tree = _v_setup(q, t)
+    P, nf, sites = _v_setup(q, t)
     x, y = _v_points(P, max(n, 1), seed)
     if layout == "0-d":
         x, y = x[0], y[0]
@@ -299,8 +301,8 @@ def test_in_V_matches_full_array_oracle(q, t, layout, n, seed):
         x, y = x[: n - n % 3].reshape(3, -1), y[: n - n % 3].reshape(3, -1)
     else:
         x, y = x[:n], y[0]
-    got = cones.in_V(P, nf, x, y, tree)
-    want = in_V_full(P, nf, x, y, tree)
+    got = cones.in_V(P, nf, x, y, sites)
+    want = in_V_full(P, nf, x, y, sites)
     assert type(got) is type(want)
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want)
@@ -310,16 +312,16 @@ def test_in_V_matches_full_array_oracle(q, t, layout, n, seed):
 def test_in_V_oracle_points_reach_both_tubes(q, t):
     # the drawn points make both tube tests decide: each tube holds points
     # that pass every other test, some kept by the chart and some rejected
-    P, nf, tree = _v_setup(q, t)
+    P, nf, sites = _v_setup(q, t)
     x, y = _v_points(P, 4000, 7)
     wide = V_GEOM._replace(rho=10.0)  # every point of a tube in its sector
-    kept, kept_wide = in_V_full(P, nf, x, y, tree), in_V_full(P, nf, x, y, tree, wide)
+    kept, kept_wide = in_V_full(P, nf, x, y, sites), in_V_full(P, nf, x, y, sites, wide)
     in_B = np.abs(x - P.poly.alpha) <= cones.TUBE_RADIUS
     in_Bp = (np.abs(hn.henon(P, (x, y))[0] - P.poly.alpha) <= cones.TUBE_RADIUS) & ~in_B
     for tube in (in_B, in_Bp):
         assert np.any(kept & tube)
         assert np.any(kept_wide & ~kept & tube)
-    assert np.array_equal(cones.in_V(P, nf, x, y, tree), kept)
+    assert np.array_equal(cones.in_V(P, nf, x, y, sites), kept)
 
 
 def _assert_reports_equal(got, want):
@@ -339,6 +341,66 @@ def test_global_cone_check_matches_full_array_in_V(monkeypatch, pq, t, a):
     monkeypatch.setattr(cones, "in_V", in_V_full)
     want = cones.global_cone_check(P, sample_count=10000, seed=0, nf=nf)
     _assert_reports_equal(got, want)
+
+
+# ------------------------------------------------ nearest_within against the k-d tree
+
+def _assert_nearest_matches_kd_tree(points, sites, reach):
+    """nearest_within has the bits of the unbounded k-d tree distance cut at
+    reach; returns both."""
+    got = cones.nearest_within(points, sites, reach)
+    tree = cKDTree(sites)
+    d = tree.query(points)[0]
+    assert got.tobytes() == np.where(d <= reach, d, np.inf).tobytes()
+    # the bounded query keeps d^2 < reach^2 only, so a distance that rounds to
+    # reach may read inf there; every distance it keeps has the same bits
+    bounded = tree.query(points, distance_upper_bound=reach)[0]
+    kept = np.isfinite(bounded)
+    assert got[kept].tobytes() == bounded[kept].tobytes()
+    assert np.all(got[~kept & np.isfinite(got)] >= reach * (1 - 2.0**-51))
+    return got, d
+
+
+@st.composite
+def _clouds(draw):
+    """Sites with duplicates, points drawn freely, points at distance reach from
+    a site, and points on the edges of nearest_within's cells."""
+    reach = draw(st.sampled_from([cones.COLLAR, 3.0, 0.37, 1e-3, 1e-9]))
+    coord = st.one_of(st.floats(-2.5, 2.5), st.integers(-50, 50).map(lambda k: k * 0.05))
+    sites = np.array(draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40)))
+    sites = sites[draw(st.lists(st.integers(0, len(sites) - 1), min_size=len(sites),
+                                max_size=len(sites) + 8))]
+    free = np.array(draw(st.lists(st.tuples(coord, coord), max_size=40))).reshape(-1, 2)
+    ring = np.array([[1, 0], [0, 1], [-1, 0], [0, -1], [0.6, 0.8], [-0.8, 0.6]]) * reach
+    at = sites[draw(st.lists(st.integers(0, len(sites) - 1), max_size=6))]
+    k = np.array(draw(st.lists(st.tuples(st.integers(-2, 60), st.integers(-2, 60)),
+                               max_size=8))).reshape(-1, 2)
+    lo = sites.min(axis=0)
+    side = max(reach * (1 + 2.0**-20), np.max(np.ptp(sites, axis=0)) / math.sqrt(16 * len(sites)))
+    points = np.concatenate([free, (at[:, None, :] + ring).reshape(-1, 2),
+                             lo + k * reach, lo + k * side])
+    return points, sites, reach
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cloud=_clouds(), pairs=st.sampled_from([1, 7, cones.NEAREST_PAIRS]))
+def test_nearest_within_matches_kd_tree(cloud, pairs):
+    points, sites, reach = cloud
+    with mock.patch.object(cones, "NEAREST_PAIRS", pairs):  # 1: a block per point
+        got, d = _assert_nearest_matches_kd_tree(points, sites, reach)
+    if reach == 3.0:  # the density's clip cannot tell inf from a distance above 3
+        assert np.clip(got, 0.15, 3.0).tobytes() == np.clip(d, 0.15, 3.0).tobytes()
+
+
+@pytest.mark.parametrize("q,t", [(1, -0.01), (2, 0.0), (3, 0.05)])
+def test_nearest_within_matches_kd_tree_on_the_cone_check_sites(q, t):
+    P, nf, sites = _v_setup(q, t)
+    z = hn.uniform_disk(np.random.default_rng(q), 2.5, 20000)
+    points = np.column_stack([z.real, z.imag])
+    near, _ = _assert_nearest_matches_kd_tree(points, sites, cones.COLLAR)
+    assert 0 < np.isfinite(near).sum() < len(points)
+    got, d = _assert_nearest_matches_kd_tree(points, cones._boundary_tree(P, nf), 3.0)
+    assert np.clip(got, 0.15, 3.0).tobytes() == np.clip(d, 0.15, 3.0).tobytes()
 
 
 # ------------------------------ the blocked cone checks against their broadcast forms
@@ -398,7 +460,7 @@ def local_cone_check_full(params, nf, sample_grid, rho=0.15):
     )
 
 
-def sample_V_minus_B_full(params, nf, sample_count, rng, j_tree):
+def sample_V_minus_B_full(params, nf, sample_count, rng, j_sites):
     """The draw loop of global_cone_check before it tested quarters: every
     draw of a round is tested."""
     xs = np.empty(0, dtype=complex)
@@ -408,7 +470,7 @@ def sample_V_minus_B_full(params, nf, sample_count, rng, j_tree):
         m = 4 * (sample_count - len(xs)) + 64
         x = hn.uniform_disk(rng, 2.5, m)
         y = hn.uniform_disk(rng, V_GEOM.r, m)
-        keep = cones.in_V(params, nf, x, y, j_tree) & (np.abs(x - alpha) > V_GEOM.tube)
+        keep = cones.in_V(params, nf, x, y, j_sites) & (np.abs(x - alpha) > V_GEOM.tube)
         if not len(xs) and not keep.any():
             raise PreconditionError(
                 f"no sample of V - B among {m} draws at t={params.t}, a={params.a}")
@@ -419,13 +481,14 @@ def sample_V_minus_B_full(params, nf, sample_count, rng, j_tree):
 
 def global_cone_check_full(params, sample_count=2000, seed=0, nf=None):
     """global_cone_check as it ran before the row blocks and the quarter
-    tests: every draw tested, the whole (samples x N_DIRECTIONS) frame at once."""
+    tests: every draw tested, the whole (samples x N_DIRECTIONS) frame at once,
+    and the density at every sample from the unbounded k-d tree distance."""
     vs, tau = V_GEOM, cones.TAU
     if nf is None:
         nf = nf2.reduce(params)
     xs, ys = sample_V_minus_B_full(params, nf, sample_count, np.random.default_rng(seed),
                                    cones.julia_slice_tree(params))
-    tree = cones._boundary_tree(params, nf)
+    tree = cKDTree(cones._boundary_tree(params, nf))
 
     def density(z):
         d, _ = tree.query(np.column_stack([z.real, z.imag]))
@@ -493,6 +556,8 @@ def global_cone_check_full(params, sample_count=2000, seed=0, nf=None):
     )
 
 
+# global checks whose samples reach the weighted retry and fail
+RETRY_PARAMS = [((1, 3), 0.05, 0.1), ((2, 5), 0.05, 0.05)]
 ORACLE_PARAMS = [
     ((1, 1), 0.05, 0.05),                                        # README cone-check line
     ((1, 1), 0.0506888437030501, 0.0506888437030501),            # jets, seed 0
@@ -504,7 +569,8 @@ ORACLE_COUNTS = [1, cones.CONE_BLOCK - 1, cones.CONE_BLOCK + 1, 10000]
 
 
 @pytest.mark.parametrize("n", ORACLE_COUNTS)
-@pytest.mark.parametrize("pq,t,a", ORACLE_PARAMS + [((1, 1), 0.05, 0.0)])  # a = 0: singular DH
+@pytest.mark.parametrize("pq,t,a", ORACLE_PARAMS + [((1, 1), 0.05, 0.0)]  # a = 0: singular DH
+                         + RETRY_PARAMS)
 def test_local_cone_check_matches_broadcast_form(nf_cache, pq, t, a, n):
     P, nf = nf_cache(pq, t, a)
     grid = cones.sector_samples(P, n, seed=1)
@@ -514,11 +580,19 @@ def test_local_cone_check_matches_broadcast_form(nf_cache, pq, t, a, n):
 
 
 @pytest.mark.parametrize("n", ORACLE_COUNTS)
-@pytest.mark.parametrize("pq,t,a", ORACLE_PARAMS)
+@pytest.mark.parametrize("pq,t,a", ORACLE_PARAMS + RETRY_PARAMS)
 def test_global_cone_check_matches_broadcast_form(nf_cache, pq, t, a, n):
     P, nf = nf_cache(pq, t, a)
     got = cones.global_cone_check(P, sample_count=n, seed=0, nf=nf)
     _assert_reports_equal(got, global_cone_check_full(P, sample_count=n, seed=0, nf=nf))
+
+
+@pytest.mark.parametrize("pq,t,a", RETRY_PARAMS)
+def test_oracle_params_reach_the_weighted_retry(nf_cache, pq, t, a):
+    # the density is computed only for the samples these send to the retry
+    P, nf = nf_cache(pq, t, a)
+    rep = cones.global_cone_check(P, sample_count=2000, seed=0, nf=nf)
+    assert rep.extras["weighted_certified"] > 0 and rep.invariance_failures
 
 
 def test_cone_checks_run_in_bounded_memory(nf_cache):
@@ -527,7 +601,7 @@ def test_cone_checks_run_in_bounded_memory(nf_cache):
 
     P, nf = nf_cache((1, 1), 0.0506888437030501, 0.0506888437030501)
     grid = cones.sector_samples(P, 10000, seed=0)
-    cones.global_cone_check(P, sample_count=10, seed=0, nf=nf)  # scipy.spatial imported
+    cones.global_cone_check(P, sample_count=10, seed=0, nf=nf)  # warm-up: first-call allocations
     peaks = {}
     for name, run, bound in [
         ("local", lambda: cones.local_cone_check(P, nf, grid), 4e6),
@@ -548,19 +622,20 @@ def test_cone_checks_run_in_bounded_memory(nf_cache):
 def test_in_V_bounded_collar_query_at_the_collar_edge(q, t):
     # points whose nearest loop point lies at collar (1 +- k 2^-52): the
     # bounded query must decide the collar test as the unbounded one does
-    P, nf, tree = _v_setup(q, t)
+    P, nf, sites = _v_setup(q, t)
+    tree = cKDTree(sites)
     vs = V_GEOM
     rng = np.random.default_rng(q)
     z = hn.uniform_disk(rng, 2.5, 40000)
     d, i = tree.query(np.column_stack([z.real, z.imag]))
     sel = (d > vs.collar) & (d <= 2 * vs.collar)
-    loop = tree.data[i[sel], 0] + 1j * tree.data[i[sel], 1]
+    loop = sites[i[sel], 0] + 1j * sites[i[sel], 1]
     k = rng.integers(-8, 9, len(loop))
     # moving toward the nearest loop point keeps it nearest
     x = loop + (z[sel] - loop) * (vs.collar * (1 + k * 2.0**-52) / d[sel])
     x = np.concatenate([x, z[sel]])
     y = hn.uniform_disk(rng, vs.r, len(x))
-    assert np.array_equal(cones.in_V(P, nf, x, y, tree), in_V_full(P, nf, x, y, tree))
+    assert np.array_equal(cones.in_V(P, nf, x, y, sites), in_V_full(P, nf, x, y, sites))
     # the collar test decides on both sides within a few ulps of the collar
     dx, _ = tree.query(np.column_stack([x.real, x.imag]))
     reach = (green(P.poly, x, iters=80) == 0) & (np.abs(2 * x) >= vs.crit_strip)
@@ -572,12 +647,12 @@ def test_in_V_bounded_collar_query_at_the_collar_edge(q, t):
 @pytest.mark.parametrize("n", [1, 37, 600])
 def test_quarter_tests_keep_the_draws_of_the_full_loop(monkeypatch, R, n):
     # an acceptance below 1/4 needs more than one round of draws
-    P, nf, tree = _v_setup(1, 0.05)
+    P, nf, sites = _v_setup(1, 0.05)
     monkeypatch.setattr(cones, "BASE_RADIUS", R)
-    want = sample_V_minus_B_full(P, nf, n, np.random.default_rng(n), tree)
+    want = sample_V_minus_B_full(P, nf, n, np.random.default_rng(n), sites)
     draws = []
     monkeypatch.setattr(cones, "uniform_disk", lambda *args: draws.append(args[2]) or hn.uniform_disk(*args))
-    got = cones._sample_V_minus_B(P, nf, n, np.random.default_rng(n), tree)
+    got = cones._sample_V_minus_B(P, nf, n, np.random.default_rng(n), sites)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert len(got[0]) == n
     if n == 600:

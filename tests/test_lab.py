@@ -571,13 +571,28 @@ def test_cli_runs_with_negative_numbers_as_separate_arguments(tmp_path, capsys):
 
 def test_cli_import_stays_light():
     # scipy.signal and scipy.spatial cost most of a second to import; only
-    # the commands that build k-d trees may load scipy.spatial
+    # continuity and radial-demo, whose Hausdorff distances build k-d trees,
+    # may load scipy.spatial
     code = ("import sys, henonlab.cli; "
             "print(sorted(m for m in ('scipy.signal', 'scipy.spatial') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(Path(henonlab.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cone-check", "--samples", "500"],
+    ["hyp-scan", "--res", "3"],
+])
+def test_cone_commands_never_load_scipy(tmp_path, argv):
+    # the cone checks measure their distances on numpy alone
+    code = ("import sys; from henonlab.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, 'scipy.spatial' in sys.modules, 'scipy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(henonlab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / "x")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 False False"
 
 
 def test_cli_deterministic_outputs(tmp_path):
