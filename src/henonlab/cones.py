@@ -196,9 +196,14 @@ def nearest_within(points: np.ndarray, sites: np.ndarray, reach: float) -> np.nd
 
     A distance is sqrt(dx*dx + dy*dy), the bits of cKDTree.query.  The sites
     are binned on square cells of side just above reach, so every site within
-    reach of a point lies in the 3 x 3 cells around the point's cell, and only
-    those pairs are measured, in blocks of about NEAREST_PAIRS pairs.
+    reach of a point lies in the 3 x 3 cells around the point's cell.  Those
+    pairs are gathered and measured in blocks of about NEAREST_PAIRS pairs,
+    unless they are over a third of all point-site pairs (a reach as wide as
+    the cloud, like the density's): then every pair is measured, since a
+    gathered pair costs about three broadcast ones.
     """
+    if not np.isfinite(sites).all():
+        raise PreconditionError("nearest_within needs finite sites")
     out = np.full(len(points), np.inf)
     if not len(points) or not len(sites):
         return out
@@ -225,10 +230,19 @@ def nearest_within(points: np.ndarray, sites: np.ndarray, reach: float) -> np.nd
     first = start[window - 1]
     count = start[window + 2] - first
     per = count.sum(axis=1)
-    ends = np.cumsum(per)
     px, py = points[near, 0], points[near, 1]
+    if 3 * per.sum() > len(near) * len(sites):
+        step = max(1, NEAREST_PAIRS // len(sites))
+        for s in range(0, len(near), step):
+            dx = px[s:s + step, None] - sites[:, 0]
+            dy = py[s:s + step, None] - sites[:, 1]
+            d = np.sqrt((dx * dx + dy * dy).min(axis=1))
+            d[d > reach] = np.inf
+            out[near[s:s + step]] = d
+        return out
     # blocks of whole points; a point's pairs are its three column runs of
     # sorted sites, back to back
+    ends = np.cumsum(per)
     i0 = 0
     while i0 < len(near):
         i1 = max(int(np.searchsorted(ends, ends[i0] - per[i0] + NEAREST_PAIRS, "right")), i0 + 1)
@@ -317,7 +331,22 @@ def _sample_V_minus_B(params, nf, sample_count: int, rng, j_sites):
     return xs[:sample_count], ys[:sample_count]
 
 
-def _boundary_tree(params, nf) -> np.ndarray:
+def _critical_orbit(params) -> np.ndarray:
+    """The first 128 points of the critical orbit of p_t, refused if they
+    overflow: c_t then lies outside the Mandelbrot set and J_{p_t} is a
+    Cantor set, with no attracting tube to measure the density from."""
+    orbit = np.empty(128, dtype=complex)
+    z = 0.0 + 0.0j
+    for k in range(len(orbit)):
+        orbit[k] = z
+        z = z * z + params.c_t
+    if not np.isfinite(orbit).all():
+        raise PreconditionError(f"the critical orbit of p_t escapes at t={params.t}: c_t = "
+                                f"{params.c_t:.6g} lies outside the Mandelbrot set")
+    return orbit
+
+
+def _boundary_sites(params, nf) -> np.ndarray:
     """(n, 2) sites standing in for the boundary of U_t: the outer equipotential
     and the thin attracting tube (critical orbit plus the axis spine inside B)."""
     outer = equipotential_loop(params.poly, BOUNDARY_LOOP_ANGLES, level=math.log(BASE_RADIUS)).values
@@ -326,12 +355,7 @@ def _boundary_tree(params, nf) -> np.ndarray:
     for j in range(params.q):
         xn = u ** (1.0 / params.q) * np.exp(1j * (math.pi + 2 * math.pi * j) / params.q)
         spines.append(nf.from_normalized(xn, np.zeros_like(xn))[0])
-    orbit = np.empty(128, dtype=complex)
-    z = 0.0 + 0.0j
-    for k in range(len(orbit)):
-        orbit[k] = z
-        z = z * z + params.c_t
-    pts = np.concatenate([outer] + spines + [orbit])
+    pts = np.concatenate([outer] + spines + [_critical_orbit(params)])
     return np.column_stack([pts.real, pts.imag])
 
 
@@ -353,6 +377,7 @@ def global_cone_check(params: HenonParams, sample_count: int, seed: int,
     if abs(params.a) ** 3 * np.finfo(float).max <= 2 * FILTRATION_RADIUS:  # |eta_b| < 2r/|a|^3
         raise PreconditionError(f"|a| = {abs(params.a):.3g} is too small for the global cone check: "
                                 "the backward-cone term 2r/|a|^3 leaves the float range")
+    _critical_orbit(params)  # refused here, before sampling, whether or not a sample retries
     xs, ys = _sample_V_minus_B(params, nf, sample_count, np.random.default_rng(seed),
                                julia_slice_tree(params))
 
@@ -383,7 +408,7 @@ def global_cone_check(params: HenonParams, sample_count: int, seed: int,
     # expansion then stands in h_exp for the Euclidean one
     retry = np.flatnonzero(~euclid_ok)
     if len(retry):
-        sites = _boundary_tree(params, nf)
+        sites = _boundary_sites(params, nf)
 
         def density(z):
             # beyond 3 the clip reads 3 whatever the distance, inf included

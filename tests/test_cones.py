@@ -399,7 +399,7 @@ def test_nearest_within_matches_kd_tree_on_the_cone_check_sites(q, t):
     points = np.column_stack([z.real, z.imag])
     near, _ = _assert_nearest_matches_kd_tree(points, sites, cones.COLLAR)
     assert 0 < np.isfinite(near).sum() < len(points)
-    got, d = _assert_nearest_matches_kd_tree(points, cones._boundary_tree(P, nf), 3.0)
+    got, d = _assert_nearest_matches_kd_tree(points, cones._boundary_sites(P, nf), 3.0)
     assert np.clip(got, 0.15, 3.0).tobytes() == np.clip(d, 0.15, 3.0).tobytes()
 
 
@@ -488,7 +488,7 @@ def global_cone_check_full(params, sample_count=2000, seed=0, nf=None):
         nf = nf2.reduce(params)
     xs, ys = sample_V_minus_B_full(params, nf, sample_count, np.random.default_rng(seed),
                                    cones.julia_slice_tree(params))
-    tree = cKDTree(cones._boundary_tree(params, nf))
+    tree = cKDTree(cones._boundary_sites(params, nf))
 
     def density(z):
         d, _ = tree.query(np.column_stack([z.real, z.imag]))

@@ -47,6 +47,12 @@ REFUSALS = {
                       "graymap needs a 2-D array"),
     "write_pgm levels": (lambda: io.write_pgm("unused.pgm", [[0, 256]]), PreconditionError,
                          r"graymap levels must be integers in 0 \.\. 255"),
+    "nearest_within sites": (lambda: cones.nearest_within(np.zeros((1, 2)), np.array([[np.nan, 0.0]]), 1.0),
+                             PreconditionError, "nearest_within needs finite sites"),
+    # c_t outside the Mandelbrot set; refused before the normal form is read
+    "global_cone_check escaping orbit": (
+        lambda: cones.global_cone_check(hn.make_params((1, 8), 0.06187, 0.2), 10, 0, None),
+        PreconditionError, "the critical orbit of p_t escapes at t=0.06187"),
     "hausdorff lengths": (lambda: lab.HausdorffResult(t_values=[0.1], distances=[]),
                           PreconditionError, "t and distance lists must align"),
     "hausdorff sign": (lambda: lab.HausdorffResult(t_values=[0.1], distances=[-1.0]),
