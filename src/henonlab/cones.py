@@ -43,7 +43,7 @@ DIRECTION_FRAME.setflags(write=False)
 # (samples x N_DIRECTIONS) array spans the sample set, and a block's complex
 # frame array is 128 KiB.  The 400-sample scan checks fit in one block.
 CONE_BLOCK = 512
-NEAREST_PAIRS = 1 << 15  # point-site pairs per block of nearest_within
+NEAREST_PAIRS = 1 << 15  # point-site pairs per block of the nearest-site searches
 TUBE_RADIUS = 0.2  # tube B around alpha
 COLLAR = 0.05      # basin-side thickness of the J neighborhood
 CRIT_STRIP = 0.5   # exclude |2x| below this (tube through the critical point)
@@ -147,18 +147,16 @@ def local_cone_check(params: HenonParams, nf: NormalForm2D, sample_grid) -> Cone
     x1 = N1(x, y)
     det = J11 * J22 - J12 * J21
     singular = params.a == 0
-    # per sample: cones kept over the frame, least expansion, least margin
+    # per sample: cones kept over the frame, least expansion in each direction
     h_ok, v_ok = np.empty(len(x), dtype=bool), np.ones(len(x), dtype=bool)
-    h_min, h_margin, v_min = np.empty(len(x)), np.empty(len(x)), np.empty(len(x))
+    h_min, v_min = np.empty(len(x)), np.empty(len(x))
     for s in range(0, len(x), CONE_BLOCK):
         b = slice(s, s + CONE_BLOCK)
         # horizontal cones, forward
         xi_p = J11[b, None] + J12[b, None] * e
         eta_p = J21[b, None] + J22[b, None] * e
         h_ok[b] = (np.abs(xi_p) > np.abs(eta_p)).all(axis=1)
-        h_norm = np.maximum(np.abs(xi_p), np.abs(eta_p))
-        h_min[b] = h_norm.min(axis=1)
-        h_margin[b] = (h_norm / h_bound[b, None]).min(axis=1)
+        h_min[b] = np.maximum(np.abs(xi_p), np.abs(eta_p)).min(axis=1)
         if singular:
             continue
         # vertical cones, backward from the image point
@@ -176,7 +174,8 @@ def local_cone_check(params: HenonParams, nf: NormalForm2D, sample_grid) -> Cone
         worst_h_expansion=float(np.min(h_min)),
         worst_v_expansion=worst_v,
         invariance_failures=failures,
-        worst_h_margin=float(np.min(h_margin)),
+        # dividing by h_bound > 0 keeps the order, so this is the least ratio
+        worst_h_margin=float(np.min(h_min / h_bound)),
         extras={
             "n_at": n_at,
             "v_bound": 1.0 / (abs(params.nu) + 1.5 * n_at) if n_at + abs(params.nu) > 0 else VERTICAL_SENTINEL,
@@ -191,55 +190,42 @@ def nest_aperture(q: int) -> float:
 
 
 def nearest_within(points: np.ndarray, sites: np.ndarray, reach: float) -> np.ndarray:
-    """Distance from each of the (m, 2) points to the nearest of the (n, 2)
-    sites where that distance is at most reach > 0, inf elsewhere.
+    """Distance from each complex point to the nearest complex site where that
+    distance is at most reach > 0, inf elsewhere.
 
     A distance is sqrt(dx*dx + dy*dy), the bits of cKDTree.query.  The sites
     are binned on square cells of side just above reach, so every site within
     reach of a point lies in the 3 x 3 cells around the point's cell.  Those
-    pairs are gathered and measured in blocks of about NEAREST_PAIRS pairs,
-    unless they are over a third of all point-site pairs (a reach as wide as
-    the cloud, like the density's): then every pair is measured, since a
-    gathered pair costs about three broadcast ones.
+    pairs are gathered and measured in blocks of about NEAREST_PAIRS pairs.
     """
     if not np.isfinite(sites).all():
         raise PreconditionError("nearest_within needs finite sites")
     out = np.full(len(points), np.inf)
     if not len(points) or not len(sites):
         return out
-    lo = sites.min(axis=0)
+    x0, y0 = sites.real.min(), sites.imag.min()
     # at most 16 n cells cover the sites, so the table below grows with them
     # and rounding moves a cell index by far less than the 2^-20 margin
     side = max(reach * (1 + 2.0**-20),
-               float(np.max(sites.max(axis=0) - lo)) / math.sqrt(16 * len(sites)))
+               max(sites.real.max() - x0, sites.imag.max() - y0) / math.sqrt(16 * len(sites)))
     # two spare columns and rows on each side: the 3 x 3 window of a point
     # next to a site's cell stays inside the table
-    cell = ((sites - lo) / side).astype(np.int64) + 2
-    width, height = cell.max(axis=0) + 3
-    key = cell[:, 0] * height + cell[:, 1]
-    order = np.argsort(key)
-    sx, sy = sites[order, 0], sites[order, 1]
+    cx = ((sites.real - x0) / side).astype(np.int64) + 2
+    cy = ((sites.imag - y0) / side).astype(np.int64) + 2
+    width, height = cx.max() + 3, cy.max() + 3
+    key = cx * height + cy
+    sorted_sites = sites[np.argsort(key)]
     start = np.zeros(width * height + 1, dtype=np.int64)  # sites before each cell
     np.cumsum(np.bincount(key, minlength=width * height), out=start[1:])
-    at = np.floor((points - lo) / side) + 2
+    ax = np.floor((points.real - x0) / side) + 2
+    ay = np.floor((points.imag - y0) / side) + 2
     # beyond the cells next to the sites' cells no site is within reach
-    near = np.flatnonzero((at[:, 0] >= 1) & (at[:, 0] <= width - 2)
-                          & (at[:, 1] >= 1) & (at[:, 1] <= height - 2))
-    at = at[near].astype(np.int64)
-    window = (at[:, :1] + np.arange(-1, 2)) * height + at[:, 1:]  # middle cell of each column
+    near = np.flatnonzero((ax >= 1) & (ax <= width - 2) & (ay >= 1) & (ay <= height - 2))
+    ax, ay = ax[near, None].astype(np.int64), ay[near, None].astype(np.int64)
+    window = (ax + np.arange(-1, 2)) * height + ay  # middle cell of each column
     first = start[window - 1]
     count = start[window + 2] - first
     per = count.sum(axis=1)
-    px, py = points[near, 0], points[near, 1]
-    if 3 * per.sum() > len(near) * len(sites):
-        step = max(1, NEAREST_PAIRS // len(sites))
-        for s in range(0, len(near), step):
-            dx = px[s:s + step, None] - sites[:, 0]
-            dy = py[s:s + step, None] - sites[:, 1]
-            d = np.sqrt((dx * dx + dy * dy).min(axis=1))
-            d[d > reach] = np.inf
-            out[near[s:s + step]] = d
-        return out
     # blocks of whole points; a point's pairs are its three column runs of
     # sorted sites, back to back
     ends = np.cumsum(per)
@@ -250,19 +236,18 @@ def nearest_within(points: np.ndarray, sites: np.ndarray, reach: float) -> np.nd
         i0 = i1
         c, n = count[b].ravel(), per[b]
         pair = np.arange(n.sum()) + np.repeat(first[b].ravel() - (np.cumsum(c) - c), c)
-        dx = np.repeat(px[b], n) - sx[pair]
-        dy = np.repeat(py[b], n) - sy[pair]
+        dz = np.repeat(points[near[b]], n) - sorted_sites[pair]
         has = n > 0
-        d = np.sqrt(np.minimum.reduceat(dx * dx + dy * dy, (np.cumsum(n) - n)[has]))
+        d = np.sqrt(np.minimum.reduceat(dz.real * dz.real + dz.imag * dz.imag,
+                                        (np.cumsum(n) - n)[has]))
         d[d > reach] = np.inf
         out[near[b][has]] = d
     return out
 
 
 def julia_slice_tree(params: HenonParams) -> np.ndarray:
-    """(n, 2) sites of a sampled J_{p_t}, the backbone of the V collar."""
-    vals = caratheodory(params.poly, JULIA_TREE_ANGLES, JULIA_TREE_ITERS).loop.values
-    return np.column_stack([vals.real, vals.imag])
+    """Complex sites of a sampled J_{p_t}, the backbone of the V collar."""
+    return caratheodory(params.poly, JULIA_TREE_ANGLES, JULIA_TREE_ITERS).loop.values
 
 
 def in_V(params: HenonParams, nf: NormalForm2D, x, y, j_sites: np.ndarray):
@@ -290,8 +275,7 @@ def in_V(params: HenonParams, nf: NormalForm2D, x, y, j_sites: np.ndarray):
     # Julia collar: only the non-escaping points must lie near J
     near = ok & ~(G > 0)
     if near.any():
-        ok[near] = nearest_within(np.column_stack([x[near].real, x[near].imag]),
-                                  j_sites, COLLAR) <= COLLAR
+        ok[near] = nearest_within(x[near], j_sites, COLLAR) <= COLLAR
     # tube B: keep repelling sectors only
     in_B = np.abs(x - alpha) <= TUBE_RADIUS
     sel = ok & in_B
@@ -346,17 +330,28 @@ def _critical_orbit(params) -> np.ndarray:
     return orbit
 
 
-def _boundary_sites(params, nf) -> np.ndarray:
-    """(n, 2) sites standing in for the boundary of U_t: the outer equipotential
-    and the thin attracting tube (critical orbit plus the axis spine inside B)."""
+def _boundary_sites(params, nf, orbit) -> np.ndarray:
+    """Complex sites standing in for the boundary of U_t: the outer equipotential
+    and the thin attracting tube (the critical orbit plus the axis spine inside B)."""
     outer = equipotential_loop(params.poly, BOUNDARY_LOOP_ANGLES, level=math.log(BASE_RADIUS)).values
     u = np.geomspace(1e-4, TUBE_RADIUS**params.q, 64)  # spine: arg(x^q) = pi
     spines = []
     for j in range(params.q):
         xn = u ** (1.0 / params.q) * np.exp(1j * (math.pi + 2 * math.pi * j) / params.q)
         spines.append(nf.from_normalized(xn, np.zeros_like(xn))[0])
-    pts = np.concatenate([outer] + spines + [_critical_orbit(params)])
-    return np.column_stack([pts.real, pts.imag])
+    return np.concatenate([outer] + spines + [orbit])
+
+
+def _boundary_density(points, sites) -> np.ndarray:
+    """The surrogate density 1/clip(d, 0.15, 3) at each complex point, d its distance to
+    the nearest site, measured over every site in blocks of about NEAREST_PAIRS pairs."""
+    d = np.empty(len(points))
+    step = max(1, NEAREST_PAIRS // len(sites))
+    px, py, sx, sy = points.real, points.imag, sites.real, sites.imag
+    for s in range(0, len(points), step):
+        dx, dy = px[s:s + step, None] - sx, py[s:s + step, None] - sy
+        d[s:s + step] = np.sqrt((dx * dx + dy * dy).min(axis=1))
+    return 1.0 / np.clip(d, 0.15, 3.0)  # bounded like the true density on V - B''
 
 
 def global_cone_check(params: HenonParams, sample_count: int, seed: int,
@@ -377,7 +372,7 @@ def global_cone_check(params: HenonParams, sample_count: int, seed: int,
     if abs(params.a) ** 3 * np.finfo(float).max <= 2 * FILTRATION_RADIUS:  # |eta_b| < 2r/|a|^3
         raise PreconditionError(f"|a| = {abs(params.a):.3g} is too small for the global cone check: "
                                 "the backward-cone term 2r/|a|^3 leaves the float range")
-    _critical_orbit(params)  # refused here, before sampling, whether or not a sample retries
+    orbit = _critical_orbit(params)  # refused here, before sampling, whether or not a sample retries
     xs, ys = _sample_V_minus_B(params, nf, sample_count, np.random.default_rng(seed),
                                julia_slice_tree(params))
 
@@ -408,15 +403,10 @@ def global_cone_check(params: HenonParams, sample_count: int, seed: int,
     # expansion then stands in h_exp for the Euclidean one
     retry = np.flatnonzero(~euclid_ok)
     if len(retry):
-        sites = _boundary_sites(params, nf)
-
-        def density(z):
-            # beyond 3 the clip reads 3 whatever the distance, inf included
-            d = nearest_within(np.column_stack([z.real, z.imag]), sites, 3.0)
-            return 1.0 / np.clip(d, 0.15, 3.0)  # bounded like the true density on V - B''
-
+        sites = _boundary_sites(params, nf, orbit)
         xr = xs[retry]
-        sig0, sig1 = density(xr), density(henon(params, (xr, ys[retry]))[0])
+        sig0 = _boundary_density(xr, sites)
+        sig1 = _boundary_density(henon(params, (xr, ys[retry]))[0], sites)
         for s in range(0, len(retry), CONE_BLOCK):
             b = slice(s, s + CONE_BLOCK)
             xi_w = 2.0 * xr[b, None] + a * (sig0[b, None] * e)

@@ -50,8 +50,6 @@ class HenonParams:
 
 def make_params(p_over_q, t: float, a: complex) -> HenonParams:
     pp = poly_params(p_over_q, t)
-    if abs(t) >= 1.0 / (2 * pp.q):
-        raise PreconditionError(f"|t| must be below 1/(2q) = {1.0/(2*pp.q)}")
     if not abs(a) < 0.5:
         raise PreconditionError(f"|a| must be below 1/2, got a = {a}")
     a = complex(a)

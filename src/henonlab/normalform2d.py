@@ -195,8 +195,8 @@ def petal_scale(q: int, t: float) -> float:
     evaluate jets out of range.
     """
     R = 2.0 / SECTOR_RADIUS**q
-    if t > 0:
-        g = (1.0 + t) ** q
+    g = (1.0 + t) ** q
+    if g > 1:  # at g <= 1 (t <= 0, or (1+t)^q rounding to 1) the bound holds for every R
         R = min(R, 0.85 * q * (1.0 - g / 2.0) / (g - 1.0))
     if R < math.sqrt(2.0) / PETAL_CHART_RADIUS**q:
         raise PreconditionError(
@@ -295,15 +295,17 @@ def petal_check(params: HenonParams, nf: NormalForm2D, samples: int,
             Ax, Ay = nf.from_normalized(ax, zs)
             cycle = np.array([[params.q_fixed[0], params.q_fixed[1]]], dtype=complex)
         start = np.column_stack([Ax, Ay])
-        for _ in range(steps):
-            Ax, Ay = henon(params, (Ax, Ay))
-        dists = np.min(
-            np.maximum(
-                np.abs(Ax[:, None] - cycle[None, :, 0]),
-                np.abs(Ay[:, None] - cycle[None, :, 1]),
-            ),
-            axis=1,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # escaping orbits end at inf or nan
+            for _ in range(steps):
+                Ax, Ay = henon(params, (Ax, Ay))
+            dists = np.min(
+                np.maximum(
+                    np.abs(Ax[:, None] - cycle[None, :, 0]),
+                    np.abs(Ay[:, None] - cycle[None, :, 1]),
+                ),
+                axis=1,
+            )
+        dists[~np.isfinite(dists)] = np.inf  # nan >= tol is False: an escaped orbit fails as inf
         max_final = float(np.max(dists))
         bad = dists >= tol
         attraction_failures = [(complex(a), complex(b)) for a, b in zip(start[bad, 0], start[bad, 1])]

@@ -68,6 +68,8 @@ def poly_params(p_over_q, t: float) -> PolyParams:
         raise PreconditionError(f"t must be a finite number, got {t}")
     frac = _normalize_pq(p_over_q)
     p, q = frac.numerator % frac.denominator, frac.denominator
+    if abs(t) >= 1.0 / (2 * q):
+        raise PreconditionError(f"|t| must be below 1/(2q) = {1.0/(2*q)}")
     # quarter turns exactly, so that lam is real at q = 1, 2 and the family
     # is symmetric under complex conjugation bit for bit
     root = 1j ** (4 * p // q) if 4 * p % q == 0 else np.exp(2j * math.pi * p / q)

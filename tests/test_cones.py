@@ -17,6 +17,11 @@ from henonlab.errors import PreconditionError
 from henonlab.poly1d import EPS1, green
 
 
+def _xy(z):
+    """Complex points as the (n, 2) real rows a k-d tree takes."""
+    return np.column_stack([z.real.ravel(), z.imag.ravel()])
+
+
 class VGeometry(NamedTuple):
     """The constants that fix V, as an argument of the in_V oracle."""
 
@@ -248,7 +253,7 @@ def in_V_full(params, nf, x, y, j_sites=None, vs=V_GEOM):
     ok &= G <= math.log(vs.R) / 2.0 + 1e-12
     if j_sites is None:
         j_sites = cones.julia_slice_tree(params)
-    d, _ = cKDTree(j_sites).query(np.column_stack([x.real.ravel(), x.imag.ravel()]))
+    d, _ = cKDTree(_xy(j_sites)).query(_xy(x))
     ok &= (G > 0) | (d.reshape(x.shape) <= vs.collar)
     in_B = np.abs(x - alpha) <= vs.tube
     xn, _ = nf.to_normalized(x, y)
@@ -349,12 +354,12 @@ def _assert_nearest_matches_kd_tree(points, sites, reach):
     """nearest_within has the bits of the unbounded k-d tree distance cut at
     reach; returns both."""
     got = cones.nearest_within(points, sites, reach)
-    tree = cKDTree(sites)
-    d = tree.query(points)[0]
+    tree = cKDTree(_xy(sites))
+    d = tree.query(_xy(points))[0]
     assert got.tobytes() == np.where(d <= reach, d, np.inf).tobytes()
     # the bounded query keeps d^2 < reach^2 only, so a distance that rounds to
     # reach may read inf there; every distance it keeps has the same bits
-    bounded = tree.query(points, distance_upper_bound=reach)[0]
+    bounded = tree.query(_xy(points), distance_upper_bound=reach)[0]
     kept = np.isfinite(bounded)
     assert got[kept].tobytes() == bounded[kept].tobytes()
     assert np.all(got[~kept & np.isfinite(got)] >= reach * (1 - 2.0**-51))
@@ -379,7 +384,7 @@ def _clouds(draw):
     side = max(reach * (1 + 2.0**-20), np.max(np.ptp(sites, axis=0)) / math.sqrt(16 * len(sites)))
     points = np.concatenate([free, (at[:, None, :] + ring).reshape(-1, 2),
                              lo + k * reach, lo + k * side])
-    return points, sites, reach
+    return points[:, 0] + 1j * points[:, 1], sites[:, 0] + 1j * sites[:, 1], reach
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -396,11 +401,23 @@ def test_nearest_within_matches_kd_tree(cloud, pairs):
 def test_nearest_within_matches_kd_tree_on_the_cone_check_sites(q, t):
     P, nf, sites = _v_setup(q, t)
     z = hn.uniform_disk(np.random.default_rng(q), 2.5, 20000)
-    points = np.column_stack([z.real, z.imag])
-    near, _ = _assert_nearest_matches_kd_tree(points, sites, cones.COLLAR)
-    assert 0 < np.isfinite(near).sum() < len(points)
-    got, d = _assert_nearest_matches_kd_tree(points, cones._boundary_sites(P, nf), 3.0)
+    near, _ = _assert_nearest_matches_kd_tree(z, sites, cones.COLLAR)
+    assert 0 < np.isfinite(near).sum() < len(z)
+    got, d = _assert_nearest_matches_kd_tree(
+        z, cones._boundary_sites(P, nf, cones._critical_orbit(P)), 3.0)
     assert np.clip(got, 0.15, 3.0).tobytes() == np.clip(d, 0.15, 3.0).tobytes()
+
+
+@pytest.mark.parametrize("q,t", [(1, -0.01), (2, 0.0), (3, 0.05)])
+@pytest.mark.parametrize("pairs", [1, 7, cones.NEAREST_PAIRS])  # 1: a block per point
+def test_boundary_density_matches_kd_tree_on_the_cone_check_sites(q, t, pairs):
+    P, nf, _ = _v_setup(q, t)
+    sites = cones._boundary_sites(P, nf, cones._critical_orbit(P))
+    z = hn.uniform_disk(np.random.default_rng(q), 2.5, 2000 if pairs > 1 else 50)
+    with mock.patch.object(cones, "NEAREST_PAIRS", pairs):
+        got = cones._boundary_density(z, sites)
+    d, _ = cKDTree(_xy(sites)).query(_xy(z))
+    assert got.tobytes() == (1.0 / np.clip(d, 0.15, 3.0)).tobytes()
 
 
 # ------------------------------ the blocked cone checks against their broadcast forms
@@ -488,10 +505,10 @@ def global_cone_check_full(params, sample_count=2000, seed=0, nf=None):
         nf = nf2.reduce(params)
     xs, ys = sample_V_minus_B_full(params, nf, sample_count, np.random.default_rng(seed),
                                    cones.julia_slice_tree(params))
-    tree = cKDTree(cones._boundary_sites(params, nf))
+    tree = cKDTree(_xy(cones._boundary_sites(params, nf, cones._critical_orbit(params))))
 
     def density(z):
-        d, _ = tree.query(np.column_stack([z.real, z.imag]))
+        d, _ = tree.query(_xy(z))
         return 1.0 / np.clip(d, 0.15, 3.0)
 
     a = params.a
@@ -623,13 +640,13 @@ def test_in_V_bounded_collar_query_at_the_collar_edge(q, t):
     # points whose nearest loop point lies at collar (1 +- k 2^-52): the
     # bounded query must decide the collar test as the unbounded one does
     P, nf, sites = _v_setup(q, t)
-    tree = cKDTree(sites)
+    tree = cKDTree(_xy(sites))
     vs = V_GEOM
     rng = np.random.default_rng(q)
     z = hn.uniform_disk(rng, 2.5, 40000)
-    d, i = tree.query(np.column_stack([z.real, z.imag]))
+    d, i = tree.query(_xy(z))
     sel = (d > vs.collar) & (d <= 2 * vs.collar)
-    loop = sites[i[sel], 0] + 1j * sites[i[sel], 1]
+    loop = sites[i[sel]]
     k = rng.integers(-8, 9, len(loop))
     # moving toward the nearest loop point keeps it nearest
     x = loop + (z[sel] - loop) * (vs.collar * (1 + k * 2.0**-52) / d[sel])
@@ -637,7 +654,7 @@ def test_in_V_bounded_collar_query_at_the_collar_edge(q, t):
     y = hn.uniform_disk(rng, vs.r, len(x))
     assert np.array_equal(cones.in_V(P, nf, x, y, sites), in_V_full(P, nf, x, y, sites))
     # the collar test decides on both sides within a few ulps of the collar
-    dx, _ = tree.query(np.column_stack([x.real, x.imag]))
+    dx, _ = tree.query(_xy(x))
     reach = (green(P.poly, x, iters=80) == 0) & (np.abs(2 * x) >= vs.crit_strip)
     edge = reach & (np.abs(dx - vs.collar) <= 16 * 2.0**-52 * vs.collar)
     assert np.any(edge & (dx <= vs.collar)) and np.any(edge & (dx > vs.collar))

@@ -305,6 +305,12 @@ def test_cli_torus_iterate_refuses_a_torus_whose_half_turn_fibers_coincide(
     # hyp-scan read every cell EXCLUDED once --samples reached the scan
     (["hyp-scan", "--pq=1/1", "--t-list=0.05", "--a=0.05", "--res=3", "--samples=0"],
      "sample count must be >= 1, got 0"),
+    # the 1-D commands skipped the family's t range: an ambiguous branch, a nan
+    # gap with exit 0, lambda = 0, and distances at c_t = -6
+    (["caratheodory", "--pq=1/1", "--t=3"], "|t| must be below 1/(2q) = 0.5"),
+    (["caratheodory", "--pq=1/1", "--t=1e308"], "|t| must be below 1/(2q) = 0.5"),
+    (["caratheodory", "--pq=1/1", "--t=-1"], "|t| must be below 1/(2q) = 0.5"),
+    (["radial-demo", "--pq=1/1", "--t-list=5,1"], "|t| must be below 1/(2q) = 0.5"),
 ])
 def test_cli_bad_input_is_a_precondition_error(tmp_path, monkeypatch, capsys, argv, cause):
     monkeypatch.chdir(tmp_path)
@@ -461,6 +467,27 @@ def test_cli_scans_refuse_a_non_finite_a(tmp_path, capsys, recwarn, command, a):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("precondition error: --a must be finite")
     assert list(tmp_path.iterdir()) == [] and not recwarn.list
+
+
+def test_cli_petal_check_fails_an_orbit_that_escapes(tmp_path, capsys, recwarn):
+    # an escaping orbit ends at nan, which passed the tolerance test: passed=True, exit 0
+    argv = ["petal-check", "--pq=1/2", "--t=-0.2", "--a=0.3", "--samples=200", "--iters=200",
+            "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 3
+    out = capsys.readouterr().out
+    assert out == "petal-check: passed=False rotation_failures=0 attraction_failures=2 max_dist=inf\n"
+    rows = [line.split(",") for line in (tmp_path / "x.csv").read_text().splitlines()[2:]]
+    assert sum(r[-1] == "fail" for r in rows) == 2
+    assert all(r[-2] == "inf" for r in rows if r[-1] == "fail")
+    assert not recwarn.list
+
+
+def test_cli_petal_check_at_a_t_whose_rotation_bound_rounds_away(tmp_path, capsys):
+    # petal_scale divided by (1 + t)^q - 1 = 0: a ZeroDivisionError traceback, exit 1
+    argv = ["petal-check", "--pq=1/1", "--t=1e-17", "--a=0.05", "--samples=50", "--iters=20",
+            "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 3
+    assert "attraction_failures=50 " in capsys.readouterr().out
 
 
 def test_cli_petal_check_runs_500_steps_by_default(tmp_path, capsys):

@@ -216,6 +216,11 @@ def test_petal_scale_rejects_large_t_at_q2():
         nf2.petal_scale(2, 0.04)
 
 
+def test_petal_scale_where_the_rotation_bound_rounds_away():
+    # (1 + 1e-17)^1 rounds to 1: the bound divided by g - 1 = 0
+    assert nf2.petal_scale(1, 1e-17) == nf2.petal_scale(1, 0.0)
+
+
 def test_trapping_t_positive():
     P = hn.make_params((1, 1), 0.05, 0.05)
     nf = nf2.reduce(P, D=10)

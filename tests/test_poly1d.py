@@ -77,6 +77,8 @@ def _assert_green_matches(params, z, iters):
        iters=st.sampled_from([1, 2, 3, 7, 60, 80]), scale=st.sampled_from([0.5, 2.0, 1e3]),
        seed=st.integers(0, 2**32 - 1))
 def test_green_matches_masked_reference(pq, t, shape, iters, scale, seed):
+    if pq == (2, 5) and t == 0.1:
+        t = 0.09  # |t| = 1/(2q) lies outside the family
     rng = np.random.default_rng(seed)
     n = int(np.prod(shape))
     z = scale * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))

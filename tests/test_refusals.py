@@ -47,7 +47,8 @@ REFUSALS = {
                       "graymap needs a 2-D array"),
     "write_pgm levels": (lambda: io.write_pgm("unused.pgm", [[0, 256]]), PreconditionError,
                          r"graymap levels must be integers in 0 \.\. 255"),
-    "nearest_within sites": (lambda: cones.nearest_within(np.zeros((1, 2)), np.array([[np.nan, 0.0]]), 1.0),
+    "nearest_within sites": (lambda: cones.nearest_within(np.zeros(1, dtype=complex),
+                                                          np.array([complex(np.nan, 0.0)]), 1.0),
                              PreconditionError, "nearest_within needs finite sites"),
     # c_t outside the Mandelbrot set; refused before the normal form is read
     "global_cone_check escaping orbit": (
