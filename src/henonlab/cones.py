@@ -190,35 +190,36 @@ def nest_aperture(q: int) -> float:
 
 
 def nearest_within(points: np.ndarray, sites: np.ndarray, reach: float) -> np.ndarray:
-    """Distance from each complex point to the nearest complex site where that
-    distance is at most reach > 0, inf elsewhere.
+    """Distance from each point to the nearest site where that distance is at
+    most reach > 0, inf elsewhere: complex points, or (n, k) rows of them.
 
-    A distance is sqrt(dx*dx + dy*dy), the bits of cKDTree.query.  The sites
-    are binned on square cells of side just above reach, so every site within
-    reach of a point lies in the 3 x 3 cells around the point's cell.  Those
-    pairs are gathered and measured in blocks of about NEAREST_PAIRS pairs.
+    A distance sums the squared real and imaginary parts left to right, the bits of
+    cKDTree.query on (re, im, re, im, ...).  Sites are binned by their first coordinate on
+    square cells of side just above reach, so every site within reach of a point lies in
+    the 3 x 3 cells around its cell; those pairs are measured in blocks of about NEAREST_PAIRS.
     """
     if not np.isfinite(sites).all():
         raise PreconditionError("nearest_within needs finite sites")
     out = np.full(len(points), np.inf)
     if not len(points) or not len(sites):
         return out
-    x0, y0 = sites.real.min(), sites.imag.min()
+    points, sites = points.reshape(len(points), -1), sites.reshape(len(sites), -1)
+    x0, y0 = sites[:, 0].real.min(), sites[:, 0].imag.min()
     # at most 16 n cells cover the sites, so the table below grows with them
     # and rounding moves a cell index by far less than the 2^-20 margin
     side = max(reach * (1 + 2.0**-20),
-               max(sites.real.max() - x0, sites.imag.max() - y0) / math.sqrt(16 * len(sites)))
+               max(np.ptp(sites[:, 0].real), np.ptp(sites[:, 0].imag)) / math.sqrt(16 * len(sites)))
     # two spare columns and rows on each side: the 3 x 3 window of a point
     # next to a site's cell stays inside the table
-    cx = ((sites.real - x0) / side).astype(np.int64) + 2
-    cy = ((sites.imag - y0) / side).astype(np.int64) + 2
+    cx = ((sites[:, 0].real - x0) / side).astype(np.int64) + 2
+    cy = ((sites[:, 0].imag - y0) / side).astype(np.int64) + 2
     width, height = cx.max() + 3, cy.max() + 3
     key = cx * height + cy
     sorted_sites = sites[np.argsort(key)]
     start = np.zeros(width * height + 1, dtype=np.int64)  # sites before each cell
     np.cumsum(np.bincount(key, minlength=width * height), out=start[1:])
-    ax = np.floor((points.real - x0) / side) + 2
-    ay = np.floor((points.imag - y0) / side) + 2
+    ax = np.floor((points[:, 0].real - x0) / side) + 2
+    ay = np.floor((points[:, 0].imag - y0) / side) + 2
     # beyond the cells next to the sites' cells no site is within reach
     near = np.flatnonzero((ax >= 1) & (ax <= width - 2) & (ay >= 1) & (ay <= height - 2))
     ax, ay = ax[near, None].astype(np.int64), ay[near, None].astype(np.int64)
@@ -236,10 +237,12 @@ def nearest_within(points: np.ndarray, sites: np.ndarray, reach: float) -> np.nd
         i0 = i1
         c, n = count[b].ravel(), per[b]
         pair = np.arange(n.sum()) + np.repeat(first[b].ravel() - (np.cumsum(c) - c), c)
-        dz = np.repeat(points[near[b]], n) - sorted_sites[pair]
+        dz = (np.repeat(points[near[b]], n, axis=0) - sorted_sites[pair]).view(float)
+        sq = dz[:, 0] * dz[:, 0]
+        for col in dz.T[1:]:
+            sq += col * col
         has = n > 0
-        d = np.sqrt(np.minimum.reduceat(dz.real * dz.real + dz.imag * dz.imag,
-                                        (np.cumsum(n) - n)[has]))
+        d = np.sqrt(np.minimum.reduceat(sq, (np.cumsum(n) - n)[has]))
         d[d > reach] = np.inf
         out[near[b][has]] = d
     return out
@@ -423,8 +426,9 @@ def global_cone_check(params: HenonParams, sample_count: int, seed: int,
     # nesting of the narrow vertical cone inside the normalized cone at dB
     tau_nest = nest_aperture(params.q)
     nest_x = params.poly.alpha + TUBE_RADIUS * np.exp(2j * math.pi * np.arange(64) / 64)
-    nest_keep = in_repelling_sector(params, nf.to_normalized(nest_x, np.zeros(64))[0], SECTOR_RADIUS * 1.5)
-    nest_x = nest_x[nest_keep]
+    nest_xn = nf.to_normalized(nest_x, np.zeros(64))[0]
+    nest_keep = in_repelling_sector(params, nest_xn, SECTOR_RADIUS * 1.5)
+    nest_x, xn = nest_x[nest_keep], nest_xn[nest_keep]
     nest_ratio = float("nan")
     if len(nest_x):
         c1, c2 = nf.change
@@ -432,7 +436,6 @@ def global_cone_check(params: HenonParams, sample_count: int, seed: int,
         cy = np.zeros_like(cx) - params.a * params.x_q
         d1x, d1y = c1.partial_x()(cx, cy), c1.partial_y()(cx, cy)
         d2x, d2y = c2.partial_x()(cx, cy), c2.partial_y()(cx, cy)
-        xn = nf.to_normalized(nest_x, np.zeros_like(nest_x))[0]
         ph = DIRECTION_FRAME[:, None]  # one row per direction
         xi_t = d1x * tau_nest * ph + d1y
         eta_t = d2x * tau_nest * ph + d2y

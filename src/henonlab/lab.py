@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .cones import nearest_within
 from .errors import NumericalError, PreconditionError
 from .henon import jplus_slice, make_params, symmetric_axis
 from .poly1d import caratheodory, poly_params
@@ -17,19 +18,25 @@ CONTINUITY_ESCAPE_STEPS = 200  # escape-time steps of each J+ slice of continuit
 
 
 def hausdorff(A: np.ndarray, B: np.ndarray) -> float:
-    """Hausdorff distance between (n, 2) complex point clouds in C^2 (sup-min, Euclidean R^4)."""
-    from scipy.spatial import cKDTree  # deferred: scipy.spatial is slow to import
-
+    """Hausdorff distance between (n, 2) complex point clouds in C^2 (sup-min, Euclidean R^4),
+    with the bits of cKDTree.query on (Re x, Im x, Re y, Im y): each nearest_within
+    search starts at the least cell side of its grid, or one ulp of the largest
+    coordinate, and doubles its reach for the points still unresolved."""
     if len(A) == 0 or len(B) == 0:
         raise PreconditionError("Hausdorff distance of an empty cloud")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise PreconditionError("Hausdorff distance of a cloud with a non-finite coordinate")
+    ulp = np.spacing(max(np.abs(c).max() for c in (A.real, A.imag, B.real, B.imag)))
 
-    def embed(p):
-        return np.column_stack([p[:, 0].real, p[:, 0].imag, p[:, 1].real, p[:, 1].imag])
+    def directed(points, sites):
+        reach = max(max(np.ptp(sites[:, 0].real), np.ptp(sites[:, 0].imag)) / np.sqrt(16 * len(sites)), ulp)
+        d = nearest_within(points, sites, reach)
+        while reach < np.inf and np.isinf(d).any():  # an overflowing distance stays inf
+            reach *= 2
+            d[np.isinf(d)] = nearest_within(points[np.isinf(d)], sites, reach)
+        return float(np.max(d))
 
-    pa, pb = embed(A), embed(B)
-    d_ab = float(np.max(cKDTree(pb).query(pa)[0]))
-    d_ba = float(np.max(cKDTree(pa).query(pb)[0]))
-    return max(d_ab, d_ba)
+    return max(directed(A, B), directed(B, A))
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,8 @@ class HausdorffResult:
         return all(b < a for a, b in zip(self.distances, self.distances[1:]))
 
 
-def _check_t_list(t_list):
-    t = [float(v) for v in t_list]
+def _check_t_list(t_list, p_over_q):
+    t = [poly_params(p_over_q, float(v)).t for v in t_list]  # refused outside the family
     if not t or any(v == 0 for v in t):
         raise PreconditionError("t list must be nonzero values descending to 0")
     if len({np.sign(v) for v in t}) != 1:
@@ -74,7 +81,7 @@ def continuity_experiment(p_over_q, a, t_list, resolution: int, n_angles: int,
     resolution they cannot resolve is refused before any torus is solved,
     and a = 0 or a bad torus grid, degree or depth before any slice is built.
     """
-    t_vals = _check_t_list(t_list)
+    t_vals = _check_t_list(t_list, p_over_q)
     check_grid(n_iters, n_angles, disk_degree)
     check_depth(depth, n_angles)
     if a == 0:
@@ -112,7 +119,7 @@ def continuity_experiment(p_over_q, a, t_list, resolution: int, n_angles: int,
 
 def radial_demo(p_over_q, t_list, N: int, n_iters: int) -> HausdorffResult:
     """1-D continuity: d_H between Caratheodory images at t and at 0."""
-    t_vals = _check_t_list(t_list)
+    t_vals = _check_t_list(t_list, p_over_q)
     ref = loop_cloud(caratheodory(poly_params(p_over_q, 0.0), N, n_iters).loop)
     dist = []
     for t in t_vals:

@@ -17,9 +17,10 @@ from henonlab.errors import PreconditionError
 from henonlab.poly1d import EPS1, green
 
 
-def _xy(z):
-    """Complex points as the (n, 2) real rows a k-d tree takes."""
-    return np.column_stack([z.real.ravel(), z.imag.ravel()])
+def _xy(z, k=1):
+    """Complex points, or (n, k) rows of them, as the real rows (re, im, ...) a
+    k-d tree takes."""
+    return np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2 * k)
 
 
 class VGeometry(NamedTuple):
@@ -354,12 +355,13 @@ def _assert_nearest_matches_kd_tree(points, sites, reach):
     """nearest_within has the bits of the unbounded k-d tree distance cut at
     reach; returns both."""
     got = cones.nearest_within(points, sites, reach)
-    tree = cKDTree(_xy(sites))
-    d = tree.query(_xy(points))[0]
+    k = 1 if sites.ndim == 1 else sites.shape[1]
+    tree = cKDTree(_xy(sites, k))
+    d = tree.query(_xy(points, k))[0]
     assert got.tobytes() == np.where(d <= reach, d, np.inf).tobytes()
     # the bounded query keeps d^2 < reach^2 only, so a distance that rounds to
     # reach may read inf there; every distance it keeps has the same bits
-    bounded = tree.query(_xy(points), distance_upper_bound=reach)[0]
+    bounded = tree.query(_xy(points, k), distance_upper_bound=reach)[0]
     kept = np.isfinite(bounded)
     assert got[kept].tobytes() == bounded[kept].tobytes()
     assert np.all(got[~kept & np.isfinite(got)] >= reach * (1 - 2.0**-51))
@@ -369,22 +371,36 @@ def _assert_nearest_matches_kd_tree(points, sites, reach):
 @st.composite
 def _clouds(draw):
     """Sites with duplicates, points drawn freely, points at distance reach from
-    a site, and points on the edges of nearest_within's cells."""
+    a site, and points on the edges of nearest_within's cells, binned by the
+    first coordinate.  The clouds are complex points, or (n, 2) rows whose
+    second coordinate is drawn freely (a point at distance reach from a site
+    keeps the site's); a tenth of the point sets are empty."""
     reach = draw(st.sampled_from([cones.COLLAR, 3.0, 0.37, 1e-3, 1e-9]))
+    rows = draw(st.booleans())
     coord = st.one_of(st.floats(-2.5, 2.5), st.integers(-50, 50).map(lambda k: k * 0.05))
-    sites = np.array(draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40)))
+    row = st.tuples(coord, coord, coord, coord)
+    sites = np.array(draw(st.lists(row, min_size=1, max_size=40)))
     sites = sites[draw(st.lists(st.integers(0, len(sites) - 1), min_size=len(sites),
                                 max_size=len(sites) + 8))]
-    free = np.array(draw(st.lists(st.tuples(coord, coord), max_size=40))).reshape(-1, 2)
+    free = np.array(draw(st.lists(row, max_size=40))).reshape(-1, 4)
     ring = np.array([[1, 0], [0, 1], [-1, 0], [0, -1], [0.6, 0.8], [-0.8, 0.6]]) * reach
     at = sites[draw(st.lists(st.integers(0, len(sites) - 1), max_size=6))]
     k = np.array(draw(st.lists(st.tuples(st.integers(-2, 60), st.integers(-2, 60)),
                                max_size=8))).reshape(-1, 2)
-    lo = sites.min(axis=0)
-    side = max(reach * (1 + 2.0**-20), np.max(np.ptp(sites, axis=0)) / math.sqrt(16 * len(sites)))
-    points = np.concatenate([free, (at[:, None, :] + ring).reshape(-1, 2),
-                             lo + k * reach, lo + k * side])
-    return points[:, 0] + 1j * points[:, 1], sites[:, 0] + 1j * sites[:, 1], reach
+    lo = sites[:, :2].min(axis=0)
+    side = max(reach * (1 + 2.0**-20),
+               np.max(np.ptp(sites[:, :2], axis=0)) / math.sqrt(16 * len(sites)))
+    edges = np.concatenate([lo + k * reach, lo + k * side])
+    points = np.concatenate([free, (at[:, None, :] + np.pad(ring, ((0, 0), (0, 2)))).reshape(-1, 4),
+                             np.pad(edges, ((0, 0), (0, 2)))])
+    if draw(st.integers(0, 9)) == 0:
+        points = points[:0]
+
+    def complex_cloud(c):
+        x = c[:, 0] + 1j * c[:, 1]
+        return np.column_stack([x, c[:, 2] + 1j * c[:, 3]]) if rows else x
+
+    return complex_cloud(points), complex_cloud(sites), reach
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

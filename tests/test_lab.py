@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import henonlab
 import henonlab.henon as hn
@@ -26,6 +27,9 @@ def cloud(pts):
 def test_hausdorff_identical_is_zero():
     A = cloud([[0, 0], [1, 1j]])
     assert lab.hausdorff(A, A) == 0.0
+    z = np.exp(2j * math.pi * np.arange(300) / 300)
+    A = cloud(np.column_stack([z, z * z])[np.arange(600) % 300])  # each point twice
+    assert lab.hausdorff(A, A[::-1]) == 0.0
 
 
 def test_hausdorff_point_pair():
@@ -45,18 +49,97 @@ def test_hausdorff_empty_cloud_rejected():
         lab.hausdorff(cloud([[0, 0]]), np.zeros((0, 2), dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+@pytest.mark.parametrize("where", [(0, 0), (1, 1)])
+def test_hausdorff_refuses_a_non_finite_coordinate(bad, where):
+    # an inf point lies in no cell window, so the doubling reach would never resolve it
+    A = cloud([[0, 0], [1, 1j], [2, 0]])
+    A[where] = bad
+    for pair in ((A, cloud([[0, 0]])), (cloud([[0, 0]]), A)):
+        with pytest.raises(PreconditionError, match="non-finite coordinate"):
+            lab.hausdorff(*pair)
+
+
+def _kd_hausdorff(A, B, k=4):
+    """The k-d tree oracle on the first k of the real rows (Re x, Im x, Re y, Im y)."""
+    a, b = (np.ascontiguousarray(c).view(float)[:, :k] for c in (A, B))
+    return max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max())
+
+
+@pytest.mark.parametrize("A,B,want", [
+    (cloud([[1, 1j]] * 5), cloud([[1, 1j], [4, 1j], [1, 5j]]), 4.0),  # coincident sites
+    (cloud([[0, 0]] * 3), cloud([[0, 0]]), 0.0),                         # every point at 0
+    (cloud([[0, 0]]), cloud([[3, 4j]]), 5.0),                            # single points
+    (cloud([[0, 0]]), cloud([[0, 3 + 4j]]), 5.0),                        # apart in y alone
+    (cloud([[0, 0], [1, 0]]), cloud([[1e6, 0], [1e6 + 1, 0]]), 1e6),     # far apart
+    (cloud([[1e-300, 0]]), cloud([[-1e-300, 0]]), 0.0),  # (2e-300)^2 underflows in both
+])
+def test_hausdorff_degenerate_clouds(A, B, want):
+    assert lab.hausdorff(A, B) == lab.hausdorff(B, A) == _kd_hausdorff(A, B) == want
+
+
+def test_hausdorff_overflowing_distance_reads_inf_like_the_kd_tree():
+    A, B = cloud([[0, 0]]), cloud([[1e200, 0], [0, 0]])
+    with np.errstate(over="ignore"):
+        assert lab.hausdorff(A, B) == _kd_hausdorff(A, B) == np.inf
+
+
+@st.composite
+def _cloud_pairs(draw):
+    """Two clouds in R^2 (y = 0) or R^4, with duplicate points, points of one
+    cloud in the other, and the second cloud moved by up to 1e6 in x."""
+    r4 = draw(st.booleans())
+    coord = st.one_of(st.floats(-2.5, 2.5), st.integers(-50, 50).map(lambda k: k * 0.05))
+
+    def one():
+        rows = np.array(draw(st.lists(st.tuples(coord, coord, coord, coord), min_size=1, max_size=30)))
+        rows = rows[draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=len(rows) + 8))]
+        y = rows[:, 2] + 1j * rows[:, 3] if r4 else np.zeros(len(rows))
+        return np.column_stack([rows[:, 0] + 1j * rows[:, 1], y])
+
+    A, B = one(), one()
+    B = np.concatenate([B, A[draw(st.lists(st.integers(0, len(A) - 1), max_size=5))]])
+    B[:, 0] += draw(st.sampled_from([0.0, 1e-9, 0.5, 3.0, 1e6]))
+    return A, B, 4 if r4 else 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(clouds=_cloud_pairs())
+def test_hausdorff_matches_kd_tree(clouds):
+    A, B, k = clouds
+    want = _kd_hausdorff(A, B, k)
+    assert np.float64(lab.hausdorff(A, B)).tobytes() == np.float64(want).tobytes()
+    assert lab.hausdorff(A, A) == 0.0
+
+
 def test_every_public_name_resolves():
     assert all(hasattr(henonlab, name) for name in henonlab.__all__)
 
 
 def test_t_list_validation():
     with pytest.raises(PreconditionError):
-        lab._check_t_list([0.1, 0.2])
+        lab._check_t_list([0.1, 0.2], (1, 1))
     with pytest.raises(PreconditionError):
-        lab._check_t_list([0.1, -0.05])
+        lab._check_t_list([0.1, -0.05], (1, 1))
     with pytest.raises(PreconditionError):
-        lab._check_t_list([0.1, 0.0])
-    assert lab._check_t_list([-0.2, -0.1]) == [-0.2, -0.1]
+        lab._check_t_list([0.1, 0.0], (1, 1))
+    with pytest.raises(PreconditionError, match=r"\|t\| must be below 1/\(2q\) = 0.25"):
+        lab._check_t_list([0.3, 0.1], (1, 2))
+    assert lab._check_t_list([-0.2, -0.1], (1, 1)) == [-0.2, -0.1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["radial-demo", "--pq", "1/1", "--t-list", "5,1"],
+    ["continuity", "--pq", "1/1", "--t-list", "5,1"],
+])
+def test_t_list_outside_the_family_refused_before_the_reference(monkeypatch, capsys, tmp_path, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("a t = 0 reference was built before the t list was checked")
+
+    monkeypatch.setattr(lab, "caratheodory", never)
+    monkeypatch.setattr(lab, "jplus_slice", never)
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert "|t| must be below 1/(2q)" in capsys.readouterr().err
 
 
 def test_radial_demo_monotone_both_signs():
@@ -596,30 +679,29 @@ def test_cli_runs_with_negative_numbers_as_separate_arguments(tmp_path, capsys):
     assert "C_at" in capsys.readouterr().out
 
 
-def test_cli_import_stays_light():
-    # scipy.signal and scipy.spatial cost most of a second to import; only
-    # continuity and radial-demo, whose Hausdorff distances build k-d trees,
-    # may load scipy.spatial
-    code = ("import sys, henonlab.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.spatial') if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=str(Path(henonlab.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
-
-
-@pytest.mark.parametrize("argv", [
-    ["cone-check", "--samples", "500"],
+_NO_SCIPY_ARGV = [
+    ["caratheodory", "--pq", "1/2", "--t", "0.1", "--iters", "10"],
+    ["normal-form", "--t", "0.05"],
+    ["petal-check", "--t", "0.05", "--samples", "50"],
+    ["cone-check", "--t", "0.05", "--samples", "500"],
     ["hyp-scan", "--res", "3"],
-])
-def test_cone_commands_never_load_scipy(tmp_path, argv):
-    # the cone checks measure their distances on numpy alone
-    code = ("import sys; from henonlab.cli import main; rc = main(sys.argv[1:]); "
-            "print(rc, 'scipy.spatial' in sys.modules, 'scipy' in sys.modules)")
+    ["torus-iterate", "--t", "0.1", "--iters", "20"],
+    ["continuity", "--t-list", "0.2,0.1", "--res", "200", "--iters", "20"],
+    ["connectivity-scan", "--pq", "1/2", "--t", "0.1", "--a", "0.2", "--res", "3"],
+    ["radial-demo", "--t-list", "0.2,0.1", "--iters", "20"],
+]
+
+
+@pytest.mark.parametrize("argv", _NO_SCIPY_ARGV, ids=lambda argv: argv[0])
+def test_every_command_runs_where_scipy_cannot_be_imported(tmp_path, argv):
+    # scipy is a test dependency only: every command, its import included, runs on numpy alone
+    assert sorted(a[0] for a in _NO_SCIPY_ARGV) == sorted(cli.COMMANDS)
+    code = ("import sys; sys.modules['scipy'] = None; from henonlab.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
     env = dict(os.environ, PYTHONPATH=str(Path(henonlab.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / "x")],
-                         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[-1] == "0 False False"
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / "x")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_deterministic_outputs(tmp_path):
