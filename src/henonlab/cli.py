@@ -27,21 +27,16 @@ COMMANDS = (
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads `--a -0.05-0.05j`, `--t -2e-2` and `--t-list -0.02,-0.01` as
-    `--a=-0.05-0.05j` and so on: argparse takes a separate value that starts
-    with '-' for a flag only when it is a plain negative decimal."""
+    """Reads a value that starts with a single '-' after a bare `--flag` as that
+    flag's value (`--pq -1/2` as `--pq=-1/2`): argparse alone reads such a value
+    as a flag unless it is a plain negative decimal."""
 
     def parse_known_args(self, args=None, namespace=None):
         args = list(sys.argv[1:] if args is None else args)
         for i in range(len(args) - 2, -1, -1):
             flag, value = args[i], args[i + 1]
-            try:
-                complex(value)
-                number = value.startswith("-")
-            except ValueError:
-                number = False
-            if flag.startswith("--") and len(flag) > 2 and (
-                    number or flag == "--t-list" and not value.startswith("--")):
+            if (flag.startswith("--") and len(flag) > 2 and "=" not in flag
+                    and value.startswith("-") and not value.startswith("--")):
                 args[i:i + 2] = [f"{flag}={value}"]
         return super().parse_known_args(args, namespace)
 

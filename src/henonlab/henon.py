@@ -50,6 +50,8 @@ class HenonParams:
 
 def make_params(p_over_q, t: float, a: complex) -> HenonParams:
     pp = poly_params(p_over_q, t)
+    if not cmath.isfinite(a):
+        raise PreconditionError(f"a must be a finite number, got {a}")
     if not abs(a) < 0.5:
         raise PreconditionError(f"|a| must be below 1/2, got a = {a}")
     a = complex(a)
@@ -235,9 +237,7 @@ def escape_times(params: HenonParams, X, Y, max_iter: int):
 
 @dataclass(frozen=True)
 class EscapeGrid:
-    xs: np.ndarray        # real axis samples
-    ys: np.ndarray        # imaginary axis samples
-    times: np.ndarray     # (len(ys), len(xs)) escape iterates, -1 bounded
+    times: np.ndarray     # (res, res) escape iterates, -1 bounded; rows Im x, columns Re x
     boundary: np.ndarray  # (n, 2) complex J+ sample, rows (x, y_slice)
 
 
@@ -285,8 +285,7 @@ def jplus_slice(params: HenonParams, window, resolution: int, max_iter: int,
         iy, ix = _boundary_cells(times, i, i + rows)
         pts.append(xs[ix] + 1j * ys[iy])
     pts = np.concatenate(pts)
-    return EscapeGrid(xs=xs, ys=ys, times=times,
-                      boundary=np.column_stack([pts, np.full(len(pts), y)]))
+    return EscapeGrid(times=times, boundary=np.column_stack([pts, np.full(len(pts), y)]))
 
 
 def _boundary_cells(times, lo, hi):

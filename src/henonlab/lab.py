@@ -43,7 +43,7 @@ def hausdorff(A: np.ndarray, B: np.ndarray) -> float:
 class HausdorffResult:
     t_values: list
     distances: list
-    meta: str = ""
+    meta: str
 
     def __post_init__(self):
         if len(self.t_values) != len(self.distances):
@@ -205,7 +205,7 @@ def _connectivity_cell(p_over_q, t, a, n_angles, n_iters, disk_degree):
         return ConnectivityCell(a=a, verdict="UNKNOWN",
                                 final_gap=float("nan"), separation=float("nan"))
     gaps = result.gaps
-    floor = GAP_FLOOR_ULPS * np.spacing(np.max(np.abs(result.torus.node_values())))
+    floor = GAP_FLOOR_ULPS * np.spacing(np.max(np.abs(result.torus.node_values)))
     ok = (result.final_gap < GAP_TOL
           and gaps[-1] <= max(gaps[-2], floor)
           and result.separations[-1] > SEPARATION_FLOOR)

@@ -241,9 +241,8 @@ class TrappingReport:
     region: str
     rotation_failures: list
     attraction_failures: list
-    target: str
     max_final_distance: float
-    rows: list = field(repr=False, default_factory=list)
+    rows: list = field(repr=False)
 
     @property
     def passed(self) -> bool:
@@ -281,16 +280,13 @@ def petal_check(params: HenonParams, nf: NormalForm2D, samples: int,
     rotation_failures = [(complex(a), complex(b)) for a, b in zip(Px[~good], Py[~good])]
 
     attraction_failures: list = []
-    target = "none (t=0: forward invariance only)" if t == 0 else "none (rotation only)"
     max_final = 0.0
     rows = []
     if t != 0 and steps > 0:
         if t > 0:
             cycle = attracting_cycle(params)
-            target = f"attracting {q}-cycle"
             Ax, Ay = Px.copy(), Py.copy()
         else:
-            target = "fixed point"
             ax = uniform_disk(rng, repelling_inner_radius(params) ** (1.0 / q), samples)
             Ax, Ay = nf.from_normalized(ax, zs)
             cycle = np.array([[params.q_fixed[0], params.q_fixed[1]]], dtype=complex)
@@ -317,5 +313,5 @@ def petal_check(params: HenonParams, nf: NormalForm2D, samples: int,
         region=f"petals R={R:.3f} r_loc={LOCAL_DISK_RADIUS} (q={q}, t={t}, a={params.a})",
         rotation_failures=rotation_failures,
         attraction_failures=attraction_failures,
-        target=target, max_final_distance=max_final, rows=rows,
+        max_final_distance=max_final, rows=rows,
     )

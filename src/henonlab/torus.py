@@ -86,12 +86,9 @@ class SolidTorus:
         """phi at angle index k (array ok) and points z (broadcast)."""
         return horner(self.coeffs[np.asarray(k) % self.n_angles], z)
 
-    def node_values(self):
-        """(n_angles, 2d) matrix of phi_s at the collocation nodes."""
-        return self._node_values
-
     @cached_property
-    def _node_values(self):  # the coefficients are a truncated DFT on the nodes
+    def node_values(self):
+        """(n_angles, 2d) read-only phi_s at the collocation nodes; the coefficients are their truncated DFT."""
         scaled = self.coeffs * NODE_RADIUS ** np.arange(self.disk_degree + 1)
         vals = np.fft.ifft(scaled, n=2 * self.disk_degree, axis=1, norm="forward")
         vals.setflags(write=False)
@@ -105,7 +102,7 @@ class SolidTorus:
 
     def separation(self):
         """min over s of the sup-distance between fibers at s and s + 1/2."""
-        vals, half = self.node_values(), self.n_angles // 2
+        vals, half = self.node_values, self.n_angles // 2
         return float(np.min(np.max(np.abs(vals[:half] - vals[half:]), axis=1)))
 
 
@@ -327,11 +324,11 @@ def torus_fixed_point(params: HenonParams, n_iters: int, n_angles: int,
         if k and level == FULL_GRID_LEVELS + 1:  # copies: a strided view keeps the N fibers
             s = n_angles // BASE_ANGLES
             torus = SolidTorus(torus.coeffs[::s].copy(), torus.level, torus.samples[::s].copy())
-        vals = torus.node_values()
+        vals = torus.node_values
         refine = n_iters - 2 - k < level <= n_iters - 2
         # frees its input: two tori are alive per call
         torus = graph_transform(params, torus, _refine=refine, _grid=n_angles)
-        gaps[level - 1] = np.max(np.abs(torus.node_values()[::1 + refine] - vals))
+        gaps[level - 1] = np.max(np.abs(torus.node_values[::1 + refine] - vals))
         seps[level - 1] = torus.separation()
     return TorusResult(torus=torus, gaps=gaps, separations=seps)
 
@@ -347,7 +344,7 @@ def phi_oa2_residual(params: HenonParams, torus: SolidTorus,
         raise PreconditionError("loop and torus angle grids differ")
     g = loop.values[:, None]
     z = torus.nodes()[None, :]
-    resid = torus.node_values() - g + params.a * z / (2.0 * g)
+    resid = torus.node_values - g + params.a * z / (2.0 * g)
     return float(np.max(np.abs(resid)))
 
 

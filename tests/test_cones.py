@@ -589,8 +589,9 @@ def global_cone_check_full(params, sample_count=2000, seed=0, nf=None):
     )
 
 
-# global checks whose samples reach the weighted retry and fail
-RETRY_PARAMS = [((1, 3), 0.05, 0.1), ((2, 5), 0.05, 0.05)]
+# global checks whose samples reach the weighted retry and fail; the last is the most
+# retried of 370 parameter sets scanned (1,104 of 10,000 samples)
+RETRY_PARAMS = [((1, 3), 0.05, 0.1), ((2, 5), 0.05, 0.05), ((1, 5), 0.09, 0.49)]
 ORACLE_PARAMS = [
     ((1, 1), 0.05, 0.05),                                        # README cone-check line
     ((1, 1), 0.0506888437030501, 0.0506888437030501),            # jets, seed 0

@@ -119,7 +119,8 @@ def degenerate_grid():
 
 def test_jplus_degenerate_matches_green(degenerate_grid):
     P, grid = degenerate_grid
-    z = grid.xs[None, :] + 1j * grid.ys[:, None]
+    axis = hn.symmetric_axis(-2, 2, 256)
+    z = axis[None, :] + 1j * axis[:, None]
     gmask = p1.green(P.poly, z, iters=80) > 0
     agreement = np.mean((grid.times >= 0) == gmask)
     assert agreement >= 0.99
@@ -266,7 +267,8 @@ def assert_slice_matches_full_grid(monkeypatch, block, P, window, res, max_iter,
 
     monkeypatch.setattr(hn, "escape_times", spy)
     grid = hn.jplus_slice(P, window, res, max_iter, y_slice=y)
-    X = grid.xs[None, :] + 1j * grid.ys[:, None]
+    re_axis, im_axis = hn.symmetric_axis(*window[:2], res), hn.symmetric_axis(*window[2:], res)
+    X = re_axis[None, :] + 1j * im_axis[:, None]
     # the blocks tile the stepped rows, the last ones, in order; a row left out
     # would leave its times as whatever np.empty found, which can equal them
     # by chance.  The times of the mirrored rows are checked against the reference.

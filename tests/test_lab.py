@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -334,7 +335,8 @@ def test_cli_torus_iterate_refuses_a_torus_whose_half_turn_fibers_coincide(
     (["caratheodory", "--pq=1/0"], "rotation number"),
     (["caratheodory", "--pq=1/1", "--t=nan"], "t must be a finite number"),
     (["normal-form", "--pq=1/1", "--t=nan"], "t must be a finite number"),
-    (["torus-iterate", "--pq=1/1", "--t=0.1", "--a=nan"], "|a| must be below 1/2"),
+    # a non-finite a was refused as "|a| must be below 1/2, got a = (nan+0j)"
+    (["torus-iterate", "--pq=1/1", "--t=0.1", "--a=nan"], "a must be a finite number"),
     (["cone-check", "--pq=1/3", "--t=-0.01", "--a=0.05", "--samples=100"],
      "repelling sector is empty"),
     (["caratheodory", "--config=missing.cfg"], "cannot read config file missing.cfg"),
@@ -394,6 +396,7 @@ def test_cli_torus_iterate_refuses_a_torus_whose_half_turn_fibers_coincide(
     (["caratheodory", "--pq=1/1", "--t=1e308"], "|t| must be below 1/(2q) = 0.5"),
     (["caratheodory", "--pq=1/1", "--t=-1"], "|t| must be below 1/(2q) = 0.5"),
     (["radial-demo", "--pq=1/1", "--t-list=5,1"], "|t| must be below 1/(2q) = 0.5"),
+    (["torus-iterate", "--pq=1/1", "--t=0.1", "--a=0.5"], "|a| must be below 1/2, got a = (0.5+0j)"),
 ])
 def test_cli_bad_input_is_a_precondition_error(tmp_path, monkeypatch, capsys, argv, cause):
     monkeypatch.chdir(tmp_path)
@@ -664,12 +667,14 @@ def test_cli_negative_t_list_as_separate_argument():
 
 @pytest.mark.parametrize("flag,value", [
     ("--t", "-2e-2"), ("--a", "-0.1j"), ("--a", "-0.05-0.05j"), ("--t", "-0.02"),
+    ("--pq", "-1/2"),
 ])
 def test_cli_negative_number_as_separate_argument(flag, value):
     parser = cli.build_parser()
     split = parser.parse_args(["normal-form", flag, value])
     assert split == parser.parse_args(["normal-form", f"{flag}={value}"])
-    assert getattr(split, flag[2:]) == complex(value)
+    # --pq keeps its text, which the joined form above pins
+    assert flag == "--pq" or getattr(split, flag[2:]) == complex(value)
 
 
 def test_cli_runs_with_negative_numbers_as_separate_arguments(tmp_path, capsys):
@@ -677,6 +682,37 @@ def test_cli_runs_with_negative_numbers_as_separate_arguments(tmp_path, capsys):
             "--out", str(tmp_path / "nf")]
     assert cli.main(argv) == 0
     assert "C_at" in capsys.readouterr().out
+
+
+def test_cli_help_after_a_joined_flag_is_not_a_value(capsys):
+    # only a bare --flag takes the next argument: --t=0.05 -h asks for help
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["cone-check", "--t=0.05", "-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: henonlab")
+
+
+def test_cli_negative_pq_as_separate_argument_runs_as_its_rotation(tmp_path, capsys):
+    # -1/2 and 1/2 are the same rotation number mod 1
+    outs = []
+    for pq in ("-1/2", "1/2"):
+        argv = ["normal-form", "--pq", pq, "--t", "0.05", "--a", "0.05", "--out", str(tmp_path / "nf")]
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_every_run_config_field_has_a_flag_that_reaches_it():
+    # a flag that config_from_args does not copy would be parsed and silently ignored
+    parser = cli.build_parser()
+    for f in fields(cli.RunConfig):
+        if f.name in ("subcommand", "a_re", "a_im"):
+            continue
+        value = {"str": "7/9", "float": 0.375, "int": 7}[f.type]
+        assert value != f.default, f.name
+        args = parser.parse_args(["continuity", f"--{f.name.replace('_', '-')}={value}"])
+        assert getattr(cli.config_from_args(args), f.name) == value, f.name
+    cfg = cli.config_from_args(parser.parse_args(["continuity", "--a", "-0.125+0.25j"]))
+    assert (cfg.a_re, cfg.a_im) == (-0.125, 0.25)
 
 
 _NO_SCIPY_ARGV = [

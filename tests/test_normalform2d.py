@@ -227,7 +227,6 @@ def test_trapping_t_positive():
     rep = nf2.petal_check(P, nf, samples=300, steps=450, tol=1e-6, seed=2)
     assert rep.passed
     assert rep.max_final_distance < 1e-6
-    assert rep.target.startswith("attracting")
     assert len(rep.rows) == 300
 
 
@@ -236,7 +235,7 @@ def test_trapping_t_zero_checks_rotation_only():
     nf = nf2.reduce(P, D=10)
     rep = nf2.petal_check(P, nf, samples=300, seed=2, steps=500, tol=1e-6)
     assert not rep.rotation_failures
-    assert rep.target.startswith("none")
+    assert not rep.rows and rep.max_final_distance == 0.0  # no orbit was run out
 
 
 def test_trapping_t_negative_reaches_origin_at_derived_threshold():
@@ -248,7 +247,6 @@ def test_trapping_t_negative_reaches_origin_at_derived_threshold():
     assert not rep.rotation_failures
     assert not rep.attraction_failures
     assert rep.max_final_distance < 1e-3
-    assert rep.target == "fixed point"
 
 
 @pytest.mark.parametrize("pq,t,a,D", [((1, 1), 0.05, 0.05, 10), ((1, 2), -0.02, 0.05, 12),

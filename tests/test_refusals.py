@@ -33,6 +33,10 @@ REFUSALS = {
     "petal_check samples": (
         lambda: nf2.petal_check(P11, nf2.reduce(P11), samples=9, steps=0, tol=1e-6, seed=0),
         PreconditionError, "sample count too small"),
+    "make_params a nan": (lambda: hn.make_params((1, 1), 0.05, complex("nan")), PreconditionError,
+                          r"a must be a finite number, got \(nan\+0j\)"),
+    "make_params a inf": (lambda: hn.make_params((1, 1), 0.05, float("inf")), PreconditionError,
+                          "a must be a finite number, got inf"),
     "reduce order": (lambda: nf2.reduce(P11, D=3), PreconditionError,
                      r"truncation order must be at least 2q\+2"),
     "green iters": (lambda: p1.green(P11.poly, 0.5, iters=0), PreconditionError,
@@ -54,9 +58,9 @@ REFUSALS = {
     "global_cone_check escaping orbit": (
         lambda: cones.global_cone_check(hn.make_params((1, 8), 0.06187, 0.2), 10, 0, None),
         PreconditionError, "the critical orbit of p_t escapes at t=0.06187"),
-    "hausdorff lengths": (lambda: lab.HausdorffResult(t_values=[0.1], distances=[]),
+    "hausdorff lengths": (lambda: lab.HausdorffResult(t_values=[0.1], distances=[], meta=""),
                           PreconditionError, "t and distance lists must align"),
-    "hausdorff sign": (lambda: lab.HausdorffResult(t_values=[0.1], distances=[-1.0]),
+    "hausdorff sign": (lambda: lab.HausdorffResult(t_values=[0.1], distances=[-1.0], meta=""),
                        PreconditionError, "distances must be nonnegative"),
     "series1 length": (lambda: TruncSeries1([1.0, 2.0, 3.0], D=1), PreconditionError,
                        r"coefficient list longer than D\+1"),

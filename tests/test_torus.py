@@ -34,7 +34,7 @@ def test_graph_transform_defining_residual():
     T1 = tor.graph_transform(P, T0)
     # H of the new fiber lands on the input fiber over the doubled angle,
     # for both halves of the two-to-one angle structure
-    vals = T1.node_values()
+    vals = T1.node_values
     z = T1.nodes()[None, :]
     hx = vals**2 + P.c + P.a * z
     hy = P.a * vals
@@ -93,8 +93,8 @@ def _iterate(transform, params, n_iters, n_angles):
             tori.append(transform(params, tori[-1]))
         except NumericalError as exc:
             return level, str(exc)
-        vals = tori[-1].node_values()
-        gaps.append(np.max(np.abs(vals - tori[-2].node_values())))
+        vals = tori[-1].node_values
+        gaps.append(np.max(np.abs(vals - tori[-2].node_values)))
         seps.append(tori[-1].separation())
     return tori[-1], np.array(gaps), np.array(seps)
 
@@ -312,8 +312,8 @@ def test_torus_of_minus_a_is_the_torus_of_a_with_z_negated():
     for res in results:
         assert res.final_gap < 5e-2 and res.separations[-1] > 1e-2
     plus, minus = (res.torus for res in results)
-    shifted = np.roll(plus.node_values(), plus.disk_degree, axis=1)
-    assert np.max(np.abs(minus.node_values() - shifted)) < 1e-13
+    shifted = np.roll(plus.node_values, plus.disk_degree, axis=1)
+    assert np.max(np.abs(minus.node_values - shifted)) < 1e-13
 
 
 def _conjugate_torus_mismatch(pq, t, a):
@@ -322,7 +322,7 @@ def _conjugate_torus_mismatch(pq, t, a):
     node j -> -j, values conjugated."""
     plus, minus = (tor.torus_fixed_point(hn.make_params(pq, t, b), 20, 512, tor.DISK_DEGREE)
                    for b in (a, a.conjugate()))
-    return (np.max(np.abs(minus.torus.node_values() - _mirror(plus.torus.node_values()))),
+    return (np.max(np.abs(minus.torus.node_values - _mirror(plus.torus.node_values))),
             np.max(np.abs(minus.gaps - plus.gaps)),
             np.max(np.abs(minus.separations - plus.separations)))
 
@@ -366,7 +366,7 @@ def test_fibers_follow_polynomial_pullback_as_a_shrinks():
         loop = p1.equipotential_loop(P.poly, 256)
         T1 = tor.graph_transform(P, tor.torus_seed(loop, tor.DISK_DEGREE))
         pb = p1.pullback_loop(P.poly, loop)
-        sup_diffs.append(np.max(np.abs(T1.node_values() - pb.values[:, None])))
+        sup_diffs.append(np.max(np.abs(T1.node_values - pb.values[:, None])))
         center_diffs.append(np.max(np.abs(T1.centers - pb.values)))
     la = np.log(avals)
     assert 0.8 < np.polyfit(la, np.log(sup_diffs), 1)[0] < 1.2
@@ -558,7 +558,7 @@ def test_fixed_point_matches_the_full_grid_iteration(pq, t, a, n_iters, n_angles
     assert res.torus.n_angles == n_angles and res.torus.level == n_iters
     coeff_ulp = np.spacing(np.max(np.abs(torus.coeffs)))
     assert np.max(np.abs(res.torus.coeffs - torus.coeffs)) <= 8 * coeff_ulp
-    node_ulp = np.spacing(np.max(np.abs(torus.node_values())))
+    node_ulp = np.spacing(np.max(np.abs(torus.node_values)))
     for got, want in ((res.gaps[-1], gaps[-1]), (res.gaps[-2], gaps[-2]),
                       (res.separations[-1], seps[-1])):
         assert abs(got - want) <= 8 * node_ulp
