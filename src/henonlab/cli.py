@@ -1,5 +1,5 @@
 """Command-line front end.  Exit codes: 0 success, 2 precondition error,
-3 numerical failure."""
+3 numerical failure, 4 a worker process died."""
 
 from __future__ import annotations
 
@@ -291,6 +291,14 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        # lab._pool_map's error for a worker that died (the OOM killer, say); its
+        # module loads multiprocessing, so it is imported only here
+        from concurrent.futures.process import BrokenProcessPool
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -3,7 +3,10 @@ scans over the parameter disk, and the one-dimensional radial demo."""
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -15,6 +18,55 @@ from .torus import DISK_DEGREE, check_depth, check_grid, julia_from_sigma, torus
 
 DEFAULT_WINDOW = (-2.2, 2.2, -2.2, 2.2)
 CONTINUITY_ESCAPE_STEPS = 200  # escape-time steps of each J+ slice of continuity
+
+
+def _pool_map(fn, items):
+    """[fn(x) for x in items] on every CPU this process may run on, at most one
+    per item: this process takes items from the tail, starting with the last,
+    and a fork pool of one worker per further CPU takes them from the head.
+    Serial below two CPUs, or where os.sched_getaffinity does not exist.
+
+    Results cross by pickle, so they are the serial bits.  The first failing
+    item in input order raises its error; work not yet started is cancelled,
+    and every worker is joined before the call returns or raises, on a
+    BaseException (a SIGALRM timeout, say) too.  A dead worker raises
+    BrokenProcessPool with its exit code, where multiprocessing.Pool would wait
+    for its result forever.  fork, not spawn: a spawned worker imports numpy
+    afresh, about the time the pool saves; the pool forks all its workers at
+    the first submit, before it starts its own thread."""
+    items = list(items)
+    cpus = getattr(os, "sched_getaffinity", None)
+    n_cpus = min(len(cpus(0)), len(items)) if cpus else 1
+    if n_cpus < 2:
+        return [fn(x) for x in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    sys.stdout.flush()  # a worker flushes its copy of the buffers as it exits
+    sys.stderr.flush()
+    pool = ProcessPoolExecutor(n_cpus - 1, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(fn, x) for x in items[:-1]]
+        results, own_error, k = [None] * len(items), None, len(items)
+        while k > 0 and (k == len(items) or futures[k - 1].cancel()):
+            k -= 1
+            try:
+                results[k] = fn(items[k])
+            except Exception as exc:  # the items after it succeeded; those before may fail first
+                own_error = exc
+                break
+        results[:k] = [f.result() for f in futures[:k]]
+        if own_error is not None:
+            raise own_error
+        return results
+    except BrokenProcessPool as exc:
+        broken, procs = exc, list((pool._processes or {}).values())
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    # once one worker has died, the pool terminates the others (SIGTERM, exit code -15)
+    code = next((p.exitcode for p in procs if p.exitcode not in (0, -15)), -15)
+    raise BrokenProcessPool(f"a worker process died with exit code {code}") from broken
 
 
 def hausdorff(A: np.ndarray, B: np.ndarray) -> float:
@@ -80,6 +132,8 @@ def continuity_experiment(p_over_q, a, t_list, resolution: int, n_angles: int,
     is the semi-parabolic member t = 0.  The J+ slices come first, so that a
     resolution they cannot resolve is refused before any torus is solved,
     and a = 0 or a bad torus grid, degree or depth before any slice is built.
+    The t = 0 slice is built here; the other slices with their distances, then
+    the tori, run on _pool_map, so each refusal comes in the serial order.
     """
     t_vals = _check_t_list(t_list, p_over_q)
     check_grid(n_iters, n_angles, disk_degree)
@@ -87,34 +141,40 @@ def continuity_experiment(p_over_q, a, t_list, resolution: int, n_angles: int,
     if a == 0:
         raise PreconditionError("--a must be nonzero: the J tori need a != 0 for the graph transform")
 
-    def slice_boundary(t):
-        boundary = jplus_slice(make_params(p_over_q, t, a), DEFAULT_WINDOW, resolution,
-                               CONTINUITY_ESCAPE_STEPS).boundary
-        if not len(boundary):
-            raise PreconditionError(
-                f"the J+ slice y=0 at t={t} has no boundary cell at resolution "
-                f"{resolution}: raise --res")
-        return boundary
-
-    def julia_cloud(t):
-        params = make_params(p_over_q, t, a)
-        torus = torus_fixed_point(params, n_iters, n_angles, disk_degree).torus
-        return julia_from_sigma(params, torus, depth=depth)
-
-    ref_slice = slice_boundary(0.0)
-    ds = []
-    for t in t_vals:
-        ds.append(hausdorff(slice_boundary(t), ref_slice))
-        if ds[-1] == 0:
-            raise PreconditionError(
-                f"the J+ slices at t={t} and t=0 have the same boundary cells at "
-                f"resolution {resolution}: raise --res")
-    ref_j = julia_cloud(0.0)
-    dj = [hausdorff(julia_cloud(t), ref_j) for t in t_vals]
+    ref_slice = _slice_boundary(p_over_q, a, resolution, 0.0)
+    ds = _pool_map(partial(_slice_distance, p_over_q, a, resolution, ref_slice), t_vals)
+    ref_j, *clouds = _pool_map(
+        partial(_julia_cloud, p_over_q, a, n_iters, n_angles, disk_degree, depth), [0.0, *t_vals])
+    dj = [hausdorff(cloud, ref_j) for cloud in clouds]
     meta = (f"pq={p_over_q} a={a} angles={n_angles} iters={n_iters} res={resolution} "
             f"degree={disk_degree} depth={depth}")
     return (HausdorffResult(t_values=t_vals, distances=dj, meta="J " + meta),
             HausdorffResult(t_values=t_vals, distances=ds, meta="J+slice " + meta))
+
+
+def _slice_boundary(p_over_q, a, resolution, t):
+    boundary = jplus_slice(make_params(p_over_q, t, a), DEFAULT_WINDOW, resolution,
+                           CONTINUITY_ESCAPE_STEPS).boundary
+    if not len(boundary):
+        raise PreconditionError(
+            f"the J+ slice y=0 at t={t} has no boundary cell at resolution "
+            f"{resolution}: raise --res")
+    return boundary
+
+
+def _slice_distance(p_over_q, a, resolution, ref_slice, t):
+    d = hausdorff(_slice_boundary(p_over_q, a, resolution, t), ref_slice)
+    if d == 0:
+        raise PreconditionError(
+            f"the J+ slices at t={t} and t=0 have the same boundary cells at "
+            f"resolution {resolution}: raise --res")
+    return d
+
+
+def _julia_cloud(p_over_q, a, n_iters, n_angles, disk_degree, depth, t):
+    params = make_params(p_over_q, t, a)
+    torus = torus_fixed_point(params, n_iters, n_angles, disk_degree).torus
+    return julia_from_sigma(params, torus, depth=depth)
 
 
 def radial_demo(p_over_q, t_list, N: int, n_iters: int) -> HausdorffResult:
@@ -166,7 +226,8 @@ def connectivity_scan(p_over_q, t, a_window, resolution: int, n_angles: int, n_i
     symmetric about 0 bit for bit, so such a scan computes a quarter of its
     cells when lam is real and half of them otherwise.  On the axes (a real or
     imaginary) the mirror maps each torus to itself, so graph_transform
-    solves only its fibers 0 .. n/2.
+    solves only its fibers 0 .. n/2.  The cells that take no twin's result are
+    solved on _pool_map.
     """
     re_min, re_max, im_min, im_max = a_window
     if not all(abs(v) < 0.5 for v in a_window):  # refuses NaN bounds too
@@ -177,28 +238,22 @@ def connectivity_scan(p_over_q, t, a_window, resolution: int, n_angles: int, n_i
     check_grid(n_iters, n_angles, disk_degree)
     # a bad p/q or t is refused here, not reported as UNKNOWN in every cell
     real_lam = make_params(p_over_q, t, 0).lam.imag == 0
-    done = {}
-    cells = []
-    for im in symmetric_axis(im_min, im_max, resolution):
-        row = []
-        for re in symmetric_axis(re_min, re_max, resolution):
-            a = complex(re, im)
-            twins = (-a, a.conjugate(), -a.conjugate()) if real_lam else (-a,)
-            twin = next((b for b in twins if b in done), None)
-            if twin is not None:
-                cell = replace(done[twin], a=a)
-            elif a == 0 or abs(a) >= 0.5:
-                cell = ConnectivityCell(a=a, verdict="EXCLUDED",
-                                        final_gap=float("nan"), separation=float("nan"))
-            else:
-                cell = _connectivity_cell(p_over_q, t, a, n_angles, n_iters, disk_degree)
-            done[a] = cell
-            row.append(cell)
-        cells.append(row)
-    return cells
+    grid = [[complex(re, im) for re in symmetric_axis(re_min, re_max, resolution)]
+            for im in symmetric_axis(im_min, im_max, resolution)]
+    owner = {}  # the first cell, in scan order, of each cell's twins
+    for a in (a for row in grid for a in row):
+        twins = (-a, a.conjugate(), -a.conjugate()) if real_lam else (-a,)
+        owner[a] = next((owner[b] for b in twins if b in owner), a)
+    owners = [a for a in dict.fromkeys(owner.values()) if 0 < abs(a) < 0.5]
+    solved = dict(zip(owners, _pool_map(
+        partial(_connectivity_cell, p_over_q, t, n_angles, n_iters, disk_degree), owners)))
+    return [[replace(solved[owner[a]], a=a) if owner[a] in solved else
+             ConnectivityCell(a=a, verdict="EXCLUDED", final_gap=float("nan"),
+                              separation=float("nan"))
+             for a in row] for row in grid]
 
 
-def _connectivity_cell(p_over_q, t, a, n_angles, n_iters, disk_degree):
+def _connectivity_cell(p_over_q, t, n_angles, n_iters, disk_degree, a):
     try:
         result = torus_fixed_point(make_params(p_over_q, t, a), n_iters, n_angles, disk_degree)
     except (PreconditionError, NumericalError):

@@ -181,16 +181,23 @@ def test_connectivity_scan_small(tmp_path):
     assert (tmp_path / "conn.pgm").read_bytes().startswith(b"P5\n# henonlab v1\n3 3\n")
 
 
+def _run_pool_here(monkeypatch):
+    """Run the items handed to lab._pool_map serially in this process, so that
+    a spy inside them records here and not in a worker's copy of its list."""
+    monkeypatch.setattr(lab, "_pool_map", lambda fn, items: [fn(x) for x in items])
+
+
 def _scan_calls(monkeypatch, window, res, pq=(1, 2)):
     """The cells of a scan whose tori are stubbed out, and the a of each
     cell that was computed, in order."""
     computed = []
 
-    def stub(p_over_q, t, a, *args):
+    def stub(p_over_q, t, n_angles, n_iters, disk_degree, a):
         computed.append(a)
         return lab.ConnectivityCell(a=a, verdict="UNKNOWN", final_gap=len(computed),
                                     separation=1.0)
 
+    _run_pool_here(monkeypatch)
     monkeypatch.setattr(lab, "_connectivity_cell", stub)
     cells = lab.connectivity_scan(pq, 0.1, window, resolution=res, n_angles=256, n_iters=10)
     return cells, computed
@@ -636,6 +643,7 @@ def test_cli_passes_degree_and_samples_through(tmp_path, monkeypatch, argv, modu
     # continuity and connectivity-scan built degree-8 tori and hyp-scan drew 400
     # samples per cell whatever the flag said
     seen, compute = [], getattr(module, fn)
+    _run_pool_here(monkeypatch)
     monkeypatch.setattr(module, fn, lambda *a, **kw: seen.append(read(a, kw)) or compute(*a, **kw))
     flags = ["--pq=1/1", "--a=0.05", "--angles=64", "--iters=3", "--out", str(tmp_path / "x")]
     assert cli.main(argv + flags) == 0
