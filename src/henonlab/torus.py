@@ -116,7 +116,7 @@ def torus_seed(loop0: LoopSample, disk_degree: int) -> SolidTorus:
 
 
 def graph_transform(params: HenonParams, torus: SolidTorus,
-                    _refine: bool = False, _grid: int | None = None) -> SolidTorus:
+                    _grid: int | None = None) -> SolidTorus:
     """One application of the operator: solve, per angle s and node z_j,
 
         x^2 + c + a z_j = phi_{2s}(a x)
@@ -130,13 +130,8 @@ def graph_transform(params: HenonParams, torus: SolidTorus,
     ``torus.samples``, the solution of the step that made ``torus``.  On the
     seed torus, and for each angle where that start stalls or ends within
     BRANCH_MARGIN of the other branch, it starts from the pullback branches
-    instead, and their outcome stands.
-
-    The fiber at s reads only the fiber at 2s.  So with ``_refine`` the
-    result has twice the angles: its fiber k solves against input fiber
-    k mod n_in, from input sample k // 2.  On the even fibers of a 2 n_in
-    torus that is the step on 2 n_in angles.  A stall names its angle on
-    ``_grid`` angles (default: the result's).
+    instead, and their outcome stands.  A stall names its angle on ``_grid``
+    angles (default: the torus's).
 
     On a torus with a mirror (``_mirror_nodes``) only the angles 0 .. n/2 are
     solved.  As conj(a) = e a and conj(phi_s(w)) = phi_{-s}(e conj w), the
@@ -146,19 +141,16 @@ def graph_transform(params: HenonParams, torus: SolidTorus,
     the other angles, and each of them is branch-checked against its own seed."""
     if params.a == 0:
         raise PreconditionError("graph transform requires a != 0")
-    n_in, d = torus.n_angles, torus.disk_degree
-    n = n_in << _refine
+    n, d = torus.n_angles, torus.disk_degree
     mirror = _mirror_nodes(params, torus)
     h = n if mirror is None else n // 2 + 1  # the angles Newton solves
-    target = np.arange(n) * (2 * n_in // n) % n_in  # the input fiber at the doubled angle
+    target = 2 * np.arange(n) % n  # the fiber at the doubled angle
     seeds = continue_branch(np.sqrt(torus.centers[target] - params.c), unit="angle")
     if not np.array_equal(seeds[n // 2:], -seeds[: n // 2]):
         raise NumericalError("resolution too coarse: fibers at s and s+1/2 took the same preimage")
     tcoeffs, seeds_h = torus.coeffs[target[:h]], seeds[:h]
     solve = partial(_newton, params, torus.nodes())
-
-    rows = np.arange(h) // 2 if _refine else slice(h)  # a copy only when refining
-    X, stalled = solve(tcoeffs, seeds_h if torus.samples is None else torus.samples[rows].T)
+    X, stalled = solve(tcoeffs, seeds_h if torus.samples is None else torus.samples[:h].T)
     # negative exactly where |X - s| > |X + s|: the node left its branch
     margin = _branch_margin(X, seeds_h)
     if torus.samples is not None:
@@ -303,14 +295,15 @@ def torus_fixed_point(params: HenonParams, n_iters: int, n_angles: int,
 
     On N = BASE_ANGLES 2^k angles with n_iters >= FULL_GRID_LEVELS + k + 2,
     k >= 1, levels 1 .. FULL_GRID_LEVELS run on the N angles, then on a copy
-    of every 2^k-th fiber up to level n_iters - k - 2.  The k levels up to
-    n_iters - 2 are refining steps of graph_transform, each doubling the grid,
-    and the last two levels run on the N angles, within a few ulps of the
+    of every 2^k-th fiber up to level n_iters - k - 2.  Each of the k levels up
+    to n_iters - 2 refines: it transforms the torus on twice the angles whose
+    fiber 2j is fiber j and whose odd fibers, which the step never reads, are
+    zero.  The last two levels run on the N angles, within a few ulps of the
     direct solve.  Otherwise every level runs on the N angles.
 
     Entry i of ``separations`` is that of level i + 1 on its own grid; entry i
     of ``gaps`` compares levels i + 1 and i on the grid of level i, so a
-    refining step is compared on its even fibers.  The first FULL_GRID_LEVELS
+    refining level is compared on its even fibers.  The first FULL_GRID_LEVELS
     entries, the last two gaps and the last three separations are on the N
     angles.  At q = 1 all gaps are the direct solve's to rounding.  At q >= 2
     the base-grid gaps fall up to 85 % below the N-angle ones on 1024 angles
@@ -326,8 +319,14 @@ def torus_fixed_point(params: HenonParams, n_iters: int, n_angles: int,
             torus = SolidTorus(torus.coeffs[::s].copy(), torus.level, torus.samples[::s].copy())
         vals = torus.node_values
         refine = n_iters - 2 - k < level <= n_iters - 2
+        if refine:  # read-only arrays, which SolidTorus keeps without a copy
+            coeffs = np.zeros((2 * torus.n_angles, disk_degree + 1), dtype=complex)
+            coeffs[::2] = torus.coeffs
+            samples = np.repeat(torus.samples, 2, axis=0)
+            coeffs.flags.writeable = samples.flags.writeable = False
+            torus = SolidTorus(coeffs, torus.level, samples)
         # frees its input: two tori are alive per call
-        torus = graph_transform(params, torus, _refine=refine, _grid=n_angles)
+        torus = graph_transform(params, torus, _grid=n_angles)
         gaps[level - 1] = np.max(np.abs(torus.node_values[::1 + refine] - vals))
         seps[level - 1] = torus.separation()
     return TorusResult(torus=torus, gaps=gaps, separations=seps)

@@ -91,6 +91,24 @@ def test_sector_samples_refuse_an_empty_sector():
         cones.sector_samples(P, 10, seed=0)
 
 
+def test_sector_samples_refuse_a_sector_too_thin_to_sample(monkeypatch):
+    # q=3, t=-0.00723136: the inner radius is 8.4e-8 of itself below the outer
+    # one, so a draw is kept with probability 1.6e-8 and 1000 samples need 6.4e10
+    P = hn.make_params((1, 3), -0.00723136, 0.05)
+    radii = r"0\.003374999716 and the outer radius rho\^q = 0\.003375"
+    with pytest.raises(PreconditionError, match=radii + r", 1000 samples need about 6\.41e\+10"):
+        cones.sector_samples(P, 1000, seed=0)
+    # the refusal reads the sampler's own acceptance rate, measured here on 1e6 draws
+    P = hn.make_params((1, 3), -0.006, 0.05)
+    draws = hn.uniform_disk(np.random.default_rng(0), cones.SECTOR_RADIUS, 10**6)
+    kept = np.mean(cones.in_repelling_sector(P, draws))
+    monkeypatch.setattr(cones, "SECTOR_DRAW_BUDGET", 1.02 * 100 / kept)
+    assert len(cones.sector_samples(P, 100, seed=0)) == 100
+    monkeypatch.setattr(cones, "SECTOR_DRAW_BUDGET", 0.98 * 100 / kept)
+    with pytest.raises(PreconditionError, match="too thin to sample"):
+        cones.sector_samples(P, 100, seed=0)
+
+
 @pytest.mark.parametrize("q,t", [(1, -0.02), (1, 0.0), (1, 0.05),
                                  (2, -0.02), (2, 0.0), (2, 0.05)])
 def test_local_cone_check_passes(nf_cache, q, t):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -412,6 +413,22 @@ def test_cli_bad_input_is_a_precondition_error(tmp_path, monkeypatch, capsys, ar
     assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("precondition error:") and cause in err
+
+
+def test_cli_refuses_a_repelling_sector_too_thin_to_sample(tmp_path, capsys):
+    # at q=3, t=-0.00723136 the 1000 sector samples of cone-check need about
+    # 6.4e10 draws, hours of drawing at 5 to 14 million draws per second; it
+    # refuses before any draw.
+    argv = ["cone-check", "--pq=1/3", "--t=-0.00723136", "--a=0.05", "--out", str(tmp_path / "c")]
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "1000 samples need about 6.41e+10 draws, above 1e+09" in capsys.readouterr().err
+    argv = ["hyp-scan", "--pq=1/3", "--t-list=-0.00723136", "--a=0.05", "--res=3",
+            "--out", str(tmp_path / "h")]
+    assert cli.main(argv) == 0
+    rows = (tmp_path / "h.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[2] for row in rows] == ["EXCLUDED"] * 3
 
 
 def test_cli_continuity_refuses_a_depth_past_the_float_range(tmp_path, capsys):

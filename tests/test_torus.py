@@ -201,16 +201,40 @@ def test_fixed_point_raises_like_full_array_newton(a):
     assert str(exc.value) == expected[1]
 
 
+def _doubled(T):
+    """The torus on twice the angles whose fiber 2k is fiber k of T and whose
+    odd fibers are zero, with each sample row repeated."""
+    coeffs = np.zeros((2 * T.n_angles, T.disk_degree + 1), dtype=complex)
+    coeffs[::2] = T.coeffs
+    return tor.SolidTorus(coeffs=coeffs, level=T.level, samples=np.repeat(T.samples, 2, axis=0))
+
+
 def test_fixed_point_equals_a_chain_of_graph_transforms_bit_for_bit():
-    # on 256 angles torus_fixed_point runs one graph_transform call per level
-    # on the caller's grid, so a chain of 8 calls from the same seed torus
-    # gives the same bits
-    P = hn.make_params((1, 2), 0.1, 0.15)
-    res = tor.torus_fixed_point(P, 8, 256, tor.DISK_DEGREE)
-    T = tor.torus_seed(p1.equipotential_loop(P.poly, 256), tor.DISK_DEGREE)
-    for _ in range(8):
-        T = tor.graph_transform(P, T)
-    assert np.array_equal(res.torus.samples, T.samples)
+    # torus_fixed_point makes one plain graph_transform call per level.  On 256
+    # angles every level runs on the caller's grid.  On 1024 angles: 12 levels
+    # on the 1024 angles, a cut to every 4th fiber, plain levels on 256, one
+    # level on each of two doubled tori, then two levels on the 1024 angles.
+    # The q=2 tori are mirrored, the q=3 one is not.
+    for pq, t, a, n_iters, n_angles in [((1, 2), 0.1, 0.15, 8, 256),
+                                        ((1, 2), 0.1, 0.05, 20, 1024),
+                                        ((1, 3), 0.05, 0.05, 20, 1024)]:
+        P = hn.make_params(pq, t, a)
+        res = tor.torus_fixed_point(P, n_iters, n_angles, tor.DISK_DEGREE)
+        cut = n_angles > tor.BASE_ANGLES
+        T = tor.torus_seed(p1.equipotential_loop(P.poly, n_angles), tor.DISK_DEGREE)
+        gaps, seps = [], []
+        for level in range(1, n_iters + 1):
+            if cut and level == tor.FULL_GRID_LEVELS + 1:
+                s = n_angles // tor.BASE_ANGLES
+                T = tor.SolidTorus(coeffs=T.coeffs[::s], level=T.level, samples=T.samples[::s])
+            vals, refine = T.node_values, cut and level in (n_iters - 3, n_iters - 2)
+            T = tor.graph_transform(P, _doubled(T) if refine else T)
+            gaps.append(np.max(np.abs(T.node_values[::1 + refine] - vals)))
+            seps.append(T.separation())
+        assert T.n_angles == n_angles and T.level == n_iters
+        assert np.array_equal(res.torus.coeffs, T.coeffs)
+        assert np.array_equal(res.torus.samples, T.samples)
+        assert np.array_equal(res.gaps, gaps) and np.array_equal(res.separations, seps)
 
 
 def test_torus_samples_warm_start_the_next_level(monkeypatch):
@@ -569,17 +593,42 @@ def test_fixed_point_matches_the_full_grid_iteration(pq, t, a, n_iters, n_angles
 
 
 def test_refining_step_is_the_step_on_the_doubled_grid(monkeypatch):
-    # from the even fibers of a 512-angle torus the refining step solves the
-    # equations of the 512-angle step; on the mirror axis it solves the
-    # fibers 0 .. 256 only
+    # on the 512-angle torus whose even fibers are those of a 256-angle torus
+    # and whose odd fibers are zero, the plain step reads only the even
+    # fibers and solves the equations of the 512-angle step; on the mirror
+    # axis it solves the fibers 0 .. 256 only
     P = hn.make_params((1, 2), 0.1, 0.05)
     T = tor.torus_fixed_point(P, 6, 512, tor.DISK_DEGREE).torus
     even = tor.SolidTorus(coeffs=T.coeffs[::2], level=T.level, samples=T.samples[::2])
-    width, refined = _solved_angles(monkeypatch, P, even, _refine=True)
+    width, refined = _solved_angles(monkeypatch, P, _doubled(even))
     direct = tor.graph_transform(P, T)
     assert width == 257
     assert refined.n_angles == 512 and refined.level == T.level + 1
     assert np.max(np.abs(refined.coeffs - direct.coeffs)) <= 8 * np.spacing(np.max(np.abs(direct.coeffs)))
+
+
+def test_a_stall_on_a_refining_level_names_the_angle_on_the_callers_grid(monkeypatch):
+    # level 17 of a 1024x20 torus transforms the doubled 256-angle level 16;
+    # with 3 Newton steps its fiber 39 of 512 stalls, angle 78 of 1024
+    P = hn.make_params((1, 2), 0.1, 0.05)
+    step, inputs = tor.graph_transform, []
+
+    def spy(params, torus, *args, **kwargs):
+        inputs.append(torus)
+        with monkeypatch.context() as m:
+            if torus.level == 16:
+                m.setattr(tor, "NEWTON_STEPS", 3)
+            return step(params, torus, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(tor, "graph_transform", spy)
+        with pytest.raises(NumericalError, match=r"stalled at angle 78/1024, node 0$"):
+            tor.torus_fixed_point(P, 20, 1024, tor.DISK_DEGREE)
+    doubled = inputs[-1]
+    assert doubled.n_angles == 512 and not doubled.coeffs[1::2].any()
+    monkeypatch.setattr(tor, "NEWTON_STEPS", 3)
+    with pytest.raises(NumericalError, match=r"stalled at angle 39/512, node 0$"):
+        tor.graph_transform(P, doubled)
 
 
 def _raising_level(monkeypatch, params, n_iters, n_angles):
@@ -622,7 +671,7 @@ def test_fixed_point_holds_two_full_grid_tori_at_most(monkeypatch):
 
     def spy(params, torus, *args, **kwargs):
         out = step(params, torus, *args, **kwargs)
-        made.add(out)
+        made.update((torus, out))  # the inputs include the doubled tori of the refining levels
         alive.append(sum(t.n_angles == 1024 for t in made))
         return out
 
