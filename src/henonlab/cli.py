@@ -13,7 +13,7 @@ import numpy as np
 
 from . import io
 from .cones import SCAN_SAMPLES, global_cone_check, hyperbolicity_scan, local_cone_check, sector_samples
-from .errors import NumericalError, PreconditionError
+from .errors import NumericalError, PreconditionError, WorkerError
 from .henon import make_params
 from .lab import connectivity_scan, continuity_experiment, radial_demo
 from .normalform2d import petal_check, reduce
@@ -291,12 +291,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except RuntimeError as exc:
-        # lab._pool_map's error for a worker that died (the OOM killer, say); its
-        # module loads multiprocessing, so it is imported only here
-        from concurrent.futures.process import BrokenProcessPool
-        if not isinstance(exc, BrokenProcessPool):
-            raise
+    except WorkerError as exc:  # a worker died (the OOM killer, say)
         print(f"worker failure: {exc}", file=sys.stderr)
         return 4
 

@@ -1,4 +1,4 @@
-"""Shared exception types, mapped to CLI exit codes (2 and 3)."""
+"""Shared exception types, mapped to CLI exit codes (2, 3 and 4)."""
 
 
 class PreconditionError(ValueError):
@@ -7,3 +7,7 @@ class PreconditionError(ValueError):
 
 class NumericalError(RuntimeError):
     """A solve or continuation failed (non-convergence, ambiguous branch, resonance)."""
+
+
+class WorkerError(RuntimeError):
+    """A worker process of a parallel map died before it returned its result."""

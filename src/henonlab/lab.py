@@ -11,7 +11,7 @@ from functools import partial
 import numpy as np
 
 from .cones import nearest_within
-from .errors import NumericalError, PreconditionError
+from .errors import NumericalError, PreconditionError, WorkerError
 from .henon import jplus_slice, make_params, symmetric_axis
 from .poly1d import caratheodory, poly_params
 from .torus import DISK_DEGREE, check_depth, check_grid, julia_from_sigma, torus_fixed_point
@@ -30,7 +30,7 @@ def _pool_map(fn, items):
     item in input order raises its error; work not yet started is cancelled,
     and every worker is joined before the call returns or raises, on a
     BaseException (a SIGALRM timeout, say) too.  A dead worker raises
-    BrokenProcessPool with its exit code, where multiprocessing.Pool would wait
+    WorkerError with its exit code, where multiprocessing.Pool would wait
     for its result forever.  fork, not spawn: a spawned worker imports numpy
     afresh, about the time the pool saves; the pool forks all its workers at
     the first submit, before it starts its own thread."""
@@ -66,7 +66,7 @@ def _pool_map(fn, items):
         pool.shutdown(wait=True, cancel_futures=True)
     # once one worker has died, the pool terminates the others (SIGTERM, exit code -15)
     code = next((p.exitcode for p in procs if p.exitcode not in (0, -15)), -15)
-    raise BrokenProcessPool(f"a worker process died with exit code {code}") from broken
+    raise WorkerError(f"a worker process died with exit code {code}") from broken
 
 
 def hausdorff(A: np.ndarray, B: np.ndarray) -> float:

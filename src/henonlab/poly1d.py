@@ -86,13 +86,14 @@ def check_angles(n: int, least: int):
 
 @dataclass(frozen=True)
 class LoopSample:
-    """A closed curve sampled at s = k/N, cyclic indexing, N a power of two."""
+    """A closed curve sampled at s = k/N, cyclic indexing, N a power of two.
+    Takes ``values`` uncopied (np.asarray to complex) and makes it read-only: a writer passes a copy."""
 
     values: np.ndarray
     level: float
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=complex)
+        v = np.asarray(self.values, dtype=complex)
         check_angles(len(v), 2)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

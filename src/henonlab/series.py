@@ -194,7 +194,8 @@ def _simplex(D: int):
 
 
 class TruncSeries2(_Jet):
-    """Jet sum c[i,j] x^i y^j over the simplex i + j <= D."""
+    """Jet sum c[i,j] x^i y^j over the simplex i + j <= D.  Takes ``coeffs`` uncopied
+    (np.asarray to complex) and makes it read-only: a caller that still writes to it passes a copy."""
 
     __slots__ = ()
 
@@ -208,7 +209,6 @@ class TruncSeries2(_Jet):
             raise PreconditionError("coefficient array must be (D+1)x(D+1)")
         if np.any(c[_outside_simplex(D)] != 0):
             raise PreconditionError("coefficient outside total degree D")
-        c = c.copy()
         c.setflags(write=False)
         self.coeffs = c
         self.D = D

@@ -53,18 +53,19 @@ class SolidTorus:
     samples: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for name in ("coeffs", "samples"):  # read-only complex arrays are kept, not copied
-            x = getattr(self, name)
-            if x is not None and (getattr(x, "dtype", None) != complex or x.flags.writeable):
-                x = np.array(x, dtype=complex)
-                x.setflags(write=False)
-                object.__setattr__(self, name, x)
-        c = self.coeffs
+        """Takes the arrays uncopied (np.asarray to complex) and makes them read-only once they
+        pass the checks; a caller that still writes to one, or to its base, passes a copy."""
+        arrays = {name: np.asarray(x, dtype=complex) for name in ("coeffs", "samples")
+                  if (x := getattr(self, name)) is not None}
+        c, samples = arrays["coeffs"], arrays.get("samples")
         if c.ndim != 2:
             raise PreconditionError("torus coefficients must be (n_angles, disk_degree+1)")
         check_angles(len(c), 2)
-        if self.samples is not None and self.samples.shape != (len(c), 2 * (c.shape[1] - 1)):
+        if samples is not None and samples.shape != (len(c), 2 * (c.shape[1] - 1)):
             raise PreconditionError("torus samples must be (n_angles, 2 disk_degree)")
+        for name, x in arrays.items():
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
 
     @property
     def n_angles(self):
@@ -171,8 +172,6 @@ def graph_transform(params: HenonParams, torus: SolidTorus,
     dft = np.fft.fft(X, axis=0)[: d + 1]
     dft /= 2 * d * (NODE_RADIUS ** np.arange(d + 1))[:, None]
     coeffs = dft.T.copy()  # a view would keep all 2d rows of the transform
-    for arr in (coeffs, X):  # read-only, so that SolidTorus does not copy them
-        arr.setflags(write=False)
     return SolidTorus(coeffs=coeffs, level=torus.level + 1, samples=X.T)
 
 
@@ -319,12 +318,10 @@ def torus_fixed_point(params: HenonParams, n_iters: int, n_angles: int,
             torus = SolidTorus(torus.coeffs[::s].copy(), torus.level, torus.samples[::s].copy())
         vals = torus.node_values
         refine = n_iters - 2 - k < level <= n_iters - 2
-        if refine:  # read-only arrays, which SolidTorus keeps without a copy
+        if refine:
             coeffs = np.zeros((2 * torus.n_angles, disk_degree + 1), dtype=complex)
             coeffs[::2] = torus.coeffs
-            samples = np.repeat(torus.samples, 2, axis=0)
-            coeffs.flags.writeable = samples.flags.writeable = False
-            torus = SolidTorus(coeffs, torus.level, samples)
+            torus = SolidTorus(coeffs, torus.level, np.repeat(torus.samples, 2, axis=0))
         # frees its input: two tori are alive per call
         torus = graph_transform(params, torus, _grid=n_angles)
         gaps[level - 1] = np.max(np.abs(torus.node_values[::1 + refine] - vals))

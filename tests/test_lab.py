@@ -765,6 +765,15 @@ def test_every_command_runs_where_scipy_cannot_be_imported(tmp_path, argv):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_the_cli_loads_no_pool_or_scipy_module():
+    # lab._pool_map imports multiprocessing and concurrent.futures only when it forks
+    code = ("import sys, henonlab.cli; print(sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'multiprocessing', 'concurrent', 'scipy'}))")
+    env = dict(os.environ, PYTHONPATH=str(Path(henonlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
 def test_cli_deterministic_outputs(tmp_path):
     cfg = cli.RunConfig(subcommand="radial-demo", pq="1/1", angles=1024,
                         iters=30, t_list="0.2,0.1", out=str(tmp_path / "r1"))

@@ -5,13 +5,14 @@ import multiprocessing
 import os
 import signal
 import time
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from henonlab import cli, lab
-from henonlab.errors import PreconditionError
+from henonlab.errors import PreconditionError, WorkerError
 
 PARENT = os.getpid()
 _connectivity_cell = lab._connectivity_cell
@@ -140,11 +141,10 @@ def test_a_refusal_raised_in_the_workers_is_the_serial_one():
 
 
 def test_a_worker_that_exits_raises_instead_of_hanging():
-    from concurrent.futures.process import BrokenProcessPool
-
     t0 = time.perf_counter()
-    with deadline(30), pytest.raises(BrokenProcessPool, match="died with exit code 7$"):
+    with deadline(30), pytest.raises(WorkerError, match="died with exit code 7$") as exc:
         lab._pool_map(_exit_at_0, range(6))
+    assert isinstance(exc.value.__cause__, BrokenProcessPool)
     assert time.perf_counter() - t0 < 10
     assert multiprocessing.active_children() == []
 

@@ -9,7 +9,7 @@ import henonlab.henon as hn
 from henonlab import poly1d as p1
 from henonlab import torus as tor
 from henonlab.errors import NumericalError, PreconditionError
-from henonlab.series import horner
+from henonlab.series import TruncSeries2, horner
 
 SQUARE = p1.PolyParams(p=0, q=1, t=1.0, lam=2.0 + 0j, c=0.0 + 0j, alpha=1.0 + 0j)
 
@@ -255,6 +255,33 @@ def test_torus_samples_warm_start_the_next_level(monkeypatch):
     tor.graph_transform(P, T)
     with pytest.raises(NumericalError, match="stalled"):
         tor.graph_transform(P, tor.SolidTorus(coeffs=T.coeffs, level=T.level))
+
+
+# each value type's array argument, as the array it stores, and a valid input for it
+OWNED = {
+    "SolidTorus coeffs": (lambda x: tor.SolidTorus(coeffs=x, level=0).coeffs, [[1, 2], [3, 4]]),
+    "SolidTorus samples": (lambda x: tor.SolidTorus(coeffs=np.ones((2, 2)), level=1, samples=x).samples,
+                           [[1, 2], [3, 4]]),
+    "LoopSample values": (lambda x: p1.LoopSample(values=x, level=1.0).values, [1, 2]),
+    "TruncSeries2 coeffs": (lambda x: TruncSeries2(x).coeffs, [[1, 2], [3, 0]]),
+}
+
+
+@pytest.mark.parametrize("owner, given", OWNED.values(), ids=OWNED)
+def test_value_types_keep_a_complex_array_and_make_it_read_only(owner, given):
+    mine = np.array(given, dtype=complex)
+    assert owner(mine) is mine and not mine.flags.writeable
+    real = np.array(given, dtype=float)
+    for other in (given, real):  # a list and a real array become a new complex array
+        got = owner(other)
+        assert got is not other and got.dtype == complex and not got.flags.writeable
+        assert np.array_equal(got, mine)
+    assert real.flags.writeable
+    # a refused array is left as it was
+    bad = np.zeros((3, *np.shape(given)[1:]), dtype=complex)
+    with pytest.raises(PreconditionError):
+        owner(bad)
+    assert bad.flags.writeable
 
 
 def _stall_messages(monkeypatch, a, level, max_newton):
