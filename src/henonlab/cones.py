@@ -200,6 +200,7 @@ def nest_aperture(q: int) -> float:
 def nearest_within(points: np.ndarray, sites: np.ndarray, reach: float) -> np.ndarray:
     """Distance from each point to the nearest site where that distance is at
     most reach > 0, inf elsewhere: complex points, or (n, k) rows of them.
+    Points and sites of different column counts (1 for complex points) are refused.
 
     A distance sums the squared real and imaginary parts left to right, the bits of
     cKDTree.query on (re, im, re, im, ...).  Sites are binned by their first coordinate on
@@ -208,6 +209,9 @@ def nearest_within(points: np.ndarray, sites: np.ndarray, reach: float) -> np.nd
     """
     if not np.isfinite(sites).all():
         raise PreconditionError("nearest_within needs finite sites")
+    if math.prod(points.shape[1:]) != math.prod(sites.shape[1:]):
+        raise PreconditionError(f"nearest_within needs points and sites of one column count, "
+                                f"got {points.shape} and {sites.shape}")
     out = np.full(len(points), np.inf)
     if not len(points) or not len(sites):
         return out
@@ -281,7 +285,7 @@ def in_V(params: HenonParams, nf: NormalForm2D, x, y, j_sites: np.ndarray):
     alpha = params.poly.alpha
     ok = (np.abs(y) <= FILTRATION_RADIUS) & (np.abs(2 * x) >= CRIT_STRIP)
     G = np.zeros(x.shape)
-    G[ok] = green(params.poly, x[ok], iters=80)
+    G[ok] = green(params.poly, x[ok])
     ok &= G <= math.log(BASE_RADIUS) / 2.0 + 1e-12
     # Julia collar: only the non-escaping points must lie near J
     near = ok & ~(G > 0)

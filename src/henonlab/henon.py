@@ -2,11 +2,11 @@
 
 Parameters live on the curve where one fixed-point eigenvalue is
 lambda_t = (1+t) e^{2 pi i p/q}; the other eigenvalue is nu = -a^2/lambda_t.
-Includes the filtration-based escape classification of K+/J+ slices.
+Includes the filtration-based escape classification of the {y = 0} slice of K+/J+.
 
 When c is real and a is real or imaginary, the mirror of ``mirror_sign``
-commutes with H.  ``jplus_slice`` steps half the rows of a slice that the
-mirror maps to itself, and the graph transform half the fibers of such a torus.
+commutes with H.  ``jplus_slice`` steps half the rows of a slice whose window
+the mirror maps to itself, and the graph transform half the fibers of such a torus.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def escape_times(params: HenonParams, X, Y, max_iter: int):
 @dataclass(frozen=True)
 class EscapeGrid:
     times: np.ndarray     # (res, res) escape iterates, -1 bounded; rows Im x, columns Re x
-    boundary: np.ndarray  # (n, 2) complex J+ sample, rows (x, y_slice)
+    boundary: np.ndarray  # (n,) complex J+ sample, the x of each boundary cell
 
 
 def symmetric_axis(lo, hi, res):
@@ -250,15 +250,14 @@ def symmetric_axis(lo, hi, res):
     return (lo + hi) / 2 + (hi - lo) / 2 * u
 
 
-def jplus_slice(params: HenonParams, window, resolution: int, max_iter: int,
-                y_slice: complex = 0.0) -> EscapeGrid:
-    """Escape-time grid on {y = const}; bounded cells touching escaped cells
+def jplus_slice(params: HenonParams, window, resolution: int, max_iter: int) -> EscapeGrid:
+    """Escape-time grid on {y = 0}; bounded cells touching escaped cells
     are the J+ sample ``boundary``.  The grid is built and stepped, and its
     boundary found, one block of ESCAPE_BLOCK // resolution rows at a time.
 
-    The axes come from ``symmetric_axis``.  When the mirror C(x, y) = (conj x,
-    e conj y) of ``mirror_sign`` maps the slice to itself (e conj(y_slice) =
-    y_slice) and the window is symmetric in Im x, only the rows res//2 .. are
+    The axes come from ``symmetric_axis``.  The mirror C(x, y) = (conj x,
+    e conj y) of ``mirror_sign``, when there is one, maps {y = 0} to itself;
+    when the window is symmetric in Im x, only the rows res//2 .. are
     stepped and the others are their mirror images.  The mirror is exact:
     negation commutes with round-to-nearest, so complex products (with or
     without FMA), sums and moduli of mirrored operands are mirrored bit for
@@ -270,22 +269,19 @@ def jplus_slice(params: HenonParams, window, resolution: int, max_iter: int,
     re_min, re_max, im_min, im_max = window
     xs = symmetric_axis(re_min, re_max, resolution)
     ys = symmetric_axis(im_min, im_max, resolution)
-    y = complex(y_slice)
-    e = mirror_sign(params)
-    mirrored = e is not None and e * y.conjugate() == y and im_min == -im_max
+    mirrored = mirror_sign(params) is not None and im_min == -im_max
     half = resolution // 2 if mirrored else 0  # the rows copied from their mirror images
     rows = max(1, ESCAPE_BLOCK // resolution)
     times = np.empty((resolution, resolution), dtype=np.int32)  # -1 or a step <= max_iter
     for i in range(half, resolution, rows):
         X = xs[None, :] + 1j * ys[i:i + rows, None]
-        times[i:i + rows] = escape_times(params, X, y, max_iter)
+        times[i:i + rows] = escape_times(params, X, 0.0, max_iter)
     times[:half] = times[resolution - 1:resolution - 1 - half:-1]
     pts = []
     for i in range(0, resolution, rows):
         iy, ix = _boundary_cells(times, i, i + rows)
         pts.append(xs[ix] + 1j * ys[iy])
-    pts = np.concatenate(pts)
-    return EscapeGrid(times=times, boundary=np.column_stack([pts, np.full(len(pts), y)]))
+    return EscapeGrid(times=times, boundary=np.concatenate(pts))
 
 
 def _boundary_cells(times, lo, hi):

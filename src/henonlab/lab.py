@@ -70,14 +70,16 @@ def _pool_map(fn, items):
 
 
 def hausdorff(A: np.ndarray, B: np.ndarray) -> float:
-    """Hausdorff distance between (n, 2) complex point clouds in C^2 (sup-min, Euclidean R^4),
-    with the bits of cKDTree.query on (Re x, Im x, Re y, Im y): each nearest_within
-    search starts at the least cell side of its grid, or one ulp of the largest
-    coordinate, and doubles its reach for the points still unresolved."""
+    """Hausdorff distance (sup-min, Euclidean) between two planar clouds of complex points
+    or two clouds of (n, 2) complex rows (x, y) in C^2, with the bits of cKDTree.query on
+    (Re x, Im x[, Re y, Im y]): each nearest_within search starts at the least cell side of
+    its grid, or one ulp of the largest coordinate, and doubles its reach for the points
+    still unresolved.  nearest_within refuses a planar cloud against C^2 rows."""
     if len(A) == 0 or len(B) == 0:
         raise PreconditionError("Hausdorff distance of an empty cloud")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise PreconditionError("Hausdorff distance of a cloud with a non-finite coordinate")
+    A, B = A.reshape(len(A), -1), B.reshape(len(B), -1)
     ulp = np.spacing(max(np.abs(c).max() for c in (A.real, A.imag, B.real, B.imag)))
 
     def directed(points, sites):
@@ -117,11 +119,6 @@ def _check_t_list(t_list, p_over_q):
     if any(abs(b) >= abs(a) for a, b in zip(t, t[1:])):
         raise PreconditionError("t list must descend to 0 in absolute value")
     return t
-
-
-def loop_cloud(loop) -> np.ndarray:
-    """A 1-D Julia sample as a cloud in C^2 on the {y=0} slice."""
-    return np.column_stack([loop.values, np.zeros_like(loop.values)])
 
 
 def continuity_experiment(p_over_q, a, t_list, resolution: int, n_angles: int,
@@ -180,10 +177,10 @@ def _julia_cloud(p_over_q, a, n_iters, n_angles, disk_degree, depth, t):
 def radial_demo(p_over_q, t_list, N: int, n_iters: int) -> HausdorffResult:
     """1-D continuity: d_H between Caratheodory images at t and at 0."""
     t_vals = _check_t_list(t_list, p_over_q)
-    ref = loop_cloud(caratheodory(poly_params(p_over_q, 0.0), N, n_iters).loop)
+    ref = caratheodory(poly_params(p_over_q, 0.0), N, n_iters).loop.values
     dist = []
     for t in t_vals:
-        cur = loop_cloud(caratheodory(poly_params(p_over_q, t), N, n_iters).loop)
+        cur = caratheodory(poly_params(p_over_q, t), N, n_iters).loop.values
         dist.append(hausdorff(cur, ref))
     return HausdorffResult(t_values=t_vals, distances=dist,
                            meta=f"radial pq={p_over_q} N={N} iters={n_iters}")

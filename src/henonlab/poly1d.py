@@ -30,6 +30,7 @@ PETAL_CHART_RADIUS = 0.18
 BASE_RADIUS = 4.0      # equipotential level exp(G) = R used for seeding loops
 ESCAPE_RADIUS = 10.0   # |z| beyond this certifies escape for every family member
 _FAR = 1e100           # continue iterating to here so Green values saturate
+GREEN_STEPS = 80       # most steps of `green`
 
 
 def _normalize_pq(p_over_q) -> Fraction:
@@ -103,20 +104,18 @@ class LoopSample:
         return len(self.values)
 
 
-def green(params: PolyParams, z, iters: int = 60):
+def green(params: PolyParams, z):
     """Green function estimate 2^{-n} log|p^n(z)|; 0 on the non-escaping set.
 
     Iteration continues past the escape radius until |z| is astronomically
-    large, so the returned value is stable in `iters` once the orbit escapes.
+    large, so the returned value is stable in GREEN_STEPS once the orbit escapes.
     Only the orbits still below that size are stored and stepped.
     """
-    if iters < 1:
-        raise PreconditionError("iters must be >= 1")
     z0 = np.asarray(z, dtype=complex)
     w = z0.ravel()
     out = np.zeros(w.shape, dtype=float)
     idx = np.arange(w.size)          # position in z0 of each active orbit
-    for n in range(1, iters + 1):
+    for n in range(1, GREEN_STEPS + 1):
         w = w ** 2 + params.c
         far = np.abs(w) > _FAR
         if np.any(far):
@@ -127,7 +126,7 @@ def green(params: PolyParams, z, iters: int = 60):
         if not idx.size:
             break
     tail = np.abs(w) > ESCAPE_RADIUS
-    out[idx[tail]] = np.log(np.abs(w[tail])) / 2.0**iters
+    out[idx[tail]] = np.log(np.abs(w[tail])) / 2.0**GREEN_STEPS
     return float(out[0]) if z0.ndim == 0 else out.reshape(z0.shape)
 
 

@@ -177,7 +177,8 @@ def test_acceptance_9_degenerate_limit():
     P = hn.make_params((1, 1), 0.1, 1e-3)
     T = tor.torus_fixed_point(P, 48, 2048, tor.DISK_DEGREE).torus
     cloud = tor.julia_from_sigma(P, T, depth=12)
-    ref = lab.loop_cloud(p1.caratheodory(P.poly, 2048, 48).loop)
+    loop = p1.caratheodory(P.poly, 2048, 48).loop.values
+    ref = np.column_stack([loop, np.zeros_like(loop)])  # J_poly x {0} in C^2
     d = lab.hausdorff(cloud, ref)
     elapsed = time.time() - start
     ok = d < 5e-2 and elapsed < 120.0

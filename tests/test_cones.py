@@ -268,7 +268,7 @@ def in_V_full(params, nf, x, y, j_sites=None, vs=V_GEOM):
     y = np.asarray(y, dtype=complex)
     alpha = params.poly.alpha
     ok = (np.abs(y) <= vs.r) & (np.abs(2 * x) >= vs.crit_strip)
-    G = green(params.poly, x, iters=80)
+    G = green(params.poly, x)
     ok &= G <= math.log(vs.R) / 2.0 + 1e-12
     if j_sites is None:
         j_sites = cones.julia_slice_tree(params)
@@ -690,7 +690,7 @@ def test_in_V_bounded_collar_query_at_the_collar_edge(q, t):
     assert np.array_equal(cones.in_V(P, nf, x, y, sites), in_V_full(P, nf, x, y, sites))
     # the collar test decides on both sides within a few ulps of the collar
     dx, _ = tree.query(_xy(x))
-    reach = (green(P.poly, x, iters=80) == 0) & (np.abs(2 * x) >= vs.crit_strip)
+    reach = (green(P.poly, x) == 0) & (np.abs(2 * x) >= vs.crit_strip)
     edge = reach & (np.abs(dx - vs.collar) <= 16 * 2.0**-52 * vs.collar)
     assert np.any(edge & (dx <= vs.collar)) and np.any(edge & (dx > vs.collar))
 

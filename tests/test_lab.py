@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 
 import henonlab
 import henonlab.henon as hn
-from henonlab import cli, io, lab
+from henonlab import cli, cones, io, lab
 from henonlab import poly1d as p1
 from henonlab import torus as tor
 from henonlab.errors import NumericalError, PreconditionError
@@ -63,8 +63,9 @@ def test_hausdorff_refuses_a_non_finite_coordinate(bad, where):
 
 
 def _kd_hausdorff(A, B, k=4):
-    """The k-d tree oracle on the first k of the real rows (Re x, Im x, Re y, Im y)."""
-    a, b = (np.ascontiguousarray(c).view(float)[:, :k] for c in (A, B))
+    """The k-d tree oracle on the first k of the real rows (Re x, Im x, Re y, Im y)
+    of (n, 2) complex rows, or (Re x, Im x) of planar points."""
+    a, b = (np.ascontiguousarray(c).view(float).reshape(len(c), -1)[:, :k] for c in (A, B))
     return max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max())
 
 
@@ -87,10 +88,12 @@ def test_hausdorff_overflowing_distance_reads_inf_like_the_kd_tree():
 
 
 @st.composite
-def _cloud_pairs(draw):
-    """Two clouds in R^2 (y = 0) or R^4, with duplicate points, points of one
-    cloud in the other, and the second cloud moved by up to 1e6 in x."""
-    r4 = draw(st.booleans())
+def _cloud_pairs(draw, planar=None):
+    """Two clouds in R^2 (planar complex points, or (n, 2) rows with y = 0) or
+    R^4, with duplicate points, points of one cloud in the other, and the
+    second cloud moved by up to 1e6 in x."""
+    planar = draw(st.booleans()) if planar is None else planar
+    r4 = not planar and draw(st.booleans())
     coord = st.one_of(st.floats(-2.5, 2.5), st.integers(-50, 50).map(lambda k: k * 0.05))
 
     def one():
@@ -102,7 +105,7 @@ def _cloud_pairs(draw):
     A, B = one(), one()
     B = np.concatenate([B, A[draw(st.lists(st.integers(0, len(A) - 1), max_size=5))]])
     B[:, 0] += draw(st.sampled_from([0.0, 1e-9, 0.5, 3.0, 1e6]))
-    return A, B, 4 if r4 else 2
+    return (A[:, 0], B[:, 0], 2) if planar else (A, B, 4 if r4 else 2)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -112,6 +115,30 @@ def test_hausdorff_matches_kd_tree(clouds):
     want = _kd_hausdorff(A, B, k)
     assert np.float64(lab.hausdorff(A, B)).tobytes() == np.float64(want).tobytes()
     assert lab.hausdorff(A, A) == 0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(clouds=_cloud_pairs(planar=True))
+def test_hausdorff_of_planar_points_equals_that_of_rows_with_y_zero(clouds):
+    # the zero column adds +0.0 to each squared sum, and moves neither the
+    # largest coordinate nor the reach the search starts from
+    A, B, _ = clouds
+    rows = [np.column_stack([c, np.zeros_like(c)]) for c in (A, B)]
+    assert np.float64(lab.hausdorff(A, B)).tobytes() == np.float64(lab.hausdorff(*rows)).tobytes()
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_a_planar_cloud_against_rows_in_c2_is_refused(swap):
+    # without the refusal, (n,) points against (m, 2) rows broadcast into wrong distances
+    planar = np.array([0, 1 + 1j, 2])
+    rows = cloud([[0, 0], [1 + 1j, 0]])
+    pair = (rows, planar) if swap else (planar, rows)
+    with pytest.raises(PreconditionError, match="points and sites of one column count"):
+        lab.hausdorff(*pair)
+    with pytest.raises(PreconditionError, match="points and sites of one column count"):
+        cones.nearest_within(*pair, 1.0)
+    with pytest.raises(PreconditionError, match="points and sites of one column count"):
+        cones.nearest_within(pair[0][:0], pair[1], 1.0)  # no points to measure
 
 
 def test_every_public_name_resolves():
@@ -152,17 +179,17 @@ def test_radial_demo_monotone_both_signs():
 
 
 def test_radial_reference_distance_is_zero():
-    ref = lab.loop_cloud(p1.caratheodory(p1.poly_params((1, 1), 0.0), 1024, 30).loop)
+    ref = p1.caratheodory(p1.poly_params((1, 1), 0.0), 1024, 30).loop.values
     assert lab.hausdorff(ref, ref) == 0.0
 
 
 def test_negative_control_shifted_reference():
     # distances to a translated reference must not tend to zero
-    ref = lab.loop_cloud(p1.caratheodory(p1.poly_params((1, 1), 0.0), 1024, 40).loop)
-    shifted = ref + np.array([0.3, 0.0])
+    ref = p1.caratheodory(p1.poly_params((1, 1), 0.0), 1024, 40).loop.values
+    shifted = ref + 0.3
     dists = []
     for t in (0.2, 0.1, 0.05):
-        cur = lab.loop_cloud(p1.caratheodory(p1.poly_params((1, 1), t), 1024, 40).loop)
+        cur = p1.caratheodory(p1.poly_params((1, 1), t), 1024, 40).loop.values
         dists.append(lab.hausdorff(cur, shifted))
     assert min(dists) > 0.15
 

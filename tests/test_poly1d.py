@@ -35,9 +35,12 @@ def test_green_fixed_point_is_zero():
     assert p1.green(pp, 0.5) == 0.0
 
 
-def test_green_stability_in_iters():
+def test_green_stability_in_iters(monkeypatch):
     pp = p1.poly_params((1, 1), 0.0)
-    vals = [p1.green(pp, 2.0, iters=n) for n in (40, 50, 60)]
+    vals = []
+    for n in (40, 50, 60, 80):
+        monkeypatch.setattr(p1, "GREEN_STEPS", n)
+        vals.append(p1.green(pp, 2.0))
     assert 0.55 < vals[-1] < 0.75
     assert max(vals) - min(vals) < 1e-8
 
@@ -64,8 +67,9 @@ def green_masked(params, z, iters=60):
 
 
 def _assert_green_matches(params, z, iters):
-    with np.errstate(over="ignore", invalid="ignore"):
-        got, want = p1.green(params, z, iters), green_masked(params, z, iters)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(p1, "GREEN_STEPS", iters)
+        got, want = p1.green(params, z), green_masked(params, z, iters)
     assert type(got) is type(want)
     assert np.shape(got) == np.shape(want)
     np.testing.assert_array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
@@ -85,17 +89,19 @@ def test_green_matches_masked_reference(pq, t, shape, iters, scale, seed):
     _assert_green_matches(p1.poly_params(pq, t), z.reshape(shape) if shape else z[0], iters)
 
 
-def test_green_matches_masked_reference_at_edges():
+def test_green_matches_masked_reference_at_edges(monkeypatch):
     pp = p1.poly_params((1, 1), 0.0)
     # a scalar returns a float; one iteration
-    assert isinstance(p1.green(pp, 2.0, iters=1), float)
+    monkeypatch.setattr(p1, "GREEN_STEPS", 1)
+    assert isinstance(p1.green(pp, 2.0), float)
     _assert_green_matches(pp, 2.0, 1)
     _assert_green_matches(pp, np.array([0.3, 2.0, 50.0, 1e60]), 1)
     # past ESCAPE_RADIUS but not _FAR after the last iteration: the tail branch
     z = np.array([[4.0, 12.0, 1e3], [0.2j, 3.0 - 1j, 1e120]])
     _assert_green_matches(pp, z, 3)
+    monkeypatch.setattr(p1, "GREEN_STEPS", 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        g = p1.green(pp, z, 3)
+        g = p1.green(pp, z)
     assert 0 < g[0, 0] < np.log(1e100) / 8 and g[1, 0] == 0.0
     # infinite and nan input
     _assert_green_matches(pp, np.array([np.inf, complex(np.inf, 1.0), complex(0, -np.inf), np.nan, 0.1]), 60)

@@ -39,8 +39,6 @@ REFUSALS = {
                           "a must be a finite number, got inf"),
     "reduce order": (lambda: nf2.reduce(P11, D=3), PreconditionError,
                      r"truncation order must be at least 2q\+2"),
-    "green iters": (lambda: p1.green(P11.poly, 0.5, iters=0), PreconditionError,
-                    "iters must be >= 1"),
     "equipotential level": (lambda: p1.equipotential_loop(P11.poly, 8, level=0.0),
                             PreconditionError, "equipotential level must be positive"),
     "torus_seed level": (lambda: tor.torus_seed(_loop(8, 0.0), 2), PreconditionError,
