@@ -222,8 +222,8 @@ def run(cfg: RunConfig) -> int:
         io.write_csv(out + ".csv", f"trapping {rep.region}",
                      "start_x_re,start_x_im,start_y_re,start_y_im,"
                      "end_x_re,end_x_im,end_y_re,end_y_im,final_distance,verdict", rep.rows)
-        print(f"petal-check: passed={rep.passed} rotation_failures={len(rep.rotation_failures)} "
-              f"attraction_failures={len(rep.attraction_failures)} max_dist={rep.max_final_distance:.3e}")
+        print(f"petal-check: passed={rep.passed} rotation_failures={rep.rotation_failures} "
+              f"attraction_failures={rep.attraction_failures} max_dist={rep.max_final_distance:.3e}")
         if not rep.passed:
             return 3
     elif cfg.subcommand == "cone-check":
@@ -232,7 +232,7 @@ def run(cfg: RunConfig) -> int:
         loc = local_cone_check(params, nf, sector_samples(params, cfg.samples, seed=cfg.seed))
         glob = global_cone_check(params, cfg.samples, cfg.seed, nf) if cfg.a != 0 else None
         print(f"local: {loc.verdict} worst_h={loc.worst_h_expansion:.6f} "
-              f"worst_v={loc.worst_v_expansion:.3g} failures={len(loc.invariance_failures)}")
+              f"worst_v={loc.worst_v_expansion:.3g} failures={loc.invariance_failures}")
         if glob is not None:
             print(f"global: {glob.verdict} worst_h={glob.worst_h_expansion:.6f} "
                   f"worst_v={glob.worst_v_expansion:.3g} vertical_ok={glob.extras['vertical_ok']}")
@@ -254,7 +254,7 @@ def run(cfg: RunConfig) -> int:
                      ((torus.level, k, k / torus.n_angles, m, c)
                       for k, row in enumerate(torus.coeffs.tolist()) for m, c in enumerate(row)))
         resid = semiconjugacy_residual(params, torus, seed=cfg.seed)
-        print(f"torus: gap={result.final_gap:.3e} separation={result.separations[-1]:.3e} "
+        print(f"torus: gap={result.final_gap:.3e} separation={result.torus.separation():.3e} "
               f"semiconjugacy_residual={resid:.3e}")
     elif cfg.subcommand == "continuity":
         rj, rs = continuity_experiment(cfg.p_over_q, cfg.a, cfg.ts, resolution=cfg.res,

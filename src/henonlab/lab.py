@@ -215,7 +215,7 @@ def connectivity_scan(p_over_q, t, a_window, resolution: int, n_angles: int, n_i
     The cell -a takes the verdict, gap and separation of the cell a when a
     was computed first: c depends on a only through a^2, so S(x, y) = (x, -y)
     conjugates H_{c,a} to H_{c,-a}, and the torus of -a is that of a with
-    z -> -z, which moves neither the gaps nor the separations.  When lam is
+    z -> -z, which moves neither the gaps nor the separation.  When lam is
     real (q = 1, 2) complex conjugation conjugates H_{c,a} to H_{conj c, conj a}
     and c(conj a) = conj c(a), so the cells conj(a) and -conj(a) take the
     result of a as well: the torus of conj(a) is the mirror image of that of
@@ -256,11 +256,10 @@ def _connectivity_cell(p_over_q, t, n_angles, n_iters, disk_degree, a):
     except (PreconditionError, NumericalError):
         return ConnectivityCell(a=a, verdict="UNKNOWN",
                                 final_gap=float("nan"), separation=float("nan"))
-    gaps = result.gaps
+    gaps, separation = result.gaps, result.torus.separation()
     floor = GAP_FLOOR_ULPS * np.spacing(np.max(np.abs(result.torus.node_values)))
     ok = (result.final_gap < GAP_TOL
           and gaps[-1] <= max(gaps[-2], floor)
-          and result.separations[-1] > SEPARATION_FLOOR)
+          and separation > SEPARATION_FLOOR)
     return ConnectivityCell(a=a, verdict="CONNECTED-BY-CONSTRUCTION" if ok else "UNKNOWN",
-                            final_gap=result.final_gap,
-                            separation=float(result.separations[-1]))
+                            final_gap=result.final_gap, separation=separation)

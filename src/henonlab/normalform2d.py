@@ -109,10 +109,6 @@ class NormalForm2D:
             self.params.a * self.params.x_q + self.change_inv[1](xn, yn),
         )
 
-    def xh_series(self) -> TruncSeries2:
-        """x h(x,y): the second normal component minus its linear part nu y."""
-        return self.normal[1] - self.params.nu * TruncSeries2.var_y(self.D)
-
 
 def reduce(params: HenonParams, D: int | None = None) -> NormalForm2D:
     """Normal form of the map at the fixed point, through total degree D."""
@@ -239,8 +235,8 @@ def sample_petal(rng, n: int, q: int, R: float):
 @dataclass(frozen=True)
 class TrappingReport:
     region: str
-    rotation_failures: list
-    attraction_failures: list
+    rotation_failures: int    # sampled points whose image leaves the next petal
+    attraction_failures: int  # orbits that end tol or more from the cycle
     max_final_distance: float
     rows: list = field(repr=False)
 
@@ -277,10 +273,7 @@ def petal_check(params: HenonParams, nf: NormalForm2D, samples: int,
     good = in_petal(nx, q, R, slack=1e-9) | (np.abs(nx) ** q < 1e-9)
     good &= petal_label(nx, q) == (js + params.p) % q
     good &= np.abs(nz) < LOCAL_DISK_RADIUS * 1.5
-    rotation_failures = [(complex(a), complex(b)) for a, b in zip(Px[~good], Py[~good])]
-
-    attraction_failures: list = []
-    max_final = 0.0
+    attraction_failures, max_final = 0, 0.0
     rows = []
     if t != 0 and steps > 0:
         if t > 0:
@@ -303,15 +296,14 @@ def petal_check(params: HenonParams, nf: NormalForm2D, samples: int,
             )
         dists[~np.isfinite(dists)] = np.inf  # nan >= tol is False: an escaped orbit fails as inf
         max_final = float(np.max(dists))
-        bad = dists >= tol
-        attraction_failures = [(complex(a), complex(b)) for a, b in zip(start[bad, 0], start[bad, 1])]
+        attraction_failures = int(np.sum(dists >= tol))
         rows = [
             (complex(sx), complex(sy), complex(ex), complex(ey), float(d), "pass" if d < tol else "fail")
             for sx, sy, ex, ey, d in zip(start[:, 0], start[:, 1], Ax, Ay, dists)
         ]
     return TrappingReport(
         region=f"petals R={R:.3f} r_loc={LOCAL_DISK_RADIUS} (q={q}, t={t}, a={params.a})",
-        rotation_failures=rotation_failures,
+        rotation_failures=int(np.sum(~good)),
         attraction_failures=attraction_failures,
         max_final_distance=max_final, rows=rows,
     )

@@ -269,9 +269,9 @@ def _newton(params, nodes, tcoeffs, start):
 @dataclass(frozen=True)
 class TorusResult:
     torus: SolidTorus
-    # per level; see torus_fixed_point for the grid of each entry:
-    gaps: np.ndarray          # sup-norm Cauchy gap to the level before
-    separations: np.ndarray   # fiber separation
+    # per level, the sup-norm Cauchy gap to the level before; see
+    # torus_fixed_point for the grid of each entry
+    gaps: np.ndarray
 
     @property
     def final_gap(self):
@@ -300,18 +300,17 @@ def torus_fixed_point(params: HenonParams, n_iters: int, n_angles: int,
     zero.  The last two levels run on the N angles, within a few ulps of the
     direct solve.  Otherwise every level runs on the N angles.
 
-    Entry i of ``separations`` is that of level i + 1 on its own grid; entry i
-    of ``gaps`` compares levels i + 1 and i on the grid of level i, so a
-    refining level is compared on its even fibers.  The first FULL_GRID_LEVELS
-    entries, the last two gaps and the last three separations are on the N
-    angles.  At q = 1 all gaps are the direct solve's to rounding.  At q >= 2
-    the base-grid gaps fall up to 85 % below the N-angle ones on 1024 angles
-    and 92 % on 2048, so they may rise where the grid changes."""
+    Entry i of ``gaps`` compares levels i + 1 and i on the grid of level i, so
+    a refining level is compared on its even fibers.  The first
+    FULL_GRID_LEVELS entries and the last two are on the N angles.  At q = 1
+    all gaps are the direct solve's to rounding.  At q >= 2 the base-grid gaps
+    fall up to 85 % below the N-angle ones on 1024 angles and 92 % on 2048, so
+    they may rise where the grid changes."""
     check_grid(n_iters, n_angles, disk_degree)
     torus = torus_seed(equipotential_loop(params.poly, n_angles), disk_degree)
     k = max(n_angles // BASE_ANGLES, 1).bit_length() - 1
     k = k if n_iters >= FULL_GRID_LEVELS + k + 2 else 0
-    gaps, seps = np.empty(n_iters), np.empty(n_iters)
+    gaps = np.empty(n_iters)
     for level in range(1, n_iters + 1):
         if k and level == FULL_GRID_LEVELS + 1:  # copies: a strided view keeps the N fibers
             s = n_angles // BASE_ANGLES
@@ -325,8 +324,7 @@ def torus_fixed_point(params: HenonParams, n_iters: int, n_angles: int,
         # frees its input: two tori are alive per call
         torus = graph_transform(params, torus, _grid=n_angles)
         gaps[level - 1] = np.max(np.abs(torus.node_values[::1 + refine] - vals))
-        seps[level - 1] = torus.separation()
-    return TorusResult(torus=torus, gaps=gaps, separations=seps)
+    return TorusResult(torus=torus, gaps=gaps)
 
 
 def phi_oa2_residual(params: HenonParams, torus: SolidTorus,

@@ -277,9 +277,10 @@ def test_connectivity_scan_asymmetric_window_computes_every_cell(monkeypatch):
     ((1e-15, 1e-15, 8e-15), "UNKNOWN"),                      # a rise above it
 ])
 def test_connectivity_verdict_ignores_gap_rises_at_the_rounding_floor(monkeypatch, gaps, verdict):
-    # constant fibers of size 3, where an ulp is 4.4e-16
-    torus = tor.SolidTorus(coeffs=[[3, 0, 0]] * 4, level=3)
-    result = tor.TorusResult(torus=torus, gaps=np.array(gaps), separations=np.ones(3))
+    # constant fibers of size 3, where an ulp is 4.4e-16, whose half-turn
+    # fibers 3 and -3 stand 6 apart
+    torus = tor.SolidTorus(coeffs=[[3, 0, 0]] * 2 + [[-3, 0, 0]] * 2, level=3)
+    result = tor.TorusResult(torus=torus, gaps=np.array(gaps))
     monkeypatch.setattr(lab, "torus_fixed_point", lambda *args: result)
     cells = lab.connectivity_scan((1, 2), 0.1, (0.1, 0.2, 0.1, 0.2), resolution=2,
                                   n_angles=256, n_iters=10)
@@ -305,7 +306,7 @@ def test_connectivity_scan_reused_cells_match_a_direct_solve():
             assert math.isnan(c.final_gap)
             continue
         assert abs(direct.final_gap - c.final_gap) < 1e-13
-        assert abs(direct.separations[-1] - c.separation) < 1e-13
+        assert abs(direct.torus.separation() - c.separation) < 1e-13
 
 
 def test_connectivity_scan_window_guard():
@@ -634,6 +635,31 @@ def test_cli_petal_check_runs_500_steps_by_default(tmp_path, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.startswith("petal-check: passed=True ")
     assert len((tmp_path / "x.csv").read_text().splitlines()) == 2 + 50
+
+
+def test_cli_failure_counts_are_the_report_fields(tmp_path, capsys, monkeypatch):
+    # the reports hold their failures as int counts, which the CLI prints as they are;
+    # the failing petal orbits themselves are the CSV's fail rows
+    reports = []
+    for fn in ("petal_check", "local_cone_check"):
+        compute = getattr(cli, fn)
+        monkeypatch.setattr(cli, fn, lambda *a, compute=compute, **kw:
+                            reports.append(compute(*a, **kw)) or reports[-1])
+    argv = ["petal-check", "--pq=1/2", "--t=0.008", "--a=0.03", "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 3
+    petal = reports.pop()
+    assert capsys.readouterr().out.startswith(
+        "petal-check: passed=False rotation_failures=0 attraction_failures=994 ")
+    assert type(petal.rotation_failures) is int and type(petal.attraction_failures) is int
+    assert (petal.rotation_failures, petal.attraction_failures) == (0, 994)
+    rows = (tmp_path / "x.csv").read_text().splitlines()[2:]
+    assert sum(r.endswith(",fail") for r in rows) == 994 and len(rows) == 1000
+    argv = ["cone-check", "--pq=1/5", "--t=0.09", "--a=0.49", "--samples=10000",
+            "--out", str(tmp_path / "y")]
+    assert cli.main(argv) == 0
+    local = reports.pop()
+    assert capsys.readouterr().out.startswith("local: FAIL worst_h=1.090000 worst_v=3.97 failures=2417\n")
+    assert type(local.invariance_failures) is int and local.invariance_failures == 2417
 
 
 @pytest.mark.parametrize("command", ["hyp-scan", "connectivity-scan"])

@@ -111,10 +111,10 @@ def test_fixed_point_matches_full_array_newton(pq, a):
 def _fixed_point_of_full_array_newton(P):
     """The 30-level fixed point at 256 angles, checked against the reference."""
     res = tor.torus_fixed_point(P, 30, 256, tor.DISK_DEGREE)
-    torus, gaps, seps = _iterate(_full_array_graph_transform, P, 30, 256)
+    torus, gaps, _ = _iterate(_full_array_graph_transform, P, 30, 256)
     assert np.max(np.abs(res.torus.coeffs - torus.coeffs)) < 1e-14
     assert np.max(np.abs(res.gaps - gaps)) < 1e-13
-    assert np.max(np.abs(res.separations - seps)) < 1e-13
+    assert abs(res.torus.separation() - torus.separation()) < 1e-13
     return res
 
 
@@ -222,7 +222,7 @@ def test_fixed_point_equals_a_chain_of_graph_transforms_bit_for_bit():
         res = tor.torus_fixed_point(P, n_iters, n_angles, tor.DISK_DEGREE)
         cut = n_angles > tor.BASE_ANGLES
         T = tor.torus_seed(p1.equipotential_loop(P.poly, n_angles), tor.DISK_DEGREE)
-        gaps, seps = [], []
+        gaps = []
         for level in range(1, n_iters + 1):
             if cut and level == tor.FULL_GRID_LEVELS + 1:
                 s = n_angles // tor.BASE_ANGLES
@@ -230,11 +230,10 @@ def test_fixed_point_equals_a_chain_of_graph_transforms_bit_for_bit():
             vals, refine = T.node_values, cut and level in (n_iters - 3, n_iters - 2)
             T = tor.graph_transform(P, _doubled(T) if refine else T)
             gaps.append(np.max(np.abs(T.node_values[::1 + refine] - vals)))
-            seps.append(T.separation())
         assert T.n_angles == n_angles and T.level == n_iters
         assert np.array_equal(res.torus.coeffs, T.coeffs)
         assert np.array_equal(res.torus.samples, T.samples)
-        assert np.array_equal(res.gaps, gaps) and np.array_equal(res.separations, seps)
+        assert np.array_equal(res.gaps, gaps) and res.torus.separation() == T.separation()
 
 
 def test_torus_samples_warm_start_the_next_level(monkeypatch):
@@ -361,21 +360,21 @@ def test_torus_of_minus_a_is_the_torus_of_a_with_z_negated():
     results = [tor.torus_fixed_point(hn.make_params((1, 2), -0.02, b), 20, 512, tor.DISK_DEGREE)
                for b in (a, -a)]
     for res in results:
-        assert res.final_gap < 5e-2 and res.separations[-1] > 1e-2
+        assert res.final_gap < 5e-2 and res.torus.separation() > 1e-2
     plus, minus = (res.torus for res in results)
     shifted = np.roll(plus.node_values, plus.disk_degree, axis=1)
     assert np.max(np.abs(minus.node_values - shifted)) < 1e-13
 
 
 def _conjugate_torus_mismatch(pq, t, a):
-    """Largest differences in node values, gaps and separations between the
+    """Largest differences in node values, gaps and final separation between the
     torus of conj(a) and the mirror image of the torus of a: fiber k -> -k,
     node j -> -j, values conjugated."""
     plus, minus = (tor.torus_fixed_point(hn.make_params(pq, t, b), 20, 512, tor.DISK_DEGREE)
                    for b in (a, a.conjugate()))
     return (np.max(np.abs(minus.torus.node_values - _mirror(plus.torus.node_values))),
             np.max(np.abs(minus.gaps - plus.gaps)),
-            np.max(np.abs(minus.separations - plus.separations)))
+            abs(minus.torus.separation() - plus.torus.separation()))
 
 
 @pytest.mark.parametrize("pq,t", [((1, 1), 0.1), ((1, 2), 0.02), ((1, 2), -0.02)])
@@ -427,8 +426,8 @@ def test_fibers_follow_polynomial_pullback_as_a_shrinks():
 def test_gaps_non_increasing_and_separation(fixed_q1):
     P, res = fixed_q1
     assert np.all(np.diff(res.gaps[5:]) <= 1e-14)
-    assert np.all(res.separations > 1.0)
-    assert res.separations[-1] == res.torus.separation()
+    _, _, seps = _iterate(tor.graph_transform, P, 100, 1024)
+    assert np.all(seps > 1.0)
     assert res.torus.max_slope() < 0.2
 
 
@@ -605,18 +604,17 @@ def test_equivalence_class_stability_fat_basilica():
 def test_fixed_point_matches_the_full_grid_iteration(pq, t, a, n_iters, n_angles):
     P = hn.make_params(pq, t, a)
     res = tor.torus_fixed_point(P, n_iters, n_angles, tor.DISK_DEGREE)
-    torus, gaps, seps = _iterate(tor.graph_transform, P, n_iters, n_angles)
+    torus, gaps, _ = _iterate(tor.graph_transform, P, n_iters, n_angles)
     assert res.torus.n_angles == n_angles and res.torus.level == n_iters
     coeff_ulp = np.spacing(np.max(np.abs(torus.coeffs)))
     assert np.max(np.abs(res.torus.coeffs - torus.coeffs)) <= 8 * coeff_ulp
     node_ulp = np.spacing(np.max(np.abs(torus.node_values)))
     for got, want in ((res.gaps[-1], gaps[-1]), (res.gaps[-2], gaps[-2]),
-                      (res.separations[-1], seps[-1])):
+                      (res.torus.separation(), torus.separation())):
         assert abs(got - want) <= 8 * node_ulp
     # the first FULL_GRID_LEVELS levels run on the full grid as before
     first = slice(tor.FULL_GRID_LEVELS)
     assert np.array_equal(res.gaps[first], gaps[first])
-    assert np.array_equal(res.separations[first], seps[first])
 
 
 def test_refining_step_is_the_step_on_the_doubled_grid(monkeypatch):
