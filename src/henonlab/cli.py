@@ -183,7 +183,7 @@ def _write_verdicts(path, rows, levels):
 
 def _write_distances(path, result):
     io.write_csv(path, f"hausdorff {result.meta}", "t,distance",
-                 zip(result.t_values, result.distances))
+                 [result.t_values, result.distances])
 
 
 def run(cfg: RunConfig) -> int:
@@ -202,7 +202,7 @@ def run(cfg: RunConfig) -> int:
         res = caratheodory(poly_params(cfg.p_over_q, cfg.t), cfg.angles, cfg.iters)
         n = res.loop.N
         io.write_csv(out + ".csv", "loop", "k,s,re,im,level",
-                     ((k, k / n, v, res.loop.level) for k, v in enumerate(res.loop.values.tolist())))
+                     [np.arange(n), np.arange(n) / n, res.loop.values, np.full(n, res.loop.level)])
         print(f"caratheodory: N={cfg.angles} iters={cfg.iters} final_gap={res.final_gap:.3e}")
     elif cfg.subcommand == "normal-form":
         pp = poly_params(cfg.p_over_q, cfg.t)
@@ -212,8 +212,8 @@ def run(cfg: RunConfig) -> int:
         if params is not None:
             nf = reduce(params)
             io.write_csv(out + "_normal.csv", "normal-form", "component,i,j,re,im",
-                         ((k, i, j, complex(h.coeffs[i, j])) for k, h in enumerate(nf.normal)
-                          for i in range(nf.D + 1) for j in range(nf.D + 1 - i)))
+                         zip(*((k, i, j, complex(h.coeffs[i, j])) for k, h in enumerate(nf.normal)
+                               for i in range(nf.D + 1) for j in range(nf.D + 1 - i))))
             print(f"2-D: C_at = {nf.C_at}, rescale A = {nf.rescale}")
     elif cfg.subcommand == "petal-check":
         params = make_params(cfg.p_over_q, cfg.t, cfg.a)
@@ -221,7 +221,7 @@ def run(cfg: RunConfig) -> int:
                           samples=cfg.samples, steps=cfg.iters, tol=cfg.tol, seed=cfg.seed)
         io.write_csv(out + ".csv", f"trapping {rep.region}",
                      "start_x_re,start_x_im,start_y_re,start_y_im,"
-                     "end_x_re,end_x_im,end_y_re,end_y_im,final_distance,verdict", rep.rows)
+                     "end_x_re,end_x_im,end_y_re,end_y_im,final_distance,verdict", zip(*rep.rows))
         print(f"petal-check: passed={rep.passed} rotation_failures={rep.rotation_failures} "
               f"attraction_failures={rep.attraction_failures} max_dist={rep.max_final_distance:.3e}")
         if not rep.passed:
@@ -241,7 +241,7 @@ def run(cfg: RunConfig) -> int:
         a_vals = np.linspace(-abs(cfg.a), abs(cfg.a), cfg.res)
         cells = hyperbolicity_scan(pq, ts, a_vals, local_samples=cfg.samples, seed=cfg.seed)
         io.write_csv(out + ".csv", "hyperbolicity-scan", "t,a,verdict,worst_h,worst_v",
-                     ((c.t, c.a, c.verdict, c.worst_h, c.worst_v) for c in cells))
+                     zip(*((c.t, c.a, c.verdict, c.worst_h, c.worst_v) for c in cells)))
         n = len(a_vals)
         _write_verdicts(out + ".pgm", (cells[i:i + n] for i in range(0, len(cells), n)),
                         HYP_SCAN_LEVELS)
@@ -250,9 +250,10 @@ def run(cfg: RunConfig) -> int:
         params = make_params(cfg.p_over_q, cfg.t, cfg.a)
         result = torus_fixed_point(params, cfg.iters, cfg.angles, cfg.degree)
         torus = result.torus
+        n, m = torus.coeffs.shape
         io.write_csv(out + ".csv", "torus", "level,k,s,coeff_index,re,im",
-                     ((torus.level, k, k / torus.n_angles, m, c)
-                      for k, row in enumerate(torus.coeffs.tolist()) for m, c in enumerate(row)))
+                     [np.full(n * m, torus.level), np.repeat(np.arange(n), m),
+                      np.repeat(np.arange(n) / n, m), np.tile(np.arange(m), n), torus.coeffs.ravel()])
         resid = semiconjugacy_residual(params, torus, seed=cfg.seed)
         print(f"torus: gap={result.final_gap:.3e} separation={result.torus.separation():.3e} "
               f"semiconjugacy_residual={resid:.3e}")

@@ -4,28 +4,32 @@ bytes."""
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .errors import PreconditionError
 
 _SCHEMA = "# henonlab-csv v1"
+CSV_CHUNK = 4096  # rows formatted by one % and written at a time
+_FORMATS = {"b": "%s", "U": "%s", "i": "%d", "u": "%d", "f": "%.17g", "c": "%.17g,%.17g"}
 PGM_LEVELS = 255  # 8-bit gray
 
 
-def _field(v):
-    """A float as one %.17g field, a complex value as two, anything else by str."""
-    if isinstance(v, complex):
-        return "%.17g,%.17g" % (v.real, v.imag)
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
-
-
-def write_csv(path, kind, columns, rows):
-    """CSV under the header ``# henonlab-csv v1 <kind>`` and the column line."""
+def write_csv(path, kind, header, columns):
+    """CSV under the header ``# henonlab-csv v1 <kind>`` and the column line ``header``, from
+    one array per column: ints as %d, floats as %.17g, complex values as two %.17g fields,
+    bools and strings as %s; each CSV_CHUNK rows are one % over their tolist() values."""
+    columns = [np.asarray(c) for c in columns]
+    if len({len(c) for c in columns}) > 1 or any(c.dtype.kind not in _FORMATS for c in columns):
+        raise PreconditionError("CSV columns must be equal-length arrays of numbers, bools or strings")
+    line = ",".join(_FORMATS[c.dtype.kind] for c in columns) + "\n"
+    parts = [p for c in columns for p in ((c.real, c.imag) if c.dtype.kind == "c" else (c,))]
     with open(path, "w") as fh:
-        fh.write(f"{_SCHEMA} {kind}\n{columns}\n")
-        fh.writelines(",".join(map(_field, row)) + "\n" for row in rows)
+        fh.write(f"{_SCHEMA} {kind}\n{header}\n")
+        for i in range(0, len(columns[0]) if columns else 0, CSV_CHUNK):
+            chunk = tuple(chain.from_iterable(zip(*(p[i:i + CSV_CHUNK].tolist() for p in parts))))
+            fh.write(line * (len(chunk) // len(parts)) % chunk)
 
 
 def write_pgm(path, values):

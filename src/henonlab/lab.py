@@ -130,7 +130,7 @@ def continuity_experiment(p_over_q, a, t_list, resolution: int, n_angles: int,
     resolution they cannot resolve is refused before any torus is solved,
     and a = 0 or a bad torus grid, degree or depth before any slice is built.
     The t = 0 slice is built here; the other slices with their distances, then
-    the tori, run on _pool_map, so each refusal comes in the serial order.
+    all J clouds, run in one _pool_map round, so each refusal comes in the serial order.
     """
     t_vals = _check_t_list(t_list, p_over_q)
     check_grid(n_iters, n_angles, disk_degree)
@@ -139,14 +139,19 @@ def continuity_experiment(p_over_q, a, t_list, resolution: int, n_angles: int,
         raise PreconditionError("--a must be nonzero: the J tori need a != 0 for the graph transform")
 
     ref_slice = _slice_boundary(p_over_q, a, resolution, 0.0)
-    ds = _pool_map(partial(_slice_distance, p_over_q, a, resolution, ref_slice), t_vals)
-    ref_j, *clouds = _pool_map(
-        partial(_julia_cloud, p_over_q, a, n_iters, n_angles, disk_degree, depth), [0.0, *t_vals])
+    cloud_at = partial(_julia_cloud, p_over_q, a, n_iters, n_angles, disk_degree, depth)
+    results = _pool_map(_call, [partial(_slice_distance, p_over_q, a, resolution, ref_slice, t)
+                                for t in t_vals] + [partial(cloud_at, t) for t in [0.0, *t_vals]])
+    ds, (ref_j, *clouds) = results[:len(t_vals)], results[len(t_vals):]
     dj = [hausdorff(cloud, ref_j) for cloud in clouds]
     meta = (f"pq={p_over_q} a={a} angles={n_angles} iters={n_iters} res={resolution} "
             f"degree={disk_degree} depth={depth}")
     return (HausdorffResult(t_values=t_vals, distances=dj, meta="J " + meta),
             HausdorffResult(t_values=t_vals, distances=ds, meta="J+slice " + meta))
+
+
+def _call(job):
+    return job()
 
 
 def _slice_boundary(p_over_q, a, resolution, t):
@@ -212,19 +217,18 @@ def connectivity_scan(p_over_q, t, a_window, resolution: int, n_angles: int, n_i
     GAP_FLOOR_ULPS) with the fiber separation above SEPARATION_FLOOR; anything
     else is UNKNOWN, never DISCONNECTED.
 
-    The cell -a takes the verdict, gap and separation of the cell a when a
-    was computed first: c depends on a only through a^2, so S(x, y) = (x, -y)
-    conjugates H_{c,a} to H_{c,-a}, and the torus of -a is that of a with
-    z -> -z, which moves neither the gaps nor the separation.  When lam is
-    real (q = 1, 2) complex conjugation conjugates H_{c,a} to H_{conj c, conj a}
-    and c(conj a) = conj c(a), so the cells conj(a) and -conj(a) take the
-    result of a as well: the torus of conj(a) is the mirror image of that of
-    a, with s -> -s and z -> conj z.  A window symmetric about 0 gives a grid
-    symmetric about 0 bit for bit, so such a scan computes a quarter of its
-    cells when lam is real and half of them otherwise.  On the axes (a real or
-    imaginary) the mirror maps each torus to itself, so graph_transform
-    solves only its fibers 0 .. n/2.  The cells that take no twin's result are
-    solved on _pool_map.
+    The cell -a takes the verdict, gap and separation of the cell a when a was computed
+    first: c depends on a only through a^2, so S(x, y) = (x, -y) conjugates H_{c,a} to
+    H_{c,-a}, and the torus of -a is that of a with z -> -z.  When lam is real (q = 1, 2)
+    complex conjugation conjugates H_{c,a} to H_{conj c, conj a} and c(conj a) = conj c(a),
+    so the cells conj(a) and -conj(a) take the result of a as well: the torus of conj(a)
+    is the mirror image of that of a, with s -> -s and z -> conj z.  These moves keep the
+    gaps and the separation in exact arithmetic only: a twin's own solve rounds otherwise,
+    so it matches them to rounding, not bit for bit.  A window symmetric about 0 gives a
+    grid symmetric about 0 bit for bit, so such a scan computes a quarter of its cells
+    when lam is real and half of them otherwise.  On the axes (a real or imaginary) the
+    mirror maps each torus to itself, so graph_transform solves only its fibers 0 .. n/2.
+    The cells that take no twin's result are solved on _pool_map.
     """
     re_min, re_max, im_min, im_max = a_window
     if not all(abs(v) < 0.5 for v in a_window):  # refuses NaN bounds too

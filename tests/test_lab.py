@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
 import henonlab
@@ -562,6 +563,17 @@ def test_continuity_refuses_a_coarse_res_before_solving_any_torus(monkeypatch):
                               "cells at resolution 200: raise --res")
 
 
+def test_continuity_runs_its_slices_and_clouds_in_one_pool_round(monkeypatch):
+    # one _pool_map call: a slice job per nonzero t, then a J cloud job per t, t = 0 included
+    calls, pool_map = [], lab._pool_map
+    monkeypatch.setattr(lab, "_pool_map", lambda fn, items: calls.append(list(items))
+                        or pool_map(fn, calls[-1]))
+    lab.continuity_experiment((1, 1), 0.05, [0.2, 0.1], 200, 256, 12, 8, 8)
+    assert [[(job.func, job.args[-1]) for job in items] for items in calls] == [[
+        (lab._slice_distance, 0.2), (lab._slice_distance, 0.1),
+        (lab._julia_cloud, 0.0), (lab._julia_cloud, 0.2), (lab._julia_cloud, 0.1)]]
+
+
 @pytest.mark.parametrize("flags,cause", [
     (["--pq=1/2", "--t=0.3"], "|t| must be below 1/(2q) = 0.25"),
     (["--iters=0"], "n_iters must be >= 2, got 0"),
@@ -957,8 +969,8 @@ def test_continuity_headers_name_degree_and_depth(tmp_path):
 
 
 def _per_field_csv(path, kind, columns, rows):
-    """The CSV writer that formats one field at a time, as the oracle for
-    the one-format-per-row writer."""
+    """The CSV writer that formats one field of a row at a time, as the oracle
+    for the column writer."""
 
     def field(v) -> str:
         if isinstance(v, complex):
@@ -972,43 +984,63 @@ def _per_field_csv(path, kind, columns, rows):
         fh.writelines(",".join(map(field, row)) + "\n" for row in rows)
 
 
-_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
-                    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]))
-_FLOATS32 = st.floats(width=32)
-_CSV_VALUES = st.one_of(
-    st.integers(-10**20, 10**20), st.booleans(), st.text(max_size=6), _FLOATS,
-    st.complex_numbers(allow_nan=True, allow_infinity=True),
-    st.builds(complex, _FLOATS, _FLOATS),
-    _FLOATS.map(np.float64), _FLOATS32.map(np.float32), st.integers(-2**40, 2**40).map(np.int64),
-    st.booleans().map(np.bool_), st.builds(complex, _FLOATS, _FLOATS).map(np.complex128),
-    st.builds(complex, _FLOATS32, _FLOATS32).map(np.complex64), st.none())
-# rows of one type sequence, as the CLI writes them, and rows whose types vary
-_CSV_ROWS = st.one_of(
-    st.lists(st.lists(_CSV_VALUES, max_size=7).map(tuple), max_size=6),
-    st.integers(0, 6).flatmap(lambda width: st.lists(
-        st.tuples(*[st.sampled_from([1, 2.5, -0.0, 1j, "x"])] * width), max_size=6)))
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+                     -2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308]))
+
+_CSV_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=6)
+
+
+def _csv_column(n):
+    """One column of n rows of a dtype the CLI writes.  Strings hold no NUL, as a
+    numpy str array drops trailing ones."""
+    return st.one_of(
+        hnp.arrays(np.int64, n, elements=st.integers(-2**63, 2**63 - 1)),
+        hnp.arrays(np.bool_, n),
+        hnp.arrays("<U6", n, elements=_CSV_TEXT),
+        hnp.arrays(np.float64, n, elements=_FLOATS),
+        hnp.arrays(np.complex128, n, elements=st.builds(complex, _FLOATS, _FLOATS)))
+
+
+_CSV_COLUMNS = st.sampled_from([0, 1, io.CSV_CHUNK - 1, io.CSV_CHUNK, io.CSV_CHUNK + 1]).flatmap(
+    lambda n: st.lists(_csv_column(n), min_size=1, max_size=6))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(rows=_CSV_ROWS, as_lists=st.booleans())
-def test_csv_rows_match_the_per_field_writer(tmp_path_factory, rows, as_lists):
-    # int, bool, str, None, numpy scalars, complex, nan, +-inf and -0.0, in
-    # rows given as tuples or lists: the bytes of the per-field writer
+@given(columns=_CSV_COLUMNS, as_lists=st.booleans())
+def test_csv_rows_match_the_per_field_writer(tmp_path_factory, columns, as_lists):
+    # int64, bool, str, float64 and complex128 columns of 0, 1 and about one
+    # chunk of rows, with nan, +-inf, -0.0, subnormals and the largest floats,
+    # given as arrays or lists: the bytes of the per-field writer on the zipped rows
     path = tmp_path_factory.mktemp("csv")
-    source = [list(r) for r in rows] if as_lists else rows
-    io.write_csv(path / "new.csv", "kind x", "a,b", iter(source))
-    _per_field_csv(path / "old.csv", "kind x", "a,b", rows)
+    io.write_csv(path / "new.csv", "kind x", "a,b",
+                 [c.tolist() for c in columns] if as_lists else columns)
+    _per_field_csv(path / "old.csv", "kind x", "a,b", zip(*(c.tolist() for c in columns)))
     assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
 
 
+@pytest.mark.parametrize("columns", [
+    [np.arange(3), np.arange(4.0)],
+    [np.arange(3), np.array([1, None, 2])],
+    [np.array([1 << 70, 1])],  # past int64: numpy keeps Python ints as objects
+], ids=["unequal-length", "object-dtype", "big-int"])
+def test_csv_writer_refuses_columns_it_cannot_write(tmp_path, columns):
+    with pytest.raises(PreconditionError, match="equal-length arrays of numbers, bools or strings"):
+        io.write_csv(tmp_path / "x.csv", "kind", "a,b", columns)
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_csv_writer_keeps_no_memory_per_row(tmp_path):
-    # rows of floats, complex values and strings, as petal-check writes them:
+    # columns of complex values, floats and strings, as petal-check writes them:
     # after the call nothing allocated per row is still held
-    rows = [(0.5 + 1j, -2j, 0.25, "pass")] * 5000
+    n = 5000
+    columns = [np.full(n, 0.5 + 1j), np.full(n, -2j), np.full(n, 0.25), np.full(n, "pass")]
     tracemalloc.start()
     try:
-        io.write_csv(tmp_path / "rows.csv", "kind", "a,b", rows)
+        io.write_csv(tmp_path / "rows.csv", "kind", "a,b", columns)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert held < 32 * 1024
+    assert len((tmp_path / "rows.csv").read_text().splitlines()) == 2 + n

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from henonlab import cli, lab
-from henonlab.errors import PreconditionError, WorkerError
+from henonlab.errors import NumericalError, PreconditionError, WorkerError
 
 PARENT = os.getpid()
 _connectivity_cell = lab._connectivity_cell
+_julia_cloud = lab._julia_cloud
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="the pool runs only where this process may use two or more CPUs")
@@ -79,6 +80,12 @@ def _killed_in_worker(*args):
     return _connectivity_cell(*args)
 
 
+def _no_torus_at_0(*args):
+    if args[-1] == 0:
+        raise NumericalError("no torus at t=0")
+    return _julia_cloud(*args)
+
+
 def _cell_bits(cells):
     flat = [c for row in cells for c in row]
     gaps = np.array([(c.final_gap, c.separation) for c in flat])
@@ -130,6 +137,20 @@ def test_the_first_failing_item_in_input_order_raises_the_serial_error():
 def test_a_refusal_raised_in_the_workers_is_the_serial_one():
     # at resolution 6 the t=0.1 slice has the t=0 boundary cells and the t=0.05
     # slice has none: the serial run refuses t=0.1 first, in the worker here
+    args = ((1, 2), 0.3, [0.1, 0.05], 6, 256, 12, 8, 8)
+    with pytest.raises(PreconditionError) as pooled:
+        lab.continuity_experiment(*args)
+    assert multiprocessing.active_children() == []
+    with one_cpu(), pytest.raises(PreconditionError) as serial:
+        lab.continuity_experiment(*args)
+    assert str(pooled.value) == str(serial.value) == (
+        "the J+ slices at t=0.1 and t=0 have the same boundary cells at resolution 6: raise --res")
+
+
+def test_a_slice_refusal_comes_before_a_torus_error_in_the_one_round(monkeypatch):
+    # the slices and the J clouds share one pool round, slices first: the
+    # t=0.1 slice refusal is raised, not the error of the t=0 torus behind it
+    monkeypatch.setattr(lab, "_julia_cloud", _no_torus_at_0)
     args = ((1, 2), 0.3, [0.1, 0.05], 6, 256, 12, 8, 8)
     with pytest.raises(PreconditionError) as pooled:
         lab.continuity_experiment(*args)
